@@ -22,40 +22,30 @@ Quickstart::
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .analysis.engine import Analyzer, AnalyzerOptions, analyze
-from .analysis.results import AnalysisResult, PTFStats, run_analysis
-from .frontend.parser import (
-    ParseError,
-    load_program,
-    load_program_from_file,
-    load_project,
-    load_project_files,
-)
-from .ir.program import Procedure, Program
-from .memory.locset import LocationSet
+from ._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .analysis.engine import AnalyzerOptions
+    from .analysis.results import AnalysisResult
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "analyze",
-    "analyze_source",
-    "analyze_file",
-    "Analyzer",
-    "AnalyzerOptions",
-    "AnalysisResult",
-    "PTFStats",
-    "ParseError",
-    "load_program",
-    "load_program_from_file",
-    "load_project",
-    "load_project_files",
-    "Program",
-    "Procedure",
-    "LocationSet",
-    "run_analysis",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".analysis.engine": ("analyze", "Analyzer", "AnalyzerOptions"),
+    ".analysis.results": ("AnalysisResult", "PTFStats", "run_analysis"),
+    ".frontend.parser": (
+        "ParseError",
+        "load_program",
+        "load_program_from_file",
+        "load_project",
+        "load_project_files",
+    ),
+    ".ir.program": ("Program", "Procedure"),
+    ".memory.locset": ("LocationSet",),
+})
+__all__ += ["analyze_source", "analyze_file"]
 
 
 def analyze_source(
@@ -64,6 +54,9 @@ def analyze_source(
     options: Optional[AnalyzerOptions] = None,
 ) -> AnalysisResult:
     """Parse, lower and analyze a C program given as a string."""
+    from .analysis.results import run_analysis
+    from .frontend.parser import load_program
+
     program = load_program(source, filename)
     return run_analysis(program, options)
 
@@ -72,5 +65,8 @@ def analyze_file(
     path: str, options: Optional[AnalyzerOptions] = None
 ) -> AnalysisResult:
     """Parse, lower and analyze a C file on disk."""
+    from .analysis.results import run_analysis
+    from .frontend.parser import load_program_from_file
+
     program = load_program_from_file(path)
     return run_analysis(program, options)

@@ -1,29 +1,16 @@
 """The paper's contribution: the context-sensitive analysis itself."""
 
-from .engine import Analyzer, AnalyzerOptions, analyze
-from .guards import (
-    AnalysisBudget,
-    DegradationRecord,
-    DegradationReport,
-    FrontendFault,
-    GuardTripped,
-)
-from .ptf import PTF, InitialEntry, ParamMap
-from .results import AnalysisResult, PTFStats, run_analysis
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Analyzer",
-    "AnalyzerOptions",
-    "analyze",
-    "AnalysisBudget",
-    "DegradationRecord",
-    "DegradationReport",
-    "FrontendFault",
-    "GuardTripped",
-    "PTF",
-    "ParamMap",
-    "InitialEntry",
-    "AnalysisResult",
-    "PTFStats",
-    "run_analysis",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".engine": ("Analyzer", "AnalyzerOptions", "analyze"),
+    ".guards": (
+        "AnalysisBudget",
+        "DegradationRecord",
+        "DegradationReport",
+        "FrontendFault",
+        "GuardTripped",
+    ),
+    ".ptf": ("PTF", "ParamMap", "InitialEntry"),
+    ".results": ("AnalysisResult", "PTFStats", "run_analysis"),
+})

@@ -59,12 +59,13 @@ import os
 import threading
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from ..query.engine import QueryEngine
 from ..query.store import STORE_FORMAT, pointed_by_index, procedure_record
-from .results import AnalysisResult, run_analysis
-from .scc import address_taken_procs, build_plan, static_call_graph
+
+if TYPE_CHECKING:
+    from .results import AnalysisResult
 
 __all__ = [
     "DemandAnalysis",
@@ -126,6 +127,7 @@ def demand_call_graph(program) -> dict:
     records for it.
     """
     from .guards import _direct_targets
+    from .scc import address_taken_procs, static_call_graph
 
     graph = static_call_graph(program)
     taken = address_taken_procs(program)
@@ -175,6 +177,8 @@ def compute_demand_slice(
     here" implies "never analyzed".
     """
     if plan is None:
+        from .scc import build_plan
+
         plan = build_plan(demand_call_graph(program))
     shard_of: dict[str, int] = {}
     for i, shard in enumerate(plan.shards):
@@ -278,6 +282,8 @@ class DemandAnalysis:
     def plan(self):
         with self._lock:
             if self._plan is None:
+                from .scc import build_plan
+
                 self._plan = build_plan(demand_call_graph(self.program))
             return self._plan
 
@@ -316,6 +322,8 @@ class DemandAnalysis:
         """The analyzed result (one fixpoint per generation, memoized)."""
         with self._lock:
             if self._result is None:
+                from .results import run_analysis
+
                 started = time.perf_counter()
                 self._result = run_analysis(self.program, self.options)
                 self.analysis_seconds += time.perf_counter() - started
@@ -337,6 +345,7 @@ class DemandAnalysis:
         with self._lock:
             if self._null is None:
                 from .engine import Analyzer
+                from .results import AnalysisResult
 
                 self._null = AnalysisResult(Analyzer(self.program, self.options))
             return self._null
@@ -508,9 +517,9 @@ class DemandTier:
         self.entry = entry
         self.trace = tracer
         self.cache_size = cache_size
-        self.options = (
-            options if options is not None else options_from_store(store)
-        )
+        # built from the store on the first refresh: a tier over
+        # unchanged sources never needs the analyzer's options
+        self.options = options
         records = store.get("sources") or []
         self.paths = [rec.get("path") for rec in records if rec.get("path")]
         self._stored_digests = tuple(rec.get("sha256") for rec in records)
@@ -575,6 +584,8 @@ class DemandTier:
         from ..frontend.parser import load_project_files
         from ..query.invalidate import compute_stale
 
+        if self.options is None:
+            self.options = options_from_store(self.store)
         fresh_analysis_state()
         try:
             program = load_project_files(

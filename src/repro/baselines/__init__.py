@@ -1,15 +1,13 @@
 """Baseline analyses the paper compares against (§6–7)."""
 
-from .andersen import AndersenAnalysis, andersen_analyze
-from .invocation import InvocationGraph, build_invocation_graph, syntactic_call_graph
-from .steensgaard import SteensgaardAnalysis, steensgaard_analyze
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AndersenAnalysis",
-    "andersen_analyze",
-    "SteensgaardAnalysis",
-    "steensgaard_analyze",
-    "InvocationGraph",
-    "build_invocation_graph",
-    "syntactic_call_graph",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".andersen": ("AndersenAnalysis", "andersen_analyze"),
+    ".steensgaard": ("SteensgaardAnalysis", "steensgaard_analyze"),
+    ".invocation": (
+        "InvocationGraph",
+        "build_invocation_graph",
+        "syntactic_call_graph",
+    ),
+})

@@ -26,14 +26,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .analysis.engine import AnalyzerOptions
-from .analysis.guards import GuardTripped
-from .analysis.results import run_analysis
-from .frontend.parser import ParseError, load_project_files
-from .frontend.typebuild import FrontendError
 from .ioutil import out_stream, write_text
+
+if TYPE_CHECKING:
+    from .analysis.engine import AnalyzerOptions
 
 __all__ = ["main"]
 
@@ -46,6 +44,8 @@ EXIT_PARTIAL = 4
 
 
 def _options_from(args: argparse.Namespace) -> AnalyzerOptions:
+    from .analysis.engine import AnalyzerOptions
+
     opts = AnalyzerOptions(
         state_kind=args.state,
         external_policy=args.external,
@@ -313,6 +313,7 @@ def _analyze_demand(args: argparse.Namespace) -> int:
         DemandEngine,
         fresh_analysis_state,
     )
+    from .frontend.parser import load_project_files
     from .query import QueryError
 
     opts = _options_from(args)
@@ -359,6 +360,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         return _analyze_batch(args)
     if getattr(args, "demand_root", None):
         return _analyze_demand(args)
+    from .analysis.results import run_analysis
+    from .frontend.parser import load_project_files
+
     opts = _options_from(args)
     program = load_project_files(
         args.files, tolerant=not opts.strict, faults=opts.faults
@@ -402,6 +406,9 @@ def _parse_query(query: str) -> tuple[str, str]:
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
+    from .analysis.results import run_analysis
+    from .frontend.parser import load_project_files
+
     args.provenance = True
     program = load_project_files(args.files)
     result = run_analysis(program, _options_from(args))
@@ -453,6 +460,9 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
 
 def cmd_callgraph(args: argparse.Namespace) -> int:
+    from .analysis.results import run_analysis
+    from .frontend.parser import load_project_files
+
     program = load_project_files(args.files)
     result = run_analysis(program, _options_from(args))
     graph = result.call_graph()
@@ -463,7 +473,9 @@ def cmd_callgraph(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from .analysis.results import run_analysis
     from .baselines import andersen_analyze, steensgaard_analyze
+    from .frontend.parser import load_project_files
 
     program = load_project_files(args.files)
     wl = run_analysis(program, _options_from(args))
@@ -548,7 +560,9 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def cmd_snapshot(args: argparse.Namespace) -> int:
     """Analyze sources and emit the canonical run snapshot (JSON)."""
+    from .analysis.results import run_analysis
     from .diagnostics.snapshot import build_snapshot, write_snapshot
+    from .frontend.parser import load_project_files
 
     opts = _options_from(args)
     if args.memory:
@@ -631,7 +645,9 @@ def cmd_diff(args: argparse.Namespace) -> int:
 
 
 def cmd_parallelize(args: argparse.Namespace) -> int:
+    from .analysis.results import run_analysis
     from .clients import MachineModel, Parallelizer
+    from .frontend.parser import load_project_files
 
     program = load_project_files(args.files)
     result = run_analysis(program, _options_from(args))
@@ -689,10 +705,12 @@ def cmd_index(args: argparse.Namespace) -> int:
     (``docs/QUERY.md``).  Repeated runs first check staleness by digest
     (:mod:`repro.query.invalidate`) and skip the analysis entirely when
     the store is still the solution of these sources."""
-    from .query import build_store, compute_stale, load_store, write_store
-
     if getattr(args, "jobs", None) is not None:
         return _index_batch(args)
+    from .analysis.results import run_analysis
+    from .frontend.parser import load_project_files
+    from .query import build_store, compute_stale, load_store, write_store
+
     opts = _options_from(args)
     program = load_project_files(
         args.files, tolerant=not opts.strict, faults=opts.faults
@@ -796,7 +814,7 @@ def _answer_query_specs(
     themselves are shared cache entries and stay byte-identical);
     ``forced_mode`` marks every answer when the engine *is* a demand
     engine (no store to be stale against)."""
-    from .analysis.guards import AnalysisBudget
+    from .analysis.guards import AnalysisBudget, GuardTripped
     from .query import QueryError, parse_query_spec
 
     budget = None
@@ -883,6 +901,7 @@ def _query_without_store(args: argparse.Namespace) -> int:
         DemandEngine,
         fresh_analysis_state,
     )
+    from .frontend.parser import load_project_files
 
     fresh_analysis_state()
     program = load_project_files(args.analyze_on_miss)
@@ -1531,20 +1550,35 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except Exception as exc:
+        status = _fatal_status(exc)
+        if status is None:
+            raise
+        return status
+
+
+def _fatal_status(exc: Exception) -> Optional[int]:
+    """Report an error that escaped a command handler; ``None`` means
+    it is not one of ours and should propagate.  The frontend's and the
+    analyzer's exception types are imported only here, after something
+    failed, so commands that never lower a source never load them."""
+    from .analysis.guards import GuardTripped
+    from .frontend.parser import ParseError
+    from .frontend.typebuild import FrontendError
+
+    if isinstance(exc, ParseError):
         print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except FrontendError as exc:
+    elif isinstance(exc, FrontendError):
         print(f"frontend error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except GuardTripped as exc:
+    elif isinstance(exc, GuardTripped):
         # only reachable under --strict: the budget aborts instead of
         # degrading; report which guard fired and where
         print(f"analysis aborted (strict): {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except FileNotFoundError as exc:
+    elif isinstance(exc, FileNotFoundError):
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    else:
+        return None
+    return EXIT_ERROR
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,20 +1,20 @@
 """Clients of the pointer analysis (§7): loop parallelization + machine model."""
 
-from .deadstore import DeadStoreAnalysis, StoreInfo, find_dead_stores, find_redundant_loads
-from .machine import LoopTiming, MachineModel, ProgramTiming
-from .parallel import AliasOracle, ArrayAccess, LoopInfo, Parallelizer, ProcedureLoops
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Parallelizer",
-    "LoopInfo",
-    "ArrayAccess",
-    "ProcedureLoops",
-    "AliasOracle",
-    "MachineModel",
-    "DeadStoreAnalysis",
-    "StoreInfo",
-    "find_dead_stores",
-    "find_redundant_loads",
-    "ProgramTiming",
-    "LoopTiming",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".parallel": (
+        "Parallelizer",
+        "LoopInfo",
+        "ArrayAccess",
+        "ProcedureLoops",
+        "AliasOracle",
+    ),
+    ".machine": ("MachineModel", "ProgramTiming", "LoopTiming"),
+    ".deadstore": (
+        "DeadStoreAnalysis",
+        "StoreInfo",
+        "find_dead_stores",
+        "find_redundant_loads",
+    ),
+})

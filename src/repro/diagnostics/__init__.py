@@ -34,42 +34,28 @@ differ that classifies drift between two snapshots into the closed
 See ``docs/OBSERVABILITY.md`` for the walkthrough.
 """
 
-from .diff import DRIFT_KINDS, DiffReport, DriftRecord, FailOn, diff_snapshots, parse_fail_on
-from .faults import FaultPlan
-from .metrics import Metrics
-from .provenance import Derivation, ProvenanceLog
-from .snapshot import (
-    SNAPSHOT_FORMAT,
-    build_snapshot,
-    canonical_bytes,
-    dump_snapshot,
-    load_snapshot,
-    write_snapshot,
-)
-from .telemetry import Counter, Gauge, LogHistogram, TelemetryRegistry
-from .trace import EVENT_VOCABULARY, Tracer
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Metrics",
-    "Tracer",
-    "Counter",
-    "Gauge",
-    "LogHistogram",
-    "TelemetryRegistry",
-    "EVENT_VOCABULARY",
-    "ProvenanceLog",
-    "Derivation",
-    "FaultPlan",
-    "SNAPSHOT_FORMAT",
-    "build_snapshot",
-    "canonical_bytes",
-    "dump_snapshot",
-    "load_snapshot",
-    "write_snapshot",
-    "DRIFT_KINDS",
-    "DiffReport",
-    "DriftRecord",
-    "FailOn",
-    "diff_snapshots",
-    "parse_fail_on",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".metrics": ("Metrics",),
+    ".trace": ("Tracer", "EVENT_VOCABULARY"),
+    ".telemetry": ("Counter", "Gauge", "LogHistogram", "TelemetryRegistry"),
+    ".provenance": ("ProvenanceLog", "Derivation"),
+    ".faults": ("FaultPlan",),
+    ".snapshot": (
+        "SNAPSHOT_FORMAT",
+        "build_snapshot",
+        "canonical_bytes",
+        "dump_snapshot",
+        "load_snapshot",
+        "write_snapshot",
+    ),
+    ".diff": (
+        "DRIFT_KINDS",
+        "DiffReport",
+        "DriftRecord",
+        "FailOn",
+        "diff_snapshots",
+        "parse_fail_on",
+    ),
+})

@@ -1,23 +1,15 @@
 """The C front end: preprocessor, parser driver, type layout, lowering."""
 
-from .cpp import Preprocessor, PreprocessorError, preprocess
-from .parser import (
-    ParseError,
-    load_program,
-    load_program_from_file,
-    load_project,
-    load_project_files,
-    parse_c_source,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Preprocessor",
-    "PreprocessorError",
-    "preprocess",
-    "ParseError",
-    "parse_c_source",
-    "load_program",
-    "load_program_from_file",
-    "load_project",
-    "load_project_files",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".cpp": ("Preprocessor", "PreprocessorError", "preprocess"),
+    ".parser": (
+        "ParseError",
+        "parse_c_source",
+        "load_program",
+        "load_program_from_file",
+        "load_project",
+        "load_project_files",
+    ),
+})

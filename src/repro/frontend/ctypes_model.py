@@ -37,6 +37,8 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+from ..memory.locset import WORD_SIZE
+
 __all__ = [
     "CType",
     "CVoid",
@@ -73,10 +75,6 @@ __all__ = [
 
 #: Size in bytes of a pointer on the target (ILP32).
 POINTER_SIZE = 4
-
-#: The machine word size; the paper's assignment evaluation distinguishes
-#: "one word or less" from aggregate (multi-word) assignments.
-WORD_SIZE = 4
 
 _MAX_ALIGN = 4
 

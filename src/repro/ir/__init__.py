@@ -1,51 +1,38 @@
 """The analysis IR: points-to-form expressions, flow-graph nodes,
 dominators, and program containers."""
 
-from .dominators import compute_dominators, compute_rpo, finalize_graph, iterated_frontier
-from .expr import (
-    AddressTerm,
-    AdjustTerm,
-    ContentsTerm,
-    DerefLoc,
-    GlobalSymbol,
-    LocalSymbol,
-    LocExpr,
-    ProcSymbol,
-    StringSymbol,
-    Symbol,
-    SymbolLoc,
-    UnknownTerm,
-    ValueExpr,
-)
-from .nodes import AssignNode, BranchNode, CallNode, EntryNode, ExitNode, MeetNode, Node
-from .program import GlobalInit, Procedure, Program
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ValueExpr",
-    "LocExpr",
-    "SymbolLoc",
-    "DerefLoc",
-    "AddressTerm",
-    "ContentsTerm",
-    "AdjustTerm",
-    "UnknownTerm",
-    "Symbol",
-    "LocalSymbol",
-    "GlobalSymbol",
-    "ProcSymbol",
-    "StringSymbol",
-    "Node",
-    "EntryNode",
-    "ExitNode",
-    "AssignNode",
-    "CallNode",
-    "MeetNode",
-    "BranchNode",
-    "Program",
-    "Procedure",
-    "GlobalInit",
-    "compute_rpo",
-    "compute_dominators",
-    "finalize_graph",
-    "iterated_frontier",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".expr": (
+        "ValueExpr",
+        "LocExpr",
+        "SymbolLoc",
+        "DerefLoc",
+        "AddressTerm",
+        "ContentsTerm",
+        "AdjustTerm",
+        "UnknownTerm",
+        "Symbol",
+        "LocalSymbol",
+        "GlobalSymbol",
+        "ProcSymbol",
+        "StringSymbol",
+    ),
+    ".nodes": (
+        "Node",
+        "EntryNode",
+        "ExitNode",
+        "AssignNode",
+        "CallNode",
+        "MeetNode",
+        "BranchNode",
+    ),
+    ".program": ("Program", "Procedure", "GlobalInit"),
+    ".dominators": (
+        "compute_rpo",
+        "compute_dominators",
+        "finalize_graph",
+        "iterated_frontier",
+    ),
+})

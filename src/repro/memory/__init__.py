@@ -1,33 +1,19 @@
 """The paper's low-level memory model (§3): blocks, location sets, and the
 flow-sensitive points-to state representations."""
 
-from .blocks import (
-    ExtendedParameter,
-    GlobalBlock,
-    HeapBlock,
-    LocalBlock,
-    MemoryBlock,
-    ProcedureBlock,
-    ReturnBlock,
-    StringBlock,
-)
-from .locset import LocationSet, locations_overlap, ranges_overlap_mod
-from .pointsto import DenseState, SparseState, normalize_loc, normalize_values
+from .._lazy import lazy_exports
 
-__all__ = [
-    "MemoryBlock",
-    "LocalBlock",
-    "ReturnBlock",
-    "HeapBlock",
-    "GlobalBlock",
-    "ExtendedParameter",
-    "StringBlock",
-    "ProcedureBlock",
-    "LocationSet",
-    "locations_overlap",
-    "ranges_overlap_mod",
-    "DenseState",
-    "SparseState",
-    "normalize_loc",
-    "normalize_values",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".blocks": (
+        "MemoryBlock",
+        "LocalBlock",
+        "ReturnBlock",
+        "HeapBlock",
+        "GlobalBlock",
+        "ExtendedParameter",
+        "StringBlock",
+        "ProcedureBlock",
+    ),
+    ".locset": ("LocationSet", "locations_overlap", "ranges_overlap_mod"),
+    ".pointsto": ("DenseState", "SparseState", "normalize_loc", "normalize_values"),
+})

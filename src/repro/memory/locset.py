@@ -29,12 +29,19 @@ from typing import Iterable, Iterator
 from .blocks import MemoryBlock
 
 __all__ = [
+    "WORD_SIZE",
     "LocationSet",
     "intern_locset",
     "locations_overlap",
     "ranges_overlap_mod",
     "locsets_interned",
 ]
+
+#: The machine word size (ILP32); the paper's assignment evaluation
+#: distinguishes "one word or less" from aggregate (multi-word)
+#: assignments.  Defined here, beside the overlap tests it sizes, so the
+#: query engine can use it without loading the C type model.
+WORD_SIZE = 4
 
 #: monotone count of canonical location-set instances created by
 #: :func:`intern_locset` in this process; the snapshot layer's memory

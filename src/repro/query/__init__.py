@@ -17,43 +17,26 @@ analysis engine (see ``docs/QUERY.md``):
   (changed procedures plus their transitive call-graph dependents).
 """
 
-from .engine import OPS, QueryEngine, QueryError, parse_query_spec
-from .invalidate import (
-    StaleReport,
-    compute_stale,
-    compute_stale_between_stores,
-    procedure_ir_digest,
-    program_ir_digests,
-)
-from .store import (
-    STORE_FORMAT,
-    StoreError,
-    build_store,
-    load_store,
-    seal_store,
-    source_records,
-    store_integrity_digest,
-    verify_store_integrity,
-    write_store,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "STORE_FORMAT",
-    "StoreError",
-    "build_store",
-    "write_store",
-    "load_store",
-    "seal_store",
-    "source_records",
-    "store_integrity_digest",
-    "verify_store_integrity",
-    "QueryEngine",
-    "QueryError",
-    "parse_query_spec",
-    "OPS",
-    "StaleReport",
-    "compute_stale",
-    "compute_stale_between_stores",
-    "program_ir_digests",
-    "procedure_ir_digest",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".store": (
+        "STORE_FORMAT",
+        "StoreError",
+        "build_store",
+        "write_store",
+        "load_store",
+        "seal_store",
+        "source_records",
+        "store_integrity_digest",
+        "verify_store_integrity",
+    ),
+    ".engine": ("QueryEngine", "QueryError", "parse_query_spec", "OPS"),
+    ".invalidate": (
+        "StaleReport",
+        "compute_stale",
+        "compute_stale_between_stores",
+        "program_ir_digests",
+        "procedure_ir_digest",
+    ),
+})

@@ -53,8 +53,7 @@ from typing import Optional
 
 from ..analysis.guards import AnalysisBudget, GuardTripped
 from ..diagnostics.metrics import Metrics, safe_ratio
-from ..frontend.ctypes_model import WORD_SIZE
-from ..memory.locset import ranges_overlap_mod
+from ..memory.locset import WORD_SIZE, ranges_overlap_mod
 from .store import STORE_FORMAT
 
 __all__ = ["QueryEngine", "QueryError", "parse_query_spec", "OPS"]

@@ -80,9 +80,7 @@ import json
 import time
 from typing import IO, TYPE_CHECKING, Optional, Union
 
-from ..diagnostics.snapshot import build_snapshot
 from ..ioutil import atomic_write_text
-from .invalidate import program_ir_digests
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..analysis.engine import AnalyzerOptions
@@ -287,11 +285,13 @@ def build_store(
     the archival artifact, slimming it would break the agreement
     property tests and ``repro diff`` provability.
     """
+    from ..analysis.scc import address_taken_procs, indirect_call_procs
+    from ..diagnostics.snapshot import build_snapshot
+    from .invalidate import program_ir_digests
+
     snapshot = build_snapshot(
         result, options=options, program_name=program_name, include_solution=True
     )
-    from ..analysis.scc import address_taken_procs, indirect_call_procs
-
     ir = program_ir_digests(result.program)
     # recorded so staleness checks can widen across function-pointer
     # retargeting edits: an edit that makes a changed procedure
