@@ -61,10 +61,10 @@ class AnalyzerOptions:
     #: reanalyze-per-context behaviour (§6); expect invocation-graph-sized
     #: PTF counts and analysis blow-up
     reuse_ptfs: bool = True
-    #: memoize the sparse representation's dominator-walk lookups behind
-    #: generation-invalidated caches; disabling must produce bit-identical
-    #: points-to results (the caches are pure memoization) and exists for
-    #: the before/after benchmark and as a debugging escape hatch
+    #: memoize the sparse representation's ``lookup_overlapping`` answers
+    #: and overlapping-key lists; disabling must produce bit-identical
+    #: points-to results (the memo is pure) and exists for the
+    #: before/after benchmark and as a debugging escape hatch
     lookup_cache: bool = True
     #: optional :class:`repro.diagnostics.trace.Tracer` collecting the
     #: hierarchical span/event trace (driver phases, per-procedure

@@ -8,14 +8,14 @@ Counter semantics:
 
 * ``lookups`` — calls to the public ``lookup``/``lookup_overlapping`` of
   any points-to state (dense or sparse);
-* ``cache_hits`` / ``cache_misses`` — probes of the sparse lookup
-  memoization caches (``_search``, ``_find_strong_fence`` and
-  ``lookup_overlapping`` result caches).  The hit rate only counts probes
-  while the cache is enabled; with ``AnalyzerOptions.lookup_cache=False``
-  both stay zero;
-* ``dom_walk_steps`` — dominator-tree edges traversed by the sparse
-  representation's searches (the paper's §4.2 walk).  This is the number
-  the memoization layer exists to shrink;
+* ``cache_hits`` / ``cache_misses`` — probes of the sparse state's
+  ``lookup_overlapping`` memo.  The hit rate only counts probes while the
+  memo is enabled; with ``AnalyzerOptions.lookup_cache=False`` both stay
+  zero;
+* ``dom_walk_steps`` — indexed def nodes examined by the sparse
+  representation's interval scans for the nearest dominating def or
+  strong-update fence (the work that replaces the paper's §4.2 dominator
+  walk);
 * ``phi_insertions`` — φ-functions inserted at iterated dominance
   frontiers (§4.2, Figure 9);
 * ``strong_updates`` / ``weak_updates`` — assignments recorded by kind
@@ -39,8 +39,8 @@ time spent analyzing its callees at its call nodes), and
 ``proc_self_seconds`` the *exclusive* complement (inclusive minus the
 time spent in nested callee evaluations) so per-procedure hotspots are
 not all attributed to ``main``.  ``as_dict`` additionally derives
-``dom_steps_per_lookup`` — the average dominator-walk length per public
-lookup, the single number the memoization layer optimizes.
+``dom_steps_per_lookup`` — the average number of index entries the
+interval scans examine per public lookup.
 
 This is the **counter vocabulary**; the companion **event vocabulary**
 (the span/instant names the optional tracer emits — driver phases,
@@ -200,17 +200,17 @@ class Metrics:
     # -- derived ----------------------------------------------------------
 
     def dom_steps_per_lookup(self) -> float:
-        """Average dominator-walk steps per public lookup (0.0 when no
-        lookup ran).  This is the per-operation cost the memoization
-        layer exists to shrink — comparable across program sizes where
-        the raw ``dom_walk_steps`` total is not."""
+        """Average index entries scanned per public lookup (0.0 when no
+        lookup ran) — the per-operation cost of finding dominating defs,
+        comparable across program sizes where the raw ``dom_walk_steps``
+        total is not."""
         if self.lookups == 0:
             return 0.0
         return self.dom_walk_steps / self.lookups
 
     def cache_hit_rate(self) -> float:
-        """Fraction of sparse lookup-cache probes that hit (0.0 when the
-        cache was never probed, e.g. dense states or cache disabled)."""
+        """Fraction of sparse overlap-memo probes that hit (0.0 when the
+        memo was never probed, e.g. dense states or memo disabled)."""
         probes = self.cache_hits + self.cache_misses
         if probes == 0:
             return 0.0

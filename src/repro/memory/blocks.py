@@ -118,9 +118,20 @@ class MemoryBlock:
         # monotone version bump on each new pointer location; PTFs snapshot
         # this to detect that their inputs gained pointer locations (§5.2)
         self.pointer_version = 0
-        # hash-cons table for location sets based on this block, filled by
-        # :func:`repro.memory.locset.intern_locset`; keyed (offset, stride)
+        # canonical location sets based on this block, keyed (offset,
+        # stride); filled by :class:`repro.memory.locset.LocationSet`
         self._locset_interns: dict = {}
+
+    def __getstate__(self) -> dict:
+        # the canonical location-set table is not pickled: its sets would
+        # be rebuilt before this block's uid is; copies rebuild it on demand
+        state = self.__dict__.copy()
+        del state["_locset_interns"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._locset_interns = {}
 
     @property
     def is_unique(self) -> bool:

@@ -22,7 +22,6 @@ Normalization rules from the paper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Iterator
 
@@ -31,7 +30,6 @@ from .blocks import MemoryBlock
 __all__ = [
     "WORD_SIZE",
     "LocationSet",
-    "intern_locset",
     "locations_overlap",
     "ranges_overlap_mod",
     "locsets_interned",
@@ -43,62 +41,77 @@ __all__ = [
 #: query engine can use it without loading the C type model.
 WORD_SIZE = 4
 
-#: monotone count of canonical location-set instances created by
-#: :func:`intern_locset` in this process; the snapshot layer's memory
-#: profile reads per-run deltas of it (the per-block intern tables die
-#: with their blocks, so a live sum would need a global block registry)
+#: monotone count of canonical location-set instances created in this
+#: process; the snapshot layer's memory profile reads per-run deltas of it
+#: (the per-block tables die with their blocks, so a live sum would need a
+#: global block registry)
 _locsets_interned = 0
 
 
 def locsets_interned() -> int:
-    """Monotone count of interned (canonical) location sets this process."""
+    """Monotone count of canonical location sets created this process."""
     return _locsets_interned
 
 
-@dataclass(frozen=True)
 class LocationSet:
     """A set of byte positions within one block of memory.
 
-    Instances are immutable and hashable; the hash is computed once at
-    construction (location sets are the keys of every points-to map and
-    every lookup-cache probe, so hashing is on the engine's hottest path)
-    and equality takes an identity fast path — :func:`intern_locset`
-    hash-conses instances per block so that equal sets usually *are* the
-    same object.
+    Location sets are hash-consed: constructing one returns the block's
+    canonical instance for the stride-normalized ``(offset, stride)``, kept
+    in ``base._locset_interns`` so the table lives exactly as long as the
+    block.  Equal sets are therefore the same object and equality is
+    identity.  The hash is the deterministic ``hash((base.uid, offset,
+    stride))``, computed once, so set iteration orders do not depend on
+    object addresses.  Instances are immutable.
     """
 
+    __slots__ = ("base", "offset", "stride", "_hash")
+
     base: MemoryBlock
-    offset: int = 0
-    stride: int = 0
+    offset: int
+    stride: int
 
-    def __post_init__(self) -> None:
-        if self.stride < 0:
-            raise ValueError(f"negative stride {self.stride}")
-        if self.stride:
+    def __new__(
+        cls, base: MemoryBlock, offset: int = 0, stride: int = 0
+    ) -> "LocationSet":
+        if stride:
+            if stride < 0:
+                raise ValueError(f"negative stride {stride}")
             # keep the invariant offset ∈ [0, stride)
-            object.__setattr__(self, "offset", self.offset % self.stride)
-        object.__setattr__(
-            self, "_hash", hash((self.base.uid, self.offset, self.stride))
-        )
-        # set to True on the canonical instance by :func:`intern_locset`;
-        # lets normalize_loc() skip the intern-table probe entirely
-        object.__setattr__(self, "_interned", False)
+            offset %= stride
+        table = base._locset_interns
+        self = table.get((offset, stride))
+        if self is None:
+            global _locsets_interned
+            _locsets_interned += 1
+            self = object.__new__(cls)
+            init = object.__setattr__
+            init(self, "base", base)
+            init(self, "offset", offset)
+            init(self, "stride", stride)
+            init(self, "_hash", hash((base.uid, offset, stride)))
+            table[(offset, stride)] = self
+        return self
 
-    # explicit __eq__/__hash__ (dataclass keeps user definitions): identity
-    # first, then field comparison with the base compared by identity
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not LocationSet:
-            return NotImplemented
-        return (
-            self.base is other.base
-            and self.offset == other.offset
-            and self.stride == other.stride
-        )
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __hash__(self) -> int:
-        return self._hash  # type: ignore[attr-defined]
+        return self._hash
+
+    def __reduce__(self):
+        # unpickling and copying rebuild through __new__: the canonical
+        # instance of the (possibly copied) base block
+        return (LocationSet, (self.base, self.offset, self.stride))
+
+    def __repr__(self) -> str:
+        return (
+            f"LocationSet(base={self.base!r}, offset={self.offset!r}, "
+            f"stride={self.stride!r})"
+        )
 
     # -- derived sets --------------------------------------------------
 
@@ -165,29 +178,6 @@ class LocationSet:
         if self.stride:
             return f"({self.base.name}, {self.offset}, {self.stride})"
         return f"({self.base.name}, {self.offset})"
-
-
-def intern_locset(loc: LocationSet) -> LocationSet:
-    """Hash-cons ``loc``: one canonical instance per ``(base, offset,
-    stride)``, stored on the base block so the table's lifetime matches the
-    block's.
-
-    Interned location sets make dict probes and frozenset membership tests
-    hit the ``__eq__`` identity fast path, which matters because location
-    sets key every points-to map and every sparse lookup-cache entry.
-    """
-    if loc._interned:  # type: ignore[attr-defined]
-        return loc
-    cache = loc.base._locset_interns
-    key = (loc.offset, loc.stride)
-    hit = cache.get(key)
-    if hit is None:
-        global _locsets_interned
-        _locsets_interned += 1
-        object.__setattr__(loc, "_interned", True)
-        cache[key] = loc
-        return loc
-    return hit
 
 
 def ranges_overlap_mod(

@@ -7,8 +7,8 @@ interchangeable state representations implement the same interface:
 * :class:`DenseState` — a full points-to map per flow-graph node.  Simple
   and obviously correct; used as the reference implementation and in the
   sparse-vs-dense ablation benchmark.
-* :class:`SparseState` — the paper's scheme (§4.2): per-node *deltas* only,
-  dominator-tree walks to find the most recent assignment, φ-functions
+* :class:`SparseState` — the paper's scheme (§4.2): per-node *deltas*
+  only, lookups answered by the nearest dominating assignment, φ-functions
   inserted dynamically at iterated dominance frontiers, and strong-update
   fences for unique locations (§4.3).
 
@@ -20,40 +20,45 @@ Keys follow parameter subsumption lazily: whenever a location set's base is
 an extended parameter that has been subsumed (§3.2), the key is normalized
 to the representative parameter before use.
 
-Lookup memoization (the hot path)
----------------------------------
+Sparse lookups (the hot path)
+-----------------------------
 
-The sparse representation's dominator walks are the hottest loop of the
-whole engine: every dereference triggers ``lookup_overlapping``, which
-walks the dominator tree once per registered pointer location of the base
-block.  :class:`SparseState` therefore memoizes
+Every dereference triggers ``lookup_overlapping``, which needs, for each
+registered pointer location of the base block, the value recorded by the
+nearest assignment that dominates the probe node.  :class:`SparseState`
+answers that without walking the dominator tree.  It keeps two indices,
+updated on every write:
 
-* ``_search`` results keyed ``(loc, node.uid, inclusive, fence.uid)``,
-* ``_find_strong_fence`` results keyed ``(loc, node.uid, width, inclusive)``,
-* ``lookup_overlapping`` results keyed
-  ``(loc, node.uid, width, before, base.pointer_version)``,
+* ``loc`` → nodes holding a def or φ for ``loc``;
+* base block → nodes holding a strong def of a location on that base.
 
-each partitioned *per base block*.  Every cached answer depends only on
-defs, φ results and initial entries whose key shares the probe's base
-block (searches are exact-key, fences and overlap sets consult only
-same-base entries), so recording a def for ``loc`` invalidates just the
-partition of ``loc.base`` — untouched bases stay warm across fixpoint
-passes, which is where most of the hit rate comes from.  The two events
-that are *not* attributable to one base — parameter subsumption, which
-rewrites keys wholesale, and a uniqueness downgrade, which changes fence
-applicability — funnel through :meth:`SparseState.mark_changed` and drop
-everything (both are rare).  Walks additionally *path-fill*: every
-dominator visited on the way to an answer caches that answer too (into
-the *inclusive* partition, where the answer is valid regardless of
-whether the walk that reaches it later starts at the node itself), and
-every walk consults that same partition at each dominator it visits — a
-warm entry there short-circuits the remaining walk.  Together the two
-halves amount to path compression: a cold walk of length k warms k
-future probes, and any later probe anywhere below the warmed chain
-terminates after at most one cold step.  The key list consulted by
-``lookup_overlapping`` is cached separately, keyed by the block's
-monotone ``pointer_version``, because the pointer-location registry
-changes far more rarely than the points-to values do.
+Each list is sorted by the node's dominator-tree preorder number
+``dom_pre`` (:mod:`repro.ir.dominators`).  A node's dominators are
+exactly the nodes whose ``[dom_pre, dom_post]`` interval contains its own,
+and they form a chain, so scanning back from the probe's preorder position
+the first entry whose interval contains the probe is the nearest
+dominating def.  The probe node itself counts only for *inclusive* reads
+(the value after it executes).  Reads of a unique location are fenced:
+the nearest dominating strong def that covers the whole read kills the
+history of every overlapping key, so a def above the fence answers EMPTY.
+With no dominating def the procedure's initial value answers.
+Unreachable probe nodes (``dom_pre < 0``, e.g. the exit of a procedure
+that never returns) have no dominators and see only their own defs.
+
+When the subsumption epoch moves, def keys are rewritten to their
+representatives and both indices are rebuilt.
+
+``lookup_overlapping`` memoizes its answers per node, keyed
+``(loc, width, before, base.pointer_version)`` and partitioned *per base
+block*: every answer depends only on entries whose key shares the probe's
+base, so recording a def for ``loc`` drops just the partition of
+``loc.base``.  Parameter subsumption and uniqueness downgrades are not
+attributable to one base; they funnel through
+:meth:`SparseState.mark_changed` and drop the whole memo (both are rare).
+The overlapping-key list each read consults is cached separately, keyed
+by the block's monotone ``pointer_version``, because the pointer-location
+registry changes far more rarely than the points-to values do.
+``lookup_cache=False`` bypasses both the memo and the key-list cache.
 
 Provenance
 ----------
@@ -67,16 +72,16 @@ binding or φ-merge, plus the engine-provided source context), which the
 ``repro explain`` CLI walks back to source lines.  With provenance off
 (the default) each hook is one ``is not None`` check.
 
-Values are interned (:func:`intern_values` hash-conses the frozensets,
-:func:`~repro.memory.locset.intern_locset` the location sets inside them)
-so that the equality checks behind dict probes and change detection
-usually succeed on identity.  ``lookup_cache=False`` switches every cache
-off and must produce bit-identical results — the caches are pure
-memoization, asserted by the property tests.
+Values are hash-consed (:func:`intern_values`; location sets are
+canonical by construction) so that the equality checks behind dict probes
+and change detection usually succeed on identity.  ``lookup_cache=False``
+must produce bit-identical results — the memo is pure, asserted by the
+property tests.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Optional
 
 from ..diagnostics import Metrics
@@ -84,7 +89,7 @@ from ..ir.dominators import iterated_frontier
 from ..ir.nodes import MeetNode, Node
 from . import blocks as _blocks
 from .blocks import ExtendedParameter, MemoryBlock
-from .locset import LocationSet, intern_locset
+from .locset import LocationSet
 
 __all__ = [
     "Values",
@@ -106,10 +111,6 @@ EMPTY: frozenset = frozenset()
 #: process (or a long test run) from accumulating dead blocks
 _VALUES_INTERN: dict = {}
 _VALUES_INTERN_CAP = 1 << 18
-
-#: cache-miss sentinel (``None`` is a valid fence result)
-_MISS = object()
-
 
 def intern_values(values: frozenset) -> frozenset:
     """Return the canonical instance of ``values`` (hash-consing).
@@ -152,12 +153,8 @@ def normalize_loc(loc: LocationSet) -> LocationSet:
     """Rewrite a location set whose base parameter has been subsumed."""
     base = loc.base
     if base.subsumed_by is None:
-        # canonical-instance fast path: nothing to rewrite, already interned
-        if loc._interned:  # type: ignore[attr-defined]
-            return loc
-        return intern_locset(loc)
-    rep = base.representative()
-    return intern_locset(LocationSet(rep, loc.offset, loc.stride))
+        return loc
+    return LocationSet(base.representative(), loc.offset, loc.stride)
 
 
 def normalize_values(values: Iterable[LocationSet]) -> frozenset:
@@ -173,6 +170,24 @@ def normalize_values(values: Iterable[LocationSet]) -> frozenset:
 def _register(loc: LocationSet) -> bool:
     """Register ``loc`` as a pointer-holding location on its block (§3.3)."""
     return loc.base.register_pointer_location(loc.offset, loc.stride)
+
+
+def _index(table: dict, key: object, node: Node) -> None:
+    """Add ``node`` to ``table[key]``, kept sorted by dominator preorder.
+
+    Unreachable nodes (``dom_pre < 0``) dominate nothing and are left
+    out; a node already present is not added twice.
+    """
+    pre = node.dom_pre
+    if pre < 0:
+        return
+    entries = table.get(key)
+    if entries is None:
+        table[key] = [(pre, node.dom_post, node)]
+        return
+    i = bisect_left(entries, (pre,))
+    if i == len(entries) or entries[i][2] is not node:
+        entries.insert(i, (pre, node.dom_post, node))
 
 
 class PointsToState:
@@ -463,16 +478,16 @@ class DenseState(PointsToState):
 
 
 class SparseState(PointsToState):
-    """Per-node deltas + dominator-walk lookups + dynamic φ insertion.
+    """Per-node deltas + indexed dominating-def lookups + dynamic φ insertion.
 
     Only the points-to values that change at a node are recorded.  Looking
-    up the value of a pointer searches back through the dominating flow
-    graph nodes for the most recent assignment; meet nodes carry φ-functions
-    (inserted at iterated dominance frontiers when a location is assigned)
-    that combine the values from each predecessor (§4.2, Figure 9).
+    up the value of a pointer finds the most recent assignment among the
+    dominating flow graph nodes; meet nodes carry φ-functions (inserted at
+    iterated dominance frontiers when a location is assigned) that combine
+    the values from each predecessor (§4.2, Figure 9).
 
-    The dominator walks are memoized behind generation-invalidated caches;
-    see the module docstring for the invariants.
+    The most recent dominating assignment comes from per-location indices
+    ordered by dominator-tree preorder; see the module docstring.
     """
 
     kind = "sparse"
@@ -493,23 +508,22 @@ class SparseState(PointsToState):
         self._defs: dict[int, dict[LocationSet, tuple[frozenset, bool, int]]] = {}
         #: node uid -> φ locations attached to that (meet) node
         self.phis: dict[int, set[LocationSet]] = {}
-        # -- memoization, partitioned per base block (see module docstring);
-        # recording a def for ``loc`` drops only ``loc.base``'s partition.
-        # Two-level layout: the outer key carries everything but the node,
-        # the inner dict is keyed by bare node uid — path compression then
-        # fills int-keyed entries instead of allocating a tuple per node --
-        #: base uid -> {(loc, inclusive, fence uid): {node uid: values}}
-        self._search_cache: dict[int, dict[tuple, dict[int, frozenset]]] = {}
-        #: base uid -> {(loc, width): {node uid: fence node or None}}
-        self._fence_cache: dict[int, dict[tuple, dict[int, Optional[Node]]]] = {}
-        #: base uid -> {(loc, width, before, ptr_version): {node uid: values}}
+        #: loc -> reachable nodes holding a def or φ for loc, as
+        #: ``(dom_pre, dom_post, node)`` sorted by ``dom_pre``
+        self._def_nodes: dict[LocationSet, list[tuple[int, int, Node]]] = {}
+        #: base block -> reachable nodes that have held a strong def of a
+        #: location on that base, in the same layout (a superset: the fence
+        #: scan re-checks the def at each candidate)
+        self._strong_nodes: dict[MemoryBlock, list[tuple[int, int, Node]]] = {}
+        #: base uid -> {(loc, width, before, ptr_version): {node uid: values}};
+        #: recording a def for ``loc`` drops only ``loc.base``'s partition
         self._overlap_cache: dict[int, dict[tuple, dict[int, frozenset]]] = {}
         #: (loc, width, pointer_version) -> overlapping registered keys;
         #: keyed by the block's monotone pointer_version, so *not* cleared
         #: on value changes — the registry grows far more rarely
         self._overlap_keys: dict[tuple, tuple[LocationSet, ...]] = {}
         #: snapshot of the global subsumption epoch; when it moves, def keys
-        #: are renormalized and the memo partitions dropped (lazily — the
+        #: are renormalized and the indices and memo rebuilt (lazily — the
         #: state cannot observe ``subsumed_by`` assignments directly)
         self._keys_epoch = _blocks.subsumption_epoch()
 
@@ -579,7 +593,10 @@ class SparseState(PointsToState):
         new_entry = (intern_values(vals), strong, size if strong else 0)
         if old != new_entry:
             defs[loc] = new_entry
+            if old is None:
+                _index(self._def_nodes, loc, node)
             if strong:
+                _index(self._strong_nodes, loc.base, node)
                 self.metrics.strong_updates += 1
             else:
                 self.metrics.weak_updates += 1
@@ -603,6 +620,8 @@ class SparseState(PointsToState):
         new_entry = (vals, False, 0)
         if old != new_entry:
             defs[loc] = new_entry
+            if old is None:
+                _index(self._def_nodes, loc, node)
             if self.provenance is not None:
                 self.provenance.tag_phi(loc, vals, node)
             self._note_write(loc)
@@ -617,63 +636,47 @@ class SparseState(PointsToState):
         loc = normalize_loc(loc)
         return self._search(loc, node, inclusive=not before)
 
-    def _defs_at(
-        self, node: Node, loc: LocationSet
-    ) -> Optional[tuple[frozenset, bool, int]]:
-        defs = self._defs.get(node.uid)
-        if defs is None:
-            return None
-        # keys are kept canonical: mark_changed() renormalizes any key whose
-        # base was subsumed, so an exact probe is complete
-        return defs.get(loc)
-
-    # -- cache plumbing ---------------------------------------------------
+    # -- invalidation -------------------------------------------------------
 
     def _note_write(self, loc: LocationSet) -> None:
         """A def/φ/initial entry for ``loc`` changed: bump the fixpoint
-        counter and drop the memo partition of ``loc.base`` (cached answers
-        for other bases cannot depend on this entry)."""
+        counter and drop the overlap memo partition of ``loc.base``
+        (memoized reads of other bases cannot depend on this entry)."""
         self.change_counter += 1
-        uid = loc.base.uid
-        self._search_cache.pop(uid, None)
-        self._fence_cache.pop(uid, None)
-        self._overlap_cache.pop(uid, None)
+        self._overlap_cache.pop(loc.base.uid, None)
 
     def mark_changed(self) -> None:
         """Non-local change (parameter subsumption, uniqueness downgrade):
-        no single base owns the effect, so drop every memo partition and
+        no single base owns the effect, so drop the whole overlap memo and
         rewrite def keys whose base parameter was subsumed (§3.2).  The
         ``_overlap_keys`` table survives: it depends only on the
         pointer-location registry, whose monotone version is part of its
         keys."""
         self.change_counter += 1
-        self._search_cache.clear()
-        self._fence_cache.clear()
         self._overlap_cache.clear()
         self._renormalize_def_keys()
         self._keys_epoch = _blocks.subsumption_epoch()
 
     def _sync_keys(self) -> None:
         """Catch up with subsumptions performed since the last lookup:
-        renormalize def keys and drop the memo partitions.  Cheap when
-        nothing happened (one module-attribute compare)."""
+        renormalize def keys and drop the overlap memo.  Cheap when nothing
+        happened (one module-attribute compare)."""
         epoch = _blocks._subsumption_epoch
         if self._keys_epoch != epoch:
             self._keys_epoch = epoch
-            self._search_cache.clear()
-            self._fence_cache.clear()
             self._overlap_cache.clear()
             self._renormalize_def_keys()
 
     def _renormalize_def_keys(self) -> None:
-        """Rewrite def keys recorded before their base was subsumed.
+        """Rewrite def keys recorded before their base was subsumed, and
+        rebuild the dominating-def indices when any key moved.
 
         Exact-key probes then stay complete without a linear fallback scan.
-        When the canonical key already has an entry it wins — matching the
-        lookup semantics this replaces, where an exact hit shadowed any
-        stale aliases — and among several stale aliases the first in
-        insertion order is kept.
+        When the canonical key already has an entry it wins — an exact hit
+        shadows any stale aliases — and among several stale aliases the
+        first in insertion order is kept.
         """
+        moved = False
         for defs in self._defs.values():
             stale = [k for k in defs if k.base.subsumed_by is not None]
             for k in stale:
@@ -681,6 +684,19 @@ class SparseState(PointsToState):
                 k_n = normalize_loc(k)
                 if k_n not in defs:
                     defs[k_n] = entry
+                moved = True
+        if not moved:
+            return
+        nodes = {e[2] for entries in self._def_nodes.values() for e in entries}
+        self._def_nodes = {}
+        self._strong_nodes = {}
+        for node in nodes:
+            for key, (_vals, strong, _kill) in self._defs[node.uid].items():
+                _index(self._def_nodes, key, node)
+                if strong:
+                    _index(self._strong_nodes, key.base, node)
+
+    # -- indexed dominator search -----------------------------------------
 
     def _search(
         self,
@@ -689,98 +705,32 @@ class SparseState(PointsToState):
         inclusive: bool,
         fence: Optional[Node] = None,
     ) -> frozenset:
-        """Memoized dominator-tree search for the latest def of ``loc``.
+        """The value of ``loc`` from its nearest dominating def (§4.2).
 
-        ``fence`` (a strong-update node) bounds the search: defs at the
-        fence itself are visible, anything strictly before it is not.
+        ``inclusive`` lets a def at ``node`` itself answer (the value after
+        the node executes).  ``fence`` (a dominating strong-update node)
+        bounds the search: defs at the fence itself are visible, anything
+        strictly above it answers EMPTY.  With no dominating def the
+        procedure's initial value answers.
         """
         self._sync_keys()
-        if not self.lookup_cache:
-            return self._search_walk(loc, node, inclusive, fence)
-        metrics = self.metrics
-        fence_uid = fence.uid if fence is not None else -1
-        cache = self._search_cache.get(loc.base.uid)
-        if cache is None:
-            cache = self._search_cache[loc.base.uid] = {}
-        key = (loc, inclusive, fence_uid)
-        by_node = cache.get(key)
-        if by_node is None:
-            by_node = cache[key] = {}
-        hit = by_node.get(node.uid)
-        if hit is not None:
-            metrics.cache_hits += 1
-            return hit
-        metrics.cache_misses += 1
-        # the *inclusive* partition doubles as the walk's shortcut table:
-        # the value-after-n cached there is exactly what the remaining walk
-        # from n would compute, so a walk that reaches a warm dominator
-        # stops right there instead of re-walking to the def/entry
-        if inclusive:
-            incl = by_node
-        else:
-            incl = cache.get((loc, True, fence_uid))
-            if incl is None:
-                incl = cache[(loc, True, fence_uid)] = {}
-        trail: list[int] = []
-        result = self._search_walk(loc, node, inclusive, fence, trail, incl)
-        by_node[node.uid] = result
-        # path compression: every dominator whose defs the walk checked and
-        # missed (and the one it stopped at) yields this same answer for an
-        # inclusive search starting there
-        for uid in trail:
-            incl[uid] = result
-        return result
-
-    def _search_walk(
-        self,
-        loc: LocationSet,
-        node: Node,
-        inclusive: bool,
-        fence: Optional[Node] = None,
-        trail: Optional[list[int]] = None,
-        memo: Optional[dict[int, frozenset]] = None,
-    ) -> frozenset:
-        """The raw walk of §4.2 (uncached); ``trail`` collects the uids of
-        nodes at which an inclusive restart would produce the same result.
-
-        ``memo`` is the inclusive-result shortcut table for this
-        (loc, fence) pair: a warm entry at a visited dominator is exactly
-        the remaining walk's answer, so the walk stops there.
-        """
-        steps = 0
-        n: Optional[Node] = node
-        first = True
-        result = EMPTY
-        while n is not None:
-            if not first or inclusive:
-                if memo is not None and n is not node:
-                    hit = memo.get(n.uid)
-                    if hit is not None:
-                        result = hit
-                        break
-                if trail is not None:
-                    trail.append(n.uid)
-                hit = self._defs_at(n, loc)
-                if hit is not None:
-                    result = normalize_values(hit[0])
-                    break
-            if fence is not None and n is fence:
-                result = EMPTY
-                break
-            if n is self.entry:
-                result = normalize_values(self._initial.get(loc, EMPTY))
-                break
-            first = False
-            n = n.idom
-            steps += 1
-        self.metrics.dom_walk_steps += steps
-        return result
+        if node.dom_pre < 0:
+            # unreachable (e.g. the exit of a procedure that never
+            # returns): no dominators, so only the node's own defs
+            hit = self._defs.get(node.uid, {}).get(loc) if inclusive else None
+            return EMPTY if hit is None else normalize_values(hit[0])
+        found = self._nearest(self._def_nodes.get(loc), node, inclusive)
+        if fence is not None and (found is None or found.dom_pre < fence.dom_pre):
+            return EMPTY
+        if found is None:
+            return normalize_values(self._initial.get(loc, EMPTY))
+        return normalize_values(self._defs[found.uid][loc][0])
 
     def _find_strong_fence(
         self, loc: LocationSet, node: Node, width: int, inclusive: bool = False
     ) -> Optional[Node]:
-        """The most recent dominating strong update that overwrote the
-        *entire* ``width``-byte read at ``loc`` (§4.3), memoized.
+        """The nearest dominating strong update that overwrote the *entire*
+        ``width``-byte read at ``loc`` (§4.3).
 
         Coverage of the full read range is required: a narrower strong
         update leaves the history of the uncovered bytes visible, exactly
@@ -789,71 +739,45 @@ class SparseState(PointsToState):
         strong update at the node itself.
         """
         self._sync_keys()
-        if not self.lookup_cache:
-            return self._fence_walk(loc, node, width, inclusive)
-        metrics = self.metrics
-        cache = self._fence_cache.get(loc.base.uid)
-        if cache is None:
-            cache = self._fence_cache[loc.base.uid] = {}
-        by_node = cache.get((loc, width, inclusive))
-        if by_node is None:
-            by_node = cache[(loc, width, inclusive)] = {}
-        hit = by_node.get(node.uid, _MISS)
-        if hit is not _MISS:
-            metrics.cache_hits += 1
-            return hit  # type: ignore[return-value]
-        metrics.cache_misses += 1
-        # inclusive partition = mid-walk shortcut table (see _search)
-        if inclusive:
-            incl = by_node
-        else:
-            incl = cache.get((loc, width, True))
-            if incl is None:
-                incl = cache[(loc, width, True)] = {}
-        trail: list[int] = []
-        result = self._fence_walk(loc, node, width, inclusive, trail, incl)
-        by_node[node.uid] = result
-        for uid in trail:
-            incl[uid] = result
-        return result
 
-    def _fence_walk(
+        def covers(defs: dict) -> bool:
+            return self._has_covering_strong_def(defs, loc, width)
+
+        if node.dom_pre < 0:
+            defs = self._defs.get(node.uid)
+            return node if inclusive and defs and covers(defs) else None
+        return self._nearest(self._strong_nodes.get(loc.base), node, inclusive, covers)
+
+    def _nearest(
         self,
-        loc: LocationSet,
+        entries: Optional[list[tuple[int, int, Node]]],
         node: Node,
-        width: int,
-        inclusive: bool = False,
-        trail: Optional[list[int]] = None,
-        memo: Optional[dict[int, Optional[Node]]] = None,
+        inclusive: bool,
+        covers=None,
     ) -> Optional[Node]:
+        """The indexed node nearest above reachable ``node`` on its
+        dominator chain (``node`` itself only when ``inclusive``) whose
+        defs satisfy ``covers``, if given.
+
+        Every entry before the bisection point starts at or above ``node``
+        in preorder, and dominators form a chain, so scanning back the
+        first entry whose interval contains ``node``'s is the nearest.
+        """
+        if not entries:
+            return None
+        pre, post = node.dom_pre, node.dom_post
+        i = bisect_left(entries, (pre + 1,) if inclusive else (pre,))
         steps = 0
-        n: Optional[Node] = node
-        first = True
-        result: Optional[Node] = None
-        while n is not None:
-            if not first or inclusive:
-                if memo is not None and n is not node:
-                    hit = memo.get(n.uid, _MISS)
-                    if hit is not _MISS:
-                        result = hit  # type: ignore[assignment]
-                        break
-                defs = self._defs.get(n.uid)
-                if defs is not None and self._has_covering_strong_def(
-                    defs, loc, width
-                ):
-                    result = n
-                    break
-                # no covering strong def here: a restart from n checks (or
-                # skips) its own clean defs and then walks the same ancestors
-                if trail is not None:
-                    trail.append(n.uid)
-            if n is self.entry:
-                break
-            first = False
-            n = n.idom
+        found: Optional[Node] = None
+        while i:
+            i -= 1
             steps += 1
+            _pre, cand_post, cand = entries[i]
+            if cand_post >= post and (covers is None or covers(self._defs[cand.uid])):
+                found = cand
+                break
         self.metrics.dom_walk_steps += steps
-        return result
+        return found
 
     @staticmethod
     def _has_covering_strong_def(
@@ -889,7 +813,7 @@ class SparseState(PointsToState):
                 return hit
         keys: list[LocationSet] = []
         for offset, stride in sorted(base.pointer_locations):
-            key = intern_locset(LocationSet(base, offset, stride))
+            key = LocationSet(base, offset, stride)
             if loc.overlaps(key, width=width, other_width=1):
                 keys.append(key)
         result = tuple(keys)
@@ -948,22 +872,10 @@ class SparseState(PointsToState):
         out = super().footprint()
         out["defs"] = sum(len(d) for d in self._defs.values())
         out["phis"] = sum(len(p) for p in self.phis.values())
-        out["cache_entries"] = (
-            sum(
-                len(by_node)
-                for part in self._search_cache.values()
-                for by_node in part.values()
-            )
-            + sum(
-                len(by_node)
-                for part in self._fence_cache.values()
-                for by_node in part.values()
-            )
-            + sum(
-                len(by_node)
-                for part in self._overlap_cache.values()
-                for by_node in part.values()
-            )
-            + len(self._overlap_keys)
-        )
+        out["cache_entries"] = sum(
+            len(by_node)
+            for part in self._overlap_cache.values()
+            for by_node in part.values()
+        ) + len(self._overlap_keys)
         return out
+

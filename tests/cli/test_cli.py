@@ -84,24 +84,24 @@ class TestStatsJson:
         assert "procedures" in capsys.readouterr().out
 
     def test_no_lookup_cache_flag(self, prog_file, tmp_path, capsys):
-        dest = tmp_path / "stats.json"
-        assert (
-            main(
-                [
-                    "analyze",
-                    prog_file,
-                    "--no-lookup-cache",
-                    "--stats-json",
-                    str(dest),
-                ]
-            )
-            == 0
-        )
-        stats = json.loads(dest.read_text())
+        def stats_for(*flags):
+            dest = tmp_path / "stats.json"
+            argv = ["analyze", prog_file, *flags, "--stats-json", str(dest)]
+            assert main(argv) == 0
+            return json.loads(dest.read_text())
+
+        stats = stats_for("--no-lookup-cache")
         assert stats["lookup_cache"] is False
         assert stats["counters"]["cache_hits"] == 0
         assert stats["counters"]["cache_misses"] == 0
         assert stats["counters"]["dom_walk_steps"] > 0
+        # the flag turns off the overlap memo only: the interval scans it
+        # would have skipped run, and every lookup still happens
+        cached = stats_for()
+        assert cached["lookup_cache"] is True
+        assert cached["counters"]["cache_hits"] + cached["counters"]["cache_misses"] > 0
+        assert stats["counters"]["dom_walk_steps"] >= cached["counters"]["dom_walk_steps"]
+        assert stats["counters"]["lookups"] == cached["counters"]["lookups"]
 
     def test_cache_modes_agree_on_points_to(self, prog_file, capsys):
         def lines(out):

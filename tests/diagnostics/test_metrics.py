@@ -211,3 +211,9 @@ class TestEndToEndWiring:
         assert m.cache_hits == 0 and m.cache_misses == 0
         assert m.dom_walk_steps > 0
         assert analyzer.stats_dict()["lookup_cache"] is False
+        # without the overlap memo every read runs its interval scans, so
+        # at least as many index entries are examined as with it
+        cached = analyze(load_program(SOURCE, "m.c", "m"), AnalyzerOptions())
+        assert cached.metrics.cache_hits + cached.metrics.cache_misses > 0
+        assert m.dom_walk_steps >= cached.metrics.dom_walk_steps
+        assert m.lookups == cached.metrics.lookups

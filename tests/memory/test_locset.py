@@ -1,11 +1,19 @@
 """Tests for location sets (§3.1) — including the Table 1 semantics."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.memory.blocks import LocalBlock, HeapBlock
-from repro.memory.locset import LocationSet, merge_locations, ranges_overlap_mod
+from repro.memory.locset import (
+    LocationSet,
+    locsets_interned,
+    merge_locations,
+    ranges_overlap_mod,
+)
 
 
 def block(name="b"):
@@ -214,3 +222,73 @@ class TestHashing:
         b = block("buf")
         assert str(LocationSet(b, 4, 0)) == "(buf, 4)"
         assert str(LocationSet(b, 0, 8)) == "(buf, 0, 8)"
+
+
+class TestCanonicalInstances:
+    """Construction hash-conses: one instance per block and normalized
+    ``(offset, stride)``, so equality is identity."""
+
+    def test_equal_triples_give_the_same_object(self):
+        b = block()
+        assert LocationSet(b, 4, 0) is LocationSet(b, 4, 0)
+        assert LocationSet(b) is LocationSet(b, 0, 0)
+        assert LocationSet(b, 4, 0) is not LocationSet(b, 8, 0)
+        assert LocationSet(b, 4, 0) is not LocationSet(block(), 4, 0)
+
+    def test_stride_normalized_before_lookup(self):
+        b = block()
+        assert LocationSet(b, 12, 8) is LocationSet(b, 4, 8)
+        assert LocationSet(b, -4, 8) is LocationSet(b, 4, 8)
+        assert LocationSet(b, 4, 8).with_offset(8) is LocationSet(b, 4, 8)
+
+    def test_hash_is_deterministic(self):
+        b = block()
+        assert hash(LocationSet(b, 12, 8)) == hash((b.uid, 4, 8))
+
+    def test_negative_stride_raises(self):
+        b = block()
+        with pytest.raises(ValueError):
+            LocationSet(b, 0, -8)
+        assert (0, -8) not in b._locset_interns
+
+    def test_setattr_raises(self):
+        ls = LocationSet(block(), 4, 0)
+        with pytest.raises(AttributeError):
+            ls.offset = 8
+        with pytest.raises(AttributeError):
+            ls.extra = 1
+        with pytest.raises(AttributeError):
+            del ls.stride
+        assert ls.offset == 4
+
+    def test_pickle_round_trips_to_the_canonical_instance(self):
+        b = block()
+        ls = LocationSet(b, 4, 8)
+        got, got_base, twin = pickle.loads(pickle.dumps([ls, b, LocationSet(b, 12, 8)]))
+        assert got.base is got_base
+        assert got is twin
+        assert got is LocationSet(got_base, 4, 8)
+        assert hash(got) == hash(ls)
+        # the copy's block has a table of its own
+        assert LocationSet(got_base, 0, 0) is not LocationSet(b, 0, 0)
+
+    def test_copy_round_trips_to_the_canonical_instance(self):
+        b = block()
+        ls = LocationSet(b, 4, 8)
+        assert copy.copy(ls) is ls
+        # a deep copy copies the block too, and lands in the copy's table
+        deep = copy.deepcopy(ls)
+        assert deep.base is not b and deep is LocationSet(deep.base, 4, 8)
+        ls2, b2 = copy.deepcopy([ls, b])
+        assert b2 is not b
+        assert ls2 is LocationSet(b2, 4, 8)
+
+    def test_locsets_interned_counts_canonical_instances(self):
+        b = block()
+        before = locsets_interned()
+        LocationSet(b, 0, 0)
+        LocationSet(b, 0, 0)
+        LocationSet(b, 12, 8)
+        LocationSet(b, 4, 8)
+        assert locsets_interned() == before + 2
+        assert len(b._locset_interns) == 2

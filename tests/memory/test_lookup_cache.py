@@ -1,9 +1,10 @@
-"""Regression tests for the sparse lookup memoization layer.
+"""Regression tests for the sparse lookup layer.
 
-These pin down the tentpole invariants:
+These pin down the invariants:
 
-* the caches are pure memoization — cached and uncached sparse states give
-  identical answers over identical operation sequences,
+* the ``lookup_overlapping`` memo is pure memoization — sparse states
+  with and without it give identical answers over identical operation
+  sequences,
 * ``lookup_overlapping`` normalizes its result exactly like the dense
   representation (values recorded before their base parameter was subsumed
   must not leak through),
@@ -13,7 +14,10 @@ These pin down the tentpole invariants:
   initial values actually change,
 * write invalidation is per base block — a def for one base must not
   disturb memoized answers for another base, while still invalidating its
-  own.
+  own,
+* ``cache_hits``/``cache_misses`` count probes of the overlap memo, and
+  ``dom_walk_steps`` counts the indexed def nodes the interval scans
+  examine.
 """
 
 import pytest
@@ -244,16 +248,17 @@ class TestPerBaseInvalidation:
         vb2 = frozenset({loc("vb2")})
         st.assign(la, frozenset({loc("va")}), nodes[0], strong=True)
         st.assign(lb, frozenset({loc("vb")}), nodes[0], strong=True)
-        st.lookup(la, nodes[3])  # warm a's partition
+        st.lookup_overlapping(la, nodes[3], width=4)  # warm a's partition
         hits_before = metrics.cache_hits
-        st.lookup(la, nodes[3])
+        st.lookup_overlapping(la, nodes[3], width=4)
         assert metrics.cache_hits == hits_before + 1
-        # write to b: a's memoized walk must survive ...
+        # write to b: a's memoized read must survive ...
         st.assign(lb, vb2, nodes[2], strong=True)
         hits_before = metrics.cache_hits
-        st.lookup(la, nodes[3])
+        st.lookup_overlapping(la, nodes[3], width=4)
         assert metrics.cache_hits == hits_before + 1
         # ... and b's must not: the fresh def has to be visible
+        assert st.lookup_overlapping(lb, nodes[3], width=4) == vb2
         assert st.lookup(lb, nodes[3]) == vb2
 
     def test_invalidated_base_sees_new_value(self):
@@ -274,13 +279,16 @@ class TestMetricsCounting:
         st = SparseState(entry, metrics=metrics)
         l = loc("p")
         st.assign(l, frozenset({loc("v")}), nodes[0], strong=True)
-        st.lookup(l, nodes[2])
+        st.lookup_overlapping(l, nodes[2], width=4)
         assert metrics.cache_misses > 0
         misses = metrics.cache_misses
-        st.lookup(l, nodes[2])
+        st.lookup_overlapping(l, nodes[2], width=4)
         assert metrics.cache_hits >= 1
         assert metrics.cache_misses == misses
         assert 0.0 < metrics.cache_hit_rate() < 1.0
+        # exact-key lookups are not memoized: they probe nothing
+        st.lookup(l, nodes[2])
+        assert (metrics.cache_hits, metrics.cache_misses) == (1, misses)
 
     def test_disabled_cache_counts_nothing(self):
         entry, nodes, exit_ = linear_graph(3)
@@ -288,8 +296,30 @@ class TestMetricsCounting:
         st = SparseState(entry, lookup_cache=False, metrics=metrics)
         l = loc("p")
         st.assign(l, frozenset({loc("v")}), nodes[0], strong=True)
-        st.lookup(l, nodes[2])
-        st.lookup(l, nodes[2])
+        st.lookup_overlapping(l, nodes[2], width=4)
+        st.lookup_overlapping(l, nodes[2], width=4)
         assert metrics.cache_hits == 0 and metrics.cache_misses == 0
         assert metrics.dom_walk_steps > 0
+        # each read scans one strong-def index entry (the fence at
+        # nodes[0]) and one def index entry (the def it answers from)
+        assert metrics.dom_walk_steps == 4
         assert metrics.cache_hit_rate() == 0.0
+
+    def test_steps_count_examined_index_entries(self):
+        """The interval scan stops at the first indexed node whose
+        interval contains the probe; defs off the probe's dominator chain
+        cost one step each, defs after the probe in preorder none."""
+        entry, branch, left, right, meet, exit_ = diamond_graph()
+        early, late = sorted((left, right), key=lambda n: n.dom_pre)
+        metrics = Metrics()
+        st = SparseState(entry, metrics=metrics)
+        l, vb = loc("p"), frozenset({loc("b")})
+        st.assign(l, vb, branch, strong=True)
+        st.assign(l, frozenset({loc("e")}), early, strong=True)
+        st.assign(l, frozenset({loc("x")}), exit_, strong=True)
+        steps = metrics.dom_walk_steps
+        # from the later sibling: the earlier one is examined and skipped
+        # (its def stays invisible), branch answers; the def at exit lies
+        # after the probe in preorder and is never examined
+        assert st.lookup(l, late) == vb
+        assert metrics.dom_walk_steps == steps + 2
