@@ -165,6 +165,8 @@ class Frame:
         self.changed = False
         #: nodes whose evaluation was deferred (recursion, unknown dests)
         self.deferred: set[int] = set()
+        #: reads of an input whose parameter this context leaves unbound
+        self.unbound_inputs = 0
 
     # ------------------------------------------------------------------
     # symbol resolution
@@ -257,7 +259,10 @@ class Frame:
             caller_locs = self.param_map.caller_locations(loc)
             if caller_locs is None:
                 # unbound parameter: an input that only exists in other
-                # contexts of a recursive PTF; nothing to fetch here
+                # contexts of a recursive PTF; nothing to fetch here.  The
+                # answer depends on this frame's bindings, not on the
+                # state, so a call dispatch that saw it is not memoized
+                self.unbound_inputs += 1
                 return
             caller_vals = self._caller_values(caller_locs, size)
             targets = self.to_callee_targets(caller_vals, loc)

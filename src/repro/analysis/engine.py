@@ -62,8 +62,9 @@ class AnalyzerOptions:
     #: PTF counts and analysis blow-up
     reuse_ptfs: bool = True
     #: memoize the sparse representation's ``lookup_overlapping`` answers
-    #: and overlapping-key lists; disabling must produce bit-identical
-    #: points-to results (the memo is pure) and exists for the
+    #: and overlapping-key lists, and each call site's interprocedural
+    #: transfer (the call-site memo); disabling must produce bit-identical
+    #: points-to results (the memos are pure) and exists for the
     #: before/after benchmark and as a debugging escape hatch
     lookup_cache: bool = True
     #: optional :class:`repro.diagnostics.trace.Tracer` collecting the

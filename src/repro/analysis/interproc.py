@@ -96,7 +96,10 @@ class InterproceduralMixin:
             )
         for formal in proc.formals[len(arg_values):]:
             map_.actuals[formal.name] = tuple()
-        self._dispatch_internal(frame, node, proc, map_, apply_weak=True)
+        on_stack = self._stack_frame(name)
+        if on_stack is None and self._guard_degraded(frame, node, proc):
+            return
+        self._dispatch_internal(frame, node, proc, map_, True, on_stack)
 
     # -- internal calls ----------------------------------------------------
 
@@ -108,9 +111,120 @@ class InterproceduralMixin:
         name: str,
         multiple: bool,
     ) -> None:
+        """Dispatch one internal target of a call node, through the
+        call-site memo of the caller's PTF.
+
+        A dispatch that reused a callee PTF by match, with no revisit, no
+        deferral and no change to the caller's frame, is recorded with
+        everything it read: the caller-state bases (with their write
+        stamps and pointer versions), the caller's renormalization version
+        and parameter count, and a fingerprint of the callee's PTFs.
+        While all of those are unchanged, re-running it would read the
+        same inputs and write nothing new, so it is skipped.
+        """
         proc = self.program.procedures[name]
-        map_ = self._record_actuals(frame, evaluator, node, proc)
-        self._dispatch_internal(frame, node, proc, map_, apply_weak=multiple)
+        on_stack = self._stack_frame(name)
+        if on_stack is None and self._guard_degraded(frame, node, proc):
+            return
+        caller = frame.ptf
+        state = caller.state
+        if (
+            not caller.lookup_cache
+            or state.kind != "sparse"
+            or self.options.heap_context_depth
+        ):
+            map_ = self._record_actuals(frame, evaluator, node, proc)
+            self._dispatch_internal(frame, node, proc, map_, multiple, on_stack)
+            return
+        memo = caller.call_memo
+        key = (node.uid, name, multiple, -1 if on_stack is None else on_stack.ptf.uid)
+        record = memo.get(key)
+        if (
+            record is not None
+            and record[0] == state.read_version()
+            and record[1] == len(caller.params)
+            and state.reads_unchanged(record[3])
+            and record[2] == self._callee_fingerprint(name)
+        ):
+            self.metrics.call_memo_hits += 1
+            return
+        self.metrics.call_memo_misses += 1
+        renorm = state.read_version()
+        nparams = len(caller.params)
+        fingerprint = self._callee_fingerprint(name)
+        raised = frame.changed
+        frame.changed = False
+        unbound = frame.unbound_inputs
+        outer = state.begin_reads()
+        try:
+            map_ = self._record_actuals(frame, evaluator, node, proc)
+            reused = self._dispatch_internal(frame, node, proc, map_, multiple, on_stack)
+        finally:
+            reads = state.end_reads(outer)
+            changed = frame.changed
+            frame.changed = raised or changed
+        # versions are the ones seen before the dispatch: if it moved any
+        # of them (dropped an orphan PTF, bumped a summary generation,
+        # added a caller parameter), the record simply never hits
+        if (
+            reused
+            and not changed
+            and fingerprint is not None
+            and unbound == frame.unbound_inputs
+        ):
+            memo[key] = (renorm, nparams, fingerprint, reads)
+        else:
+            memo.pop(key, None)
+
+    def _callee_fingerprint(self, name: str) -> Optional[tuple]:
+        """Everything about ``name``'s PTFs that matching, revisit checks
+        and summary application read, flattened into one tuple; None when
+        a PTF has function-pointer inputs, whose match resolves through
+        the caller's parameter map and its callers rather than its state
+        (such calls are not memoized)."""
+        out: list = []
+        for ptf in self.ptfs.get(name, ()):  # type: ignore[attr-defined]
+            if ptf.fnptr_domain:
+                return None
+            out += (
+                ptf.uid,
+                ptf.resets,
+                ptf.state.change_counter,
+                len(ptf.initial_entries),
+                ptf.summary_generation,
+                len(ptf.params),
+                ptf.analyzing,
+                ptf.is_recursive,
+                self._stale_recursive_deps(ptf),
+            )
+        return tuple(out)
+
+    def _guard_degraded(self, frame: Frame, node: CallNode, proc: Procedure) -> bool:
+        """Run the pre-dispatch resource checks; when one trips, summarize
+        the call by the conservative havoc and return True."""
+        guard = self._guard_reason(proc.name)
+        if guard is None:
+            return False
+        reason, detail = guard
+        if self.options.strict:
+            raise GuardTripped(reason, proc.name, detail)
+        if reason != "quarantined":
+            self.metrics.guard_trips += 1
+        if reason == "injected":
+            # deterministic per-procedure verdict: it would trip on
+            # every dispatch, so quarantine it outright
+            self.degradation.quarantine(proc.name, reason, detail)
+            tr = self.trace
+            if tr is not None:
+                tr.instant(
+                    "degrade.proc",
+                    "interproc",
+                    proc=proc.name,
+                    reason=reason,
+                    detail=detail,
+                )
+        self._degrade_call(frame, node, proc.name, reason, detail)
+        return True
 
     def _dispatch_internal(
         self,
@@ -119,35 +233,17 @@ class InterproceduralMixin:
         proc: Procedure,
         map_: ParamMap,
         apply_weak: bool,
-    ) -> None:
-        on_stack = self._stack_frame(proc.name)
+        on_stack: Optional[Frame],
+    ) -> bool:
+        """Match (or create and analyze) the callee's PTF and apply its
+        summary.  Returns True when an existing PTF was reused with no
+        revisit, or a recursive call applied the head's summary without
+        deferring — the dispatches the call-site memo may record."""
         if on_stack is None:
-            guard = self._guard_reason(proc.name)
-            if guard is not None:
-                reason, detail = guard
-                if self.options.strict:
-                    raise GuardTripped(reason, proc.name, detail)
-                if reason != "quarantined":
-                    self.metrics.guard_trips += 1
-                if reason == "injected":
-                    # deterministic per-procedure verdict: it would trip on
-                    # every dispatch, so quarantine it outright
-                    self.degradation.quarantine(proc.name, reason, detail)
-                    tr = self.trace
-                    if tr is not None:
-                        tr.instant(
-                            "degrade.proc",
-                            "interproc",
-                            proc=proc.name,
-                            reason=reason,
-                            detail=detail,
-                        )
-                self._degrade_call(frame, node, proc.name, reason, detail)
-                return
             ptf, need_visit = self.get_ptf(frame, node, proc, map_)
             if need_visit:
                 if not self._analyze_ptf(frame, node, proc, ptf, map_):
-                    return  # guard tripped: havoc fallback already applied
+                    return False  # guard tripped: havoc fallback already applied
             self.apply_summary(frame, node, ptf, map_, weak=apply_weak)
             # record the summary generation we consumed, so callers of
             # recursive cycles revisit when the head's summary grows
@@ -155,33 +251,34 @@ class InterproceduralMixin:
                 frame.ptf.recursive_deps[ptf.uid] = (
                     ptf.summary_generation
                 )
-        else:
-            # recursive call: reuse the PTF already on the call stack (§5.4)
-            head_ptf = on_stack.ptf
-            head_ptf.is_recursive = True
-            self.stats["recursive_calls"] += 1
-            tr = self.trace
-            if tr is not None:
-                tr.instant(
-                    "recursive_call",
-                    "interproc",
-                    proc=proc.name,
-                    head_ptf=head_ptf.uid,
-                    call_site=node.site,
-                )
-            self._merge_recursive_domain(frame, node, head_ptf, map_)
-            if not head_ptf.summary():
-                if node.uid not in frame.deferred:
-                    frame.deferred.add(node.uid)
-                    frame.changed = True
-                return  # defer: no approximation available yet
-            # bind the head's parameters against *this* recursive context so
-            # the summary translates into it (merge mode, not strict match)
-            self._merge_into_ptf(frame, node, head_ptf, map_)
-            self.apply_summary(frame, node, head_ptf, map_, weak=True)
-            frame.ptf.recursive_deps[head_ptf.uid] = (
-                head_ptf.summary_generation
+            return not need_visit
+        # recursive call: reuse the PTF already on the call stack (§5.4)
+        head_ptf = on_stack.ptf
+        head_ptf.is_recursive = True
+        self.stats["recursive_calls"] += 1
+        tr = self.trace
+        if tr is not None:
+            tr.instant(
+                "recursive_call",
+                "interproc",
+                proc=proc.name,
+                head_ptf=head_ptf.uid,
+                call_site=node.site,
             )
+        self._merge_recursive_domain(frame, node, head_ptf, map_)
+        if not head_ptf.summary():
+            if node.uid not in frame.deferred:
+                frame.deferred.add(node.uid)
+                frame.changed = True
+            return False  # defer: no approximation available yet
+        # bind the head's parameters against *this* recursive context so
+        # the summary translates into it (merge mode, not strict match)
+        self._merge_into_ptf(frame, node, head_ptf, map_)
+        self.apply_summary(frame, node, head_ptf, map_, weak=True)
+        frame.ptf.recursive_deps[head_ptf.uid] = (
+            head_ptf.summary_generation
+        )
+        return True
 
     def _analyze_ptf(
         self,
@@ -339,6 +436,11 @@ class InterproceduralMixin:
                 for raw, values in self._match_upgrades:
                     self._upgrade_entry(candidate, frame, node, map_, raw, values)
                 need_visit = candidate.inputs_gained_pointers(map_)
+                # the registry versions of the bound blocks decide the
+                # revisit: they belong to the dispatch's read set
+                frame.ptf.state.note_reads(
+                    loc.base for vals in map_.param_values.values() for loc in vals
+                )
                 if verdict:  # binding was widened: re-analyze to cover it
                     need_visit = True
                 if self._stale_recursive_deps(candidate):

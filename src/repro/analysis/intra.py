@@ -329,6 +329,9 @@ class ProcEvaluator:
         out = []
         probe = LocationSet(src.base, src.offset, src.stride)
         self.frame.ensure_initial(probe, size)
+        # a field that gains a pointer later changes this answer even
+        # though no value is read now: the registry read counts as a read
+        self.state.note_reads((src.base,))
         for offset, stride in sorted(src.base.pointer_locations):
             key = LocationSet(src.base, offset, stride)
             if not probe.overlaps(key, width=max(size, 1), other_width=1):

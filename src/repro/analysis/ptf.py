@@ -175,6 +175,14 @@ class PTF:
         self._summary_version = -1
         self.summary_generation = 0
         self.analyzing = False
+        #: bumped by ``reset``: a callee fingerprint tells a wiped PTF from
+        #: the one it was (the state object is replaced)
+        self.resets = 0
+        #: the call-site memo of this PTF's body: (call node uid, callee,
+        #: multiple, recursive head uid or -1) -> (renorm version, param
+        #: count, callee fingerprint, read set); see
+        #: ``InterproceduralMixin._call_internal``
+        self.call_memo: dict[tuple, tuple] = {}
 
     def _new_state(self) -> PointsToState:
         cls = SparseState if self.state_kind == "sparse" else DenseState
@@ -261,6 +269,8 @@ class PTF:
         self.recursive_domain = {}
         self._summary_cache = None
         self._summary_version = -1
+        self.resets += 1
+        self.call_memo = {}
 
     def describe(self) -> str:
         lines = [f"PTF#{self.uid} for {self.proc.name}"]

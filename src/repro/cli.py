@@ -89,8 +89,9 @@ def _add_analysis_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--heap-context", type=int, default=0, metavar="K",
                    help="heap naming call-chain depth (default 0: site only)")
     p.add_argument("--no-lookup-cache", action="store_true",
-                   help="disable the sparse lookup memoization (debugging / "
-                        "benchmark baseline; results are bit-identical)")
+                   help="disable the sparse lookup and call-site memoization "
+                        "(debugging / benchmark baseline; results are "
+                        "bit-identical)")
     g = p.add_argument_group(
         "robustness", "resource budgets and graceful degradation "
                       "(see docs/ROBUSTNESS.md; exit code 4 = partial result)")

@@ -30,7 +30,11 @@ Counter semantics:
   stub instead of a real PTF (the degradation ladder's fallback);
 * ``ptf_generalizations`` — contexts force-merged into a procedure's
   first PTF because ``ptf_limit`` (or the total-PTF budget) was reached
-  (§8's generalization fallback).
+  (§8's generalization fallback);
+* ``call_memo_hits`` / ``call_memo_misses`` — internal call dispatches
+  skipped because nothing their last dispatch read had changed, and those
+  that ran (the call-site memo of the interprocedural layer).  Both stay
+  zero with ``AnalyzerOptions.lookup_cache=False`` and for dense states.
 
 Timers: ``phase_seconds`` buckets the top-level driver phases
 (``finalize`` / ``analysis`` / ``summary``); ``proc_seconds`` buckets
@@ -71,6 +75,8 @@ COUNTERS = (
     "guard_trips",
     "degraded_calls",
     "ptf_generalizations",
+    "call_memo_hits",
+    "call_memo_misses",
     # -- query subsystem (repro.query; zero for plain analysis runs) ------
     "queries",
     "query_cache_hits",

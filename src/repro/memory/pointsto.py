@@ -60,6 +60,21 @@ by the block's monotone ``pointer_version``, because the pointer-location
 registry changes far more rarely than the points-to values do.
 ``lookup_cache=False`` bypasses both the memo and the key-list cache.
 
+Call-dispatch read sets
+-----------------------
+
+The interprocedural layer memoizes a whole call transfer per caller
+state (``docs/ALGORITHM.md``, "Call-site memo").  To know when a memoized
+call is still valid, :class:`SparseState` stamps every write with the
+base block it touched (``_written``: base uid -> ``change_counter`` at
+the last write) and, between :meth:`SparseState.begin_reads` and
+:meth:`SparseState.end_reads`, records every base it is read at together
+with two numbers taken at the first read: that write stamp and the
+block's ``pointer_version``.  ``renorm_version`` moves when a read could
+change without any single base being written: on ``mark_changed`` and
+when a subsumption actually moved a def key.  Outside a dispatch the read
+hook is one ``is not None`` check.
+
 Provenance
 ----------
 
@@ -287,6 +302,12 @@ class PointsToState:
 
     def mark_changed(self) -> None:
         self.change_counter += 1
+
+    def note_reads(self, blocks: Iterable[MemoryBlock]) -> None:
+        """Add ``blocks`` to the call-dispatch read set being recorded;
+        a no-op for representations that never record one (calls are
+        not memoized over them)."""
+        return
 
     # -- memory accounting -------------------------------------------------
 
@@ -526,6 +547,15 @@ class SparseState(PointsToState):
         #: are renormalized and the indices and memo rebuilt (lazily — the
         #: state cannot observe ``subsumed_by`` assignments directly)
         self._keys_epoch = _blocks.subsumption_epoch()
+        #: base uid -> ``change_counter`` at the last def/φ/initial write
+        #: of a location on that base (absent: never written)
+        self._written: dict[int, int] = {}
+        #: bumped when lookups may answer differently with no base written:
+        #: ``mark_changed`` and def-key renormalization
+        self.renorm_version = 0
+        #: the read set of the call dispatch being recorded, or None:
+        #: base block -> (write stamp, pointer_version) at its first read
+        self._reads = None
 
     # -- initial ---------------------------------------------------------
 
@@ -542,7 +572,10 @@ class SparseState(PointsToState):
                 self.provenance.tag_initial(loc, vals, self.entry)
 
     def get_initial(self, loc: LocationSet) -> Optional[frozenset]:
-        return self._initial.get(normalize_loc(loc))
+        loc = normalize_loc(loc)
+        if self._reads is not None:
+            self._note_read(loc.base)
+        return self._initial.get(loc)
 
     def initial_items(self) -> list[tuple[LocationSet, frozenset]]:
         return list(self._initial.items())
@@ -640,10 +673,13 @@ class SparseState(PointsToState):
 
     def _note_write(self, loc: LocationSet) -> None:
         """A def/φ/initial entry for ``loc`` changed: bump the fixpoint
-        counter and drop the overlap memo partition of ``loc.base``
-        (memoized reads of other bases cannot depend on this entry)."""
+        counter, stamp ``loc.base`` as written, and drop its overlap memo
+        partition (memoized reads of other bases cannot depend on this
+        entry)."""
         self.change_counter += 1
-        self._overlap_cache.pop(loc.base.uid, None)
+        uid = loc.base.uid
+        self._written[uid] = self.change_counter
+        self._overlap_cache.pop(uid, None)
 
     def mark_changed(self) -> None:
         """Non-local change (parameter subsumption, uniqueness downgrade):
@@ -653,9 +689,61 @@ class SparseState(PointsToState):
         pointer-location registry, whose monotone version is part of its
         keys."""
         self.change_counter += 1
+        self.renorm_version += 1
         self._overlap_cache.clear()
         self._renormalize_def_keys()
         self._keys_epoch = _blocks.subsumption_epoch()
+
+    # -- call-dispatch read sets ---------------------------------------------
+
+    def _note_read(self, base: MemoryBlock) -> None:
+        reads = self._reads
+        if base not in reads:
+            reads[base] = (self._written.get(base.uid, 0), base.pointer_version)
+
+    def note_reads(self, blocks: Iterable[MemoryBlock]) -> None:
+        """Add ``blocks`` to the read set being recorded, if any (the
+        interprocedural layer's reads of the pointer-location registry)."""
+        if self._reads is not None:
+            for base in blocks:
+                self._note_read(base)
+
+    def begin_reads(self) -> Optional[dict]:
+        """Start recording a read set; returns the enclosing one, which
+        :meth:`end_reads` restores."""
+        outer = self._reads
+        self._reads = {}
+        return outer
+
+    def end_reads(self, outer: Optional[dict]) -> tuple:
+        """Stop recording and return the read set as a flat tuple
+        ``(base, write stamp, pointer_version, ...)``.  Reads also count
+        toward the enclosing recording, if any."""
+        reads = self._reads
+        self._reads = outer
+        if outer is not None:
+            for base, versions in reads.items():
+                outer.setdefault(base, versions)
+        return tuple(x for base, versions in reads.items() for x in (base, *versions))
+
+    def read_version(self) -> int:
+        """``renorm_version`` after catching up with pending subsumptions,
+        so a subsumption the state has not yet observed still counts."""
+        self._sync_keys()
+        return self.renorm_version
+
+    def reads_unchanged(self, record: tuple) -> bool:
+        """Whether every base in a read set returned by :meth:`end_reads`
+        still has the write stamp and pointer version it was read at."""
+        written = self._written
+        it = iter(record)
+        for base, stamp, pointer_version in zip(it, it, it):
+            if (
+                base.pointer_version != pointer_version
+                or written.get(base.uid, 0) != stamp
+            ):
+                return False
+        return True
 
     def _sync_keys(self) -> None:
         """Catch up with subsumptions performed since the last lookup:
@@ -687,6 +775,7 @@ class SparseState(PointsToState):
                 moved = True
         if not moved:
             return
+        self.renorm_version += 1
         nodes = {e[2] for entries in self._def_nodes.values() for e in entries}
         self._def_nodes = {}
         self._strong_nodes = {}
@@ -714,6 +803,8 @@ class SparseState(PointsToState):
         procedure's initial value answers.
         """
         self._sync_keys()
+        if self._reads is not None:
+            self._note_read(loc.base)
         if node.dom_pre < 0:
             # unreachable (e.g. the exit of a procedure that never
             # returns): no dominators, so only the node's own defs
@@ -828,6 +919,8 @@ class SparseState(PointsToState):
         metrics.lookups += 1
         self._sync_keys()
         loc = normalize_loc(loc)
+        if self._reads is not None:
+            self._note_read(loc.base)
         by_node = None
         if self.lookup_cache:
             cache = self._overlap_cache.get(loc.base.uid)

@@ -6,6 +6,26 @@ import pytest
 from repro import analyze_source, AnalyzerOptions
 
 
+#: a whole-struct copy through pointers in a callee, and one in ``main``;
+#: execution gives ``out1 == &b`` and ``out0 == &b``
+STRUCT_COPY = """
+struct pair { int *p; int *q; };
+int a, b;
+struct pair s1, d1, d3;
+int *out0, *out1;
+void copy(struct pair *dst, struct pair *src) { *dst = *src; }
+int main(void) {
+    s1.p = &a;
+    s1.q = &b;
+    copy(&d1, &s1);
+    out1 = d1.q;
+    d3 = s1;
+    out0 = d3.q;
+    return 0;
+}
+"""
+
+
 def both_kinds(src):
     return [
         analyze_source(src, options=AnalyzerOptions(state_kind=k))
@@ -243,6 +263,37 @@ class TestAggregateCopies:
         """
         for r in both_kinds(src):
             assert r.points_to_names("main", "q") == {"x"}
+
+
+class TestStructCopySoundness:
+    """Known soundness defects, pinned until they are fixed (see the
+    soundness-oracle item of ROADMAP.md)."""
+
+    def test_copy_in_main_reaches_second_field(self):
+        for r in both_kinds(STRUCT_COPY):
+            assert r.points_to_names("main", "out0") == {"b"}
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="copy's PTF summarizes only offset 0 of *dst: the second "
+        "field of the copied struct is lost, so out1 gets {} where "
+        "execution gives {b}",
+    )
+    def test_copy_through_callee_reaches_second_field(self):
+        for r in both_kinds(STRUCT_COPY):
+            assert r.points_to_names("main", "out1") == {"b"}
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the Andersen baseline drops struct assignment: out0 gets "
+        "{} where Wilson-Lam and execution give {b}",
+    )
+    def test_andersen_keeps_struct_assignment(self):
+        from repro import load_program
+        from repro.baselines import andersen_analyze
+
+        ai = andersen_analyze(load_program(STRUCT_COPY, "copy.c"))
+        assert ai.points_to_names("main", "out0") == {"b"}
 
 
 class TestHeapStructs:

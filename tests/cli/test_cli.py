@@ -95,8 +95,10 @@ class TestStatsJson:
         assert stats["counters"]["cache_hits"] == 0
         assert stats["counters"]["cache_misses"] == 0
         assert stats["counters"]["dom_walk_steps"] > 0
-        # the flag turns off the overlap memo only: the interval scans it
-        # would have skipped run, and every lookup still happens
+        # the flag turns off the memos: the interval scans the overlap
+        # memo would have skipped run, and (this program's one call never
+        # repeats with unchanged inputs, so the call-site memo skips
+        # nothing here) every lookup still happens
         cached = stats_for()
         assert cached["lookup_cache"] is True
         assert cached["counters"]["cache_hits"] + cached["counters"]["cache_misses"] > 0
