@@ -2,11 +2,13 @@
 
 Two modes:
 
-**Sweep** (default): for every Table 2 benchmark, build the exhaustive
-store once (timed), then answer the same queries from a fresh demand
-analysis (timed: first query pays the slice fixpoint, warm queries hit
-the memoized PTFs) and check the answers are byte-identical to the
-store's.  ``--record`` appends the rows to ``BENCH_demand.json`` via the
+**Sweep** (default): for every Table 2 benchmark, index a scratch copy,
+edit ``main``, and answer from the demand tier over the pre-edit store
+(timed: the first answer pays lowering, staleness, the whole-program
+analysis and the in-memory store build; warm answers hit the tier's
+engine).  The answers must be byte-identical to a fresh index of the
+edited copy (also timed: lower, analyze, build the store).
+``--record`` appends the rows to ``BENCH_demand.json`` via the
 demand-trajectory recorder.
 
 **CI gate** (``--ci-gate compiler``): the end-to-end freshness contract —
@@ -34,6 +36,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import shutil
 import statistics
 import subprocess
@@ -45,14 +48,11 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 )
 
-from repro import AnalyzerOptions  # noqa: E402
 from repro.analysis.demand import (  # noqa: E402
-    DemandAnalysis,
-    DemandEngine,
     DemandTier,
     fresh_analysis_state,
+    index_in_memory,
 )
-from repro.analysis.results import run_analysis  # noqa: E402
 from repro.bench.programs import PROGRAMS, source_path  # noqa: E402
 from repro.bench.trajectory import (  # noqa: E402
     DEMAND_TRAJECTORY_PATH,
@@ -61,7 +61,7 @@ from repro.bench.trajectory import (  # noqa: E402
 from repro.frontend.parser import load_project_files  # noqa: E402
 from repro.query.engine import QueryEngine  # noqa: E402
 from repro.query.server import QueryServer  # noqa: E402
-from repro.query.store import build_store, load_store  # noqa: E402
+from repro.query.store import load_store  # noqa: E402
 
 #: queries compared per benchmark in the sweep (full equality is the
 #: hypothesis property test's job; the sweep samples for sanity)
@@ -86,66 +86,71 @@ def _query_specs(store: dict, cap: int) -> list[tuple[str, str]]:
     return specs
 
 
+def _index(path: str, name: str) -> dict:
+    fresh_analysis_state()
+    program = load_project_files([path], name=name)
+    return index_in_memory(program, program_name=name, sources=[path])
+
+
+def _same(a: dict, b: dict) -> bool:
+    return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
 def sweep_row(name: str) -> dict:
-    """One sweep row: exhaustive store vs demand engine on ``name``."""
-    path = source_path(name)
+    """One sweep row: the demand tier vs a fresh index on ``name``."""
     row: dict = {"name": name, "error": None}
+    tmp = tempfile.mkdtemp(prefix="bench_demand_")
     try:
-        # exhaustive: the store the daemon would serve
-        fresh_analysis_state()
-        program = load_project_files([path], name=name)
+        src = os.path.join(tmp, f"{name}.c")
+        shutil.copyfile(source_path(name), src)
+        store = _index(src, name)
+        with open(src, "r", encoding="utf-8") as fh:
+            edited = _inject_edit(fh.read())
+        with open(src, "w", encoding="utf-8") as fh:
+            fh.write(edited)
+
+        # exhaustive: what `repro index` of the edited copy would store
         t0 = time.perf_counter()
-        result = run_analysis(program, AnalyzerOptions())
+        fresh = _index(src, name)
         exhaustive_seconds = time.perf_counter() - t0
-        store = build_store(result, program_name=name, sources=[path])
-        store_engine = QueryEngine(store)
-        row["procedures"] = len(store["index"]["procedures"])
+        store_engine = QueryEngine(fresh)
+        row["procedures"] = len(fresh["index"]["procedures"])
         row["exhaustive_seconds"] = round(exhaustive_seconds, 6)
 
-        # demand: fresh lowering, query-rooted
-        fresh_analysis_state()
-        program = load_project_files([path], name=name)
-        analysis = DemandAnalysis(program, options=AnalyzerOptions())
-        engine = DemandEngine(analysis, sources=[path], program_name=name)
-
-        specs = _query_specs(store, _SWEEP_QUERIES)
+        specs = _query_specs(fresh, _SWEEP_QUERIES)
         if not specs:
             row["error"] = "no queryable variables in store index"
             return row
+        requests = [
+            {"op": "points_to", "var": var, "proc": proc} for proc, var in specs
+        ]
 
-        proc, var = specs[0]
-        demand_slice = analysis.slice_for(proc)
-        row["slice_procs"] = len(demand_slice.procs)
-
+        # demand: the tier over the pre-edit store, as a daemon runs it
+        tier = DemandTier(store)
         t0 = time.perf_counter()
-        first = engine.query({"op": "points_to", "var": var, "proc": proc})
+        tier.probe()
+        first = tier.answer(dict(requests[0]))
         row["demand_seconds"] = round(time.perf_counter() - t0, 6)
 
         samples = []
         for _ in range(_WARM_ITERATIONS):
             t0 = time.perf_counter()
-            engine.query({"op": "points_to", "var": var, "proc": proc})
+            tier.answer(dict(requests[0]))
             samples.append(time.perf_counter() - t0)
         row["warm_query_ms"] = round(statistics.median(samples) * 1000, 4)
 
-        equal = json.dumps(first, sort_keys=True) == json.dumps(
-            store_engine.query({"op": "points_to", "var": var, "proc": proc}),
-            sort_keys=True,
+        row["equal"] = _same(first, store_engine.query(dict(requests[0]))) and all(
+            _same(tier.answer(dict(req)), store_engine.query(dict(req)))
+            for req in requests[1:]
         )
-        for pname, vname in specs[1:]:
-            req = {"op": "points_to", "var": vname, "proc": pname}
-            if json.dumps(engine.query(req), sort_keys=True) != json.dumps(
-                store_engine.query(req), sort_keys=True
-            ):
-                equal = False
-                break
-        row["equal"] = equal
         if row["demand_seconds"]:
             row["speedup"] = round(
                 exhaustive_seconds / row["demand_seconds"], 2
             )
     except Exception as exc:  # record, don't abort the sweep
         row["error"] = f"{type(exc).__name__}: {exc}"
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
     return row
 
 
@@ -153,7 +158,7 @@ def run_sweep(names: list[str]) -> tuple[list[dict], bool]:
     rows = []
     ok = True
     print(
-        f"{'program':<12} {'procs':>5} {'slice':>5} {'exhaustive':>10} "
+        f"{'program':<12} {'procs':>5} {'exhaustive':>10} "
         f"{'demand':>8} {'warm ms':>8} {'speedup':>8}  equal"
     )
     for name in names:
@@ -166,7 +171,7 @@ def run_sweep(names: list[str]) -> tuple[list[dict], bool]:
         if row.get("equal") is False:
             ok = False
         print(
-            f"{name:<12} {row['procedures']:>5} {row.get('slice_procs', 0):>5} "
+            f"{name:<12} {row['procedures']:>5} "
             f"{row['exhaustive_seconds']:>9.3f}s {row['demand_seconds']:>7.3f}s "
             f"{row['warm_query_ms']:>8.3f} {row.get('speedup', 0.0):>7.1f}x  "
             f"{row.get('equal')}"
@@ -175,12 +180,16 @@ def run_sweep(names: list[str]) -> tuple[list[dict], bool]:
 
 
 def _inject_edit(source: str) -> str:
-    """Add a new local to ``main`` — enough to change the content digest
-    and mark main stale, without changing any points-to fact."""
-    marker = "int main(void)"
-    at = source.index(marker)
+    """Add a new local to ``main`` on its opening-brace line — enough to
+    change the content digest and mark main stale, without shifting the
+    lines (and the line-named heap sites) below it."""
+    at = re.search(r"\bmain\s*\(", source).end()
     brace = source.index("{", at)
-    return source[: brace + 1] + "\n    int __demand_edit = 0; (void)__demand_edit;" + source[brace + 1 :]
+    return (
+        source[: brace + 1]
+        + " int __demand_edit = 0; (void)__demand_edit;"
+        + source[brace + 1:]
+    )
 
 
 def ci_gate(name: str, min_speedup: float, record: str | None) -> int:
@@ -243,7 +252,7 @@ def ci_gate(name: str, min_speedup: float, record: str | None) -> int:
             return 1
         print(
             f"post-edit query answered with mode=demand in {first_seconds:.3f}s "
-            "(slice fixpoint)"
+            "(edit -> first fresh answer)"
         )
 
         samples = []
@@ -284,7 +293,6 @@ def ci_gate(name: str, min_speedup: float, record: str | None) -> int:
             row = {
                 "name": f"{name}(ci-gate)",
                 "procedures": len(store["index"]["procedures"]),
-                "slice_procs": (tier.stats().get("slices") or {}).get(proc),
                 "demand_seconds": round(first_seconds, 6),
                 "warm_query_ms": round(warm_seconds * 1000, 4),
                 "reindex_seconds": round(reindex_seconds, 6),

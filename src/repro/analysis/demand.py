@@ -1,46 +1,22 @@
-"""Demand-driven analysis: query-rooted points-to without re-indexing.
+"""Demand mode: answering queries over edited sources without a re-index.
 
 The exhaustive pipeline (``repro index`` -> store -> ``repro query``)
 answers every question from facts computed once, up front.  Its blind
-spot is the edit loop: one changed line makes the store stale for the
-changed procedure and all its transitive callers, and until a full
-re-index runs the daemon either refuses or silently serves outdated
-facts.  This module closes that gap with the *demand* mode the paper's
-top-down PTF scheme naturally supports (and the Lazy Pointer Analysis /
-GPG line of work makes explicit): a query needs only the PTFs on its
-demand slice — callees for summaries, callers for invocation contexts.
+spot is the edit loop: one changed line makes the store stale, and
+until a full re-index runs the daemon would either refuse or silently
+serve outdated facts.
 
-Three layers:
-
-:class:`DemandSlice` / :func:`compute_demand_slice`
-    The slice over the *static* call graph, computed on the SCC
-    condensation from :mod:`repro.analysis.scc`.  Because the analyzer
-    is rooted at the entry procedure (``main``, §2.3), the set of
-    procedures any sound answer can require is the entry shard's
-    forward closure; a target outside that closure is never analyzed —
-    by the exhaustive run either — so its answers are the empty facts,
-    no analysis needed (the *unreachable fast path*).
-
-:class:`DemandAnalysis` / :class:`DemandEngine`
-    A lazily-run analysis plus a :class:`~repro.query.engine.QueryEngine`
-    subclass that materializes per-procedure index records from it on
-    first touch, through the *same* record builders
-    (:func:`repro.query.store.procedure_record`) the indexer uses —
-    which is what makes demand answers byte-identical to what a fresh
-    ``repro index`` + store query would produce.  PTFs are memoized
-    across queries at two levels: the analysis result itself (one
-    fixpoint per source generation) and the engine's answer LRU.
-
-:class:`DemandTier`
-    The staleness-aware fallback wired into ``QueryEngine.query``:
-    it probes the indexed sources (stat signature -> content hash ->
-    :func:`repro.query.invalidate.compute_stale`), and when the stored
-    fact a query depends on is stale, either answers from a fresh
-    demand analysis (``mode: demand``) or — when disabled with
-    ``--no-demand`` — lets the store answer through annotated
-    ``stale: true``.  Probe state is memoized per source content, so a
-    live daemon pays one lowering + one slice analysis per edit, then
-    answers subsequent queries from cache.
+:class:`DemandTier` closes that gap.  It probes the indexed sources
+(stat signature -> content hash -> re-lowering ->
+:func:`repro.query.invalidate.compute_stale`), and when the stored fact
+a query depends on is stale it answers from a fresh index of the edited
+sources: :func:`~repro.analysis.results.run_analysis` plus
+:func:`~repro.query.store.build_store`, in memory, under the store's
+recorded options, served by a plain :class:`QueryEngine`.  That is
+exactly what ``repro index`` + ``repro query`` would answer, so demand
+answers are byte-identical to a fresh index by construction.  Wilson–Lam
+facts are resolved per calling context, so the analysis is the whole
+program's; one runs per source generation, on the first routed query.
 
 Byte-identity has one process-level precondition: PTF uids (which the
 stored alias tables embed) and memory-block uids are allocated from
@@ -54,27 +30,18 @@ uid, so objects from different analysis generations cannot be confused
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import os
 import threading
 import time
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from ..query.engine import QueryEngine
-from ..query.store import STORE_FORMAT, pointed_by_index, procedure_record
-
-if TYPE_CHECKING:
-    from .results import AnalysisResult
+from ..query.store import build_store, source_records
 
 __all__ = [
-    "DemandAnalysis",
-    "DemandEngine",
-    "DemandSlice",
     "DemandTier",
-    "compute_demand_slice",
-    "demand_call_graph",
     "fresh_analysis_state",
+    "index_in_memory",
     "options_from_store",
 ]
 
@@ -108,374 +75,24 @@ def options_from_store(store: dict):
     )
 
 
-# ---------------------------------------------------------------------------
-# demand slices over the SCC condensation
-# ---------------------------------------------------------------------------
+def index_in_memory(
+    program, options=None, program_name: Optional[str] = None,
+    sources: Optional[list] = None,
+) -> dict:
+    """What ``repro index`` would write for ``program``, never written:
+    one whole-program analysis and one store document.  The caller
+    lowers ``program`` after :func:`fresh_analysis_state`."""
+    from .results import run_analysis
 
-
-def demand_call_graph(program) -> dict:
-    """:func:`static_call_graph` widened for external higher-order calls.
-
-    The libc models invoke their callback arguments (qsort, bsearch,
-    atexit, signal), so a procedure whose address escapes can be
-    analyzed even though no *internal* call site names it — which the
-    static graph, internal-edges-only, cannot see.  Any call that can
-    reach an external therefore gets edges to every address-taken
-    procedure.  Over-approximating reachability here is safe: a
-    "reachable" procedure the fixpoint never actually visits has no
-    PTFs, and its records are the same empty facts the exhaustive store
-    records for it.
-    """
-    from .guards import _direct_targets
-    from .scc import address_taken_procs, static_call_graph
-
-    graph = static_call_graph(program)
-    taken = address_taken_procs(program)
-    internal = set(program.procedures)
-    for name, proc in program.procedures.items():
-        for node in proc.call_nodes():
-            direct = _direct_targets(node)
-            if direct and direct - internal:
-                graph[name] = graph[name] | taken
-                break
-    return graph
-
-
-@dataclass(frozen=True)
-class DemandSlice:
-    """The procedures a query rooted at ``target`` can depend on.
-
-    ``procs`` is the analysis slice: the forward closure of the entry
-    shard on the SCC condensation — exactly the set the top-down
-    analyzer evaluates, and therefore the set whose PTFs the answer is
-    built from.  ``context_procs`` is the subset that supplies the
-    target's invocation contexts (its transitive callers within the
-    slice).  ``reachable`` is False when the target lies outside the
-    entry's closure: no context ever invokes it, the exhaustive run
-    never analyzes it, and its demand answers are the empty facts.
-    """
-
-    target: str
-    entry: str
-    reachable: bool
-    procs: tuple
-    context_procs: tuple
-    shards: int
-    waves: int
-
-
-def compute_demand_slice(
-    program, target: str, entry: str = "main", plan=None
-) -> DemandSlice:
-    """Compute the demand slice for ``target`` on the static call graph.
-
-    ``plan`` is an optional precomputed :class:`~repro.analysis.scc.ShardPlan`
-    for the program's :func:`demand_call_graph` (callers repeating
-    queries should build it once).  That graph over-approximates the
-    analysis-resolved one — indirect calls and external higher-order
-    calls widen to every address-taken procedure — so "unreachable
-    here" implies "never analyzed".
-    """
-    if plan is None:
-        from .scc import build_plan
-
-        plan = build_plan(demand_call_graph(program))
-    shard_of: dict[str, int] = {}
-    for i, shard in enumerate(plan.shards):
-        for name in shard.procs:
-            shard_of[name] = i
-    if entry not in shard_of or target not in shard_of:
-        return DemandSlice(
-            target=target, entry=entry, reachable=False,
-            procs=(), context_procs=(), shards=0, waves=0,
-        )
-    # forward closure of the entry shard (deps point caller -> callee)
-    closure = {shard_of[entry]}
-    frontier = [shard_of[entry]]
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for dep in plan.deps.get(i, ()):
-                if dep not in closure:
-                    closure.add(dep)
-                    nxt.append(dep)
-        frontier = nxt
-    if shard_of[target] not in closure:
-        return DemandSlice(
-            target=target, entry=entry, reachable=False,
-            procs=(), context_procs=(), shards=0, waves=0,
-        )
-    procs = sorted(
-        name for i in closure for name in plan.shards[i].procs
-    )
-    # context shards: ancestors of the target within the closure
-    rdeps: dict[int, set] = {}
-    for i, deps in plan.deps.items():
-        for dep in deps:
-            rdeps.setdefault(dep, set()).add(i)
-    contexts = {shard_of[target]}
-    frontier = [shard_of[target]]
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for caller in rdeps.get(i, ()):
-                if caller in closure and caller not in contexts:
-                    contexts.add(caller)
-                    nxt.append(caller)
-        frontier = nxt
-    context_procs = sorted(
-        name for i in contexts for name in plan.shards[i].procs
-    )
-    waves = sum(
-        1 for wave in plan.waves if any(i in closure for i in wave)
-    )
-    return DemandSlice(
-        target=target,
-        entry=entry,
-        reachable=True,
-        procs=tuple(procs),
-        context_procs=tuple(context_procs),
-        shards=len(closure),
-        waves=waves,
+    return build_store(
+        run_analysis(program, options), options=options,
+        program_name=program_name, sources=sources,
     )
 
-
-# ---------------------------------------------------------------------------
-# lazily-run analysis + record materialization
-# ---------------------------------------------------------------------------
-
-
-class DemandAnalysis:
-    """One program, analyzed at most once, with per-procedure index
-    records materialized on demand.
-
-    The unreachable fast path never runs the fixpoint: a target outside
-    the entry closure gets its records from a *null result* (an
-    un-run analyzer wrapped in :class:`AnalysisResult` — empty PTF
-    tables, exactly what the exhaustive run records for procedures it
-    never reached).  Thread-safe; all laziness is guarded by one
-    re-entrant lock.
-    """
-
-    def __init__(
-        self, program, options=None, entry: str = "main", tracer=None
-    ) -> None:
-        self.program = program
-        self.options = options
-        self.entry = entry
-        self.trace = tracer
-        self._lock = threading.RLock()
-        self._plan = None
-        self._slices: dict[str, DemandSlice] = {}
-        self._records: dict[str, dict] = {}
-        self._result: Optional[AnalysisResult] = None
-        self._null: Optional[AnalysisResult] = None
-        self._pointed_by: Optional[dict] = None
-        self._callsites: Optional[list] = None
-        self._call_graph: Optional[dict] = None
-        #: fixpoint runs (0 or 1 per generation) and their wall time
-        self.analyses = 0
-        self.analysis_seconds = 0.0
-
-    # -- slices ------------------------------------------------------------
-
-    def plan(self):
-        with self._lock:
-            if self._plan is None:
-                from .scc import build_plan
-
-                self._plan = build_plan(demand_call_graph(self.program))
-            return self._plan
-
-    def slice_for(self, target: str) -> DemandSlice:
-        with self._lock:
-            sl = self._slices.get(target)
-            if sl is None:
-                sl = compute_demand_slice(
-                    self.program, target, entry=self.entry, plan=self.plan()
-                )
-                self._slices[target] = sl
-                if self.trace is not None:
-                    self.trace.instant(
-                        "demand.slice",
-                        "demand",
-                        target=target,
-                        entry=self.entry,
-                        reachable=sl.reachable,
-                        procs=len(sl.procs),
-                        contexts=len(sl.context_procs),
-                        shards=sl.shards,
-                    )
-            return sl
-
-    def slice_sizes(self) -> dict:
-        """target -> slice size, for every slice computed so far."""
-        with self._lock:
-            return {
-                target: len(sl.procs)
-                for target, sl in sorted(self._slices.items())
-            }
-
-    # -- results -----------------------------------------------------------
-
-    def run_result(self) -> AnalysisResult:
-        """The analyzed result (one fixpoint per generation, memoized)."""
-        with self._lock:
-            if self._result is None:
-                from .results import run_analysis
-
-                started = time.perf_counter()
-                self._result = run_analysis(self.program, self.options)
-                self.analysis_seconds += time.perf_counter() - started
-                self.analyses += 1
-                if self.trace is not None:
-                    entry_slice = self.slice_for(self.entry)
-                    self.trace.instant(
-                        "demand.analyze",
-                        "demand",
-                        entry=self.entry,
-                        procs=len(entry_slice.procs),
-                        seconds=round(self.analysis_seconds, 6),
-                    )
-            return self._result
-
-    def _null_result(self) -> AnalysisResult:
-        """Empty facts without running anything: an un-run analyzer has
-        no PTFs, and every fact accessor is empty-safe over that."""
-        with self._lock:
-            if self._null is None:
-                from .engine import Analyzer
-                from .results import AnalysisResult
-
-                self._null = AnalysisResult(Analyzer(self.program, self.options))
-            return self._null
-
-    def _program_result(self) -> AnalysisResult:
-        if self.entry in self.program.procedures:
-            return self.run_result()
-        return self._null_result()
-
-    def degraded(self) -> bool:
-        """True once an actually-run analysis degraded (guards tripped);
-        an un-run analysis is not degraded — it is merely lazy."""
-        with self._lock:
-            if self._result is None:
-                return False
-            return not self._result.degradation.ok
-
-    # -- index records -----------------------------------------------------
-
-    def record(self, proc: str) -> dict:
-        """The per-procedure index record, built through the same
-        builder as ``repro index`` (:func:`procedure_record`)."""
-        with self._lock:
-            rec = self._records.get(proc)
-            if rec is None:
-                sl = self.slice_for(proc)
-                result = self.run_result() if sl.reachable else self._null_result()
-                rec = procedure_record(result, proc)
-                self._records[proc] = rec
-            return rec
-
-    def pointed_by_table(self) -> dict:
-        with self._lock:
-            if self._pointed_by is None:
-                procedures = {
-                    name: self.record(name)
-                    for name in sorted(self.program.procedures)
-                }
-                self._pointed_by = pointed_by_index(procedures)
-            return self._pointed_by
-
-    def callsite_table(self) -> list:
-        with self._lock:
-            if self._callsites is None:
-                self._callsites = self._program_result().callsites()
-            return self._callsites
-
-    def call_graph_table(self) -> dict:
-        with self._lock:
-            if self._call_graph is None:
-                self._call_graph = {
-                    caller: sorted(callees)
-                    for caller, callees in sorted(
-                        self._program_result().call_graph().items()
-                    )
-                }
-            return self._call_graph
-
-
-class DemandEngine(QueryEngine):
-    """A :class:`QueryEngine` whose index is a live demand analysis.
-
-    It shares every code path that shapes an answer — dispatch,
-    caching, alias arithmetic, explain-command rendering — with the
-    store-backed engine, overriding only the accessor seams that read
-    the index.  Records come from :meth:`DemandAnalysis.record`, so an
-    answer's bytes equal what the same query against a freshly indexed
-    store of the same sources would return.
-    """
-
-    def __init__(
-        self,
-        analysis: DemandAnalysis,
-        sources: Optional[list] = None,
-        metrics=None,
-        tracer=None,
-        cache_size: int = 256,
-        program_name: Optional[str] = None,
-    ) -> None:
-        synthetic = {
-            "format": STORE_FORMAT,
-            "program": program_name or analysis.program.name,
-            "sources": [{"path": str(p)} for p in (sources or [])],
-            "snapshot": {"degradation": {"ok": True}},
-            "call_graph": {},
-            "ir": {},
-            "index": {"procedures": {}, "pointed_by": {}, "callsites": []},
-        }
-        super().__init__(
-            synthetic, metrics=metrics, tracer=tracer, cache_size=cache_size
-        )
-        self.analysis = analysis
-
-    @property
-    def degraded(self) -> bool:
-        return self.analysis.degraded()
-
-    def _proc_record_or_none(self, name: str) -> Optional[dict]:
-        if name not in self.analysis.program.procedures:
-            return None
-        return self.analysis.record(name)
-
-    def _has_proc(self, name: str) -> bool:
-        return name in self.analysis.program.procedures
-
-    def _pointed_by_table(self) -> dict:
-        return self.analysis.pointed_by_table()
-
-    def _callsite_table(self) -> list:
-        return self.analysis.callsite_table()
-
-    def _graph(self) -> dict:
-        return self.analysis.call_graph_table()
-
-
-# ---------------------------------------------------------------------------
-# the fallback tier
-# ---------------------------------------------------------------------------
 
 #: ops whose answers depend on program-wide structure (the call graph
 #: or the reverse points-to index): any staleness at all routes them
 _PROGRAM_WIDE_OPS = frozenset(("pointed_by", "reaches", "callees", "callers"))
-
-
-def _sha256_file(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
 
 
 class DemandTier:
@@ -485,41 +102,38 @@ class DemandTier:
     on every query under the engine lock.  ``route`` classifies the
     request: ``None`` (store fresh for this fact — serve normally),
     ``"stale"`` (serve the store answer annotated ``stale: true``), or
-    ``"demand"`` (answer from the demand engine).  A tier with
+    ``"demand"`` (answer from a fresh in-memory index).  A tier with
     ``enabled=False`` still probes — that is what powers the honest
     ``stale: true`` annotation under ``--no-demand``.
 
     The probe is cheap by design: a stat signature guards a content
     hash guards a re-lowering.  Unchanged files cost ``len(sources)``
     stats per query; an edit costs one hash pass, one lowering, one
-    :func:`compute_stale`, and (on the first routed query) one slice
-    analysis — all memoized until the sources move again.  Stores
-    without recorded sources (in-memory tests, ``--stdin`` pipelines)
-    are never probed and never stale.
+    :func:`compute_stale`, and (on the first routed query) one analysis
+    plus one store build — all memoized until the sources move again.
+    Stores without recorded sources (in-memory tests, ``--stdin``
+    pipelines) are never probed and never stale.
 
-    Probe failures (vanished files, parse errors mid-edit) never break
-    serving: the tier degrades to "everything stale, no demand engine",
-    so the store keeps answering with ``stale: true`` until the sources
-    parse again.
+    Probe failures (vanished files, parse errors mid-edit, an edit that
+    removes ``main``) never break serving: the tier degrades to
+    "everything stale, no fresh index", so the store keeps answering
+    with ``stale: true`` until the sources are analyzable again.
     """
 
     def __init__(
         self,
         store: dict,
         enabled: bool = True,
-        options=None,
-        entry: str = "main",
         tracer=None,
         cache_size: int = 256,
     ) -> None:
         self.store = store
         self.enabled = enabled
-        self.entry = entry
         self.trace = tracer
         self.cache_size = cache_size
         # built from the store on the first refresh: a tier over
         # unchanged sources never needs the analyzer's options
-        self.options = options
+        self.options = None
         records = store.get("sources") or []
         self.paths = [rec.get("path") for rec in records if rec.get("path")]
         self._stored_digests = tuple(rec.get("sha256") for rec in records)
@@ -530,8 +144,14 @@ class DemandTier:
         self._stale: frozenset = frozenset()
         self._globals_changed = False
         self._any_stale = False
-        self._engine: Optional[DemandEngine] = None
+        # the lowered edited sources, and the engine over their fresh
+        # index (built on the first routed query)
+        self._program = None
+        self._engine: Optional[QueryEngine] = None
         self._error: Optional[str] = None
+        #: whole-program analyses this tier ran, and their wall time
+        self.analyses = 0
+        self.analysis_seconds = 0.0
         # cumulative counters (carried across reloads by :meth:`for_store`)
         self.fallbacks = 0
         self.stale_served = 0
@@ -561,26 +181,29 @@ class DemandTier:
             if sig == self._sig:
                 return self._verdict
             try:
-                content = tuple(_sha256_file(path) for path in self.paths)
+                content = tuple(
+                    rec["sha256"] for rec in source_records(self.paths)
+                )
             except OSError as exc:
                 return self._enter_error(f"cannot hash sources: {exc}")
             self._sig = sig
             if content == self._content:
                 return self._verdict  # touched but not changed since last look
             self._content = content
+            self._program = None
+            self._engine = None
             if content == self._stored_digests:
                 # sources returned to the indexed content: store valid again
                 self._verdict = "fresh"
                 self._stale = frozenset()
                 self._globals_changed = False
                 self._any_stale = False
-                self._engine = None
                 self._error = None
                 return self._verdict
             return self._refresh()
 
     def _refresh(self) -> str:
-        """Sources changed: lower them, diff digests, arm the engine."""
+        """Sources changed: lower them and diff digests against the store."""
         from ..frontend.parser import load_project_files
         from ..query.invalidate import compute_stale
 
@@ -593,24 +216,15 @@ class DemandTier:
             )
         except Exception as exc:  # parse errors mid-edit must not kill serving
             return self._enter_error(f"sources no longer lower: {exc}")
+        if "main" not in program.procedures:
+            return self._enter_error("no analyzable main procedure")
         report = compute_stale(self.store, program)
         self._stale = frozenset(report.stale) | frozenset(report.removed)
         self._globals_changed = report.globals_changed
         self._any_stale = not report.up_to_date
         self._error = None
         self._verdict = "stale" if self._any_stale else "fresh"
-        self._engine = DemandEngine(
-            DemandAnalysis(
-                program,
-                options=self.options,
-                entry=self.entry,
-                tracer=self.trace,
-            ),
-            sources=self.paths,
-            tracer=self.trace,
-            cache_size=self.cache_size,
-            program_name=self.store.get("program"),
-        )
+        self._program = program
         if self.trace is not None:
             self.trace.instant(
                 "demand.stale",
@@ -628,6 +242,7 @@ class DemandTier:
         self._stale = frozenset(stored)
         self._globals_changed = True
         self._any_stale = True
+        self._program = None
         self._engine = None
         self._error = message
         self._verdict = "stale"
@@ -655,22 +270,47 @@ class DemandTier:
                 # a brand-new procedure is absent from the store's
                 # tables entirely; stale covers added procs already,
                 # but guard the direct probe too
-                or (self._engine is not None and not engine._has_proc(proc)
-                    and self._engine._has_proc(proc))
+                or (self._program is not None
+                    and proc not in engine.store["index"]["procedures"]
+                    and proc in self._program.procedures)
             )
         if not affected:
             return None
-        if self.enabled and self._engine is not None:
+        if self.enabled and self._program is not None:
             return "demand"
         with self._lock:
             self.stale_served += 1
         return "stale"
 
+    def _fresh_engine(self) -> QueryEngine:
+        """The engine over the edited sources' in-memory index; the
+        first call per source generation runs the analysis."""
+        if self._engine is None:
+            started = time.perf_counter()
+            store = index_in_memory(
+                self._program, self.options,
+                program_name=self.store.get("program"), sources=self.paths,
+            )
+            seconds = time.perf_counter() - started
+            self.analyses += 1
+            self.analysis_seconds += seconds
+            if self.trace is not None:
+                self.trace.instant(
+                    "demand.analyze",
+                    "demand",
+                    procs=len(self._program.procedures),
+                    seconds=round(seconds, 6),
+                )
+            self._engine = QueryEngine(
+                store, tracer=self.trace, cache_size=self.cache_size
+            )
+        return self._engine
+
     def answer(self, request: dict, budget=None, info: Optional[dict] = None) -> dict:
-        """Answer a routed request from the demand engine."""
+        """Answer a routed request from the fresh index."""
         with self._lock:
             self.fallbacks += 1
-            engine = self._engine
+            engine = self._fresh_engine()
         if self.trace is not None:
             self.trace.instant(
                 "demand.fallback",
@@ -697,15 +337,11 @@ class DemandTier:
                 "stale_served": self.stale_served,
                 "stale_procs": len(self._stale),
                 "globals_changed": self._globals_changed,
+                "analyses": self.analyses,
+                "analysis_seconds": round(self.analysis_seconds, 6),
             }
             if self._error:
                 out["error"] = self._error
-            engine = self._engine
-        if engine is not None:
-            analysis = engine.analysis
-            out["analyses"] = analysis.analyses
-            out["analysis_seconds"] = round(analysis.analysis_seconds, 6)
-            out["slices"] = analysis.slice_sizes()
         return out
 
     def for_store(self, store: dict) -> "DemandTier":
@@ -714,7 +350,6 @@ class DemandTier:
         tier = DemandTier(
             store,
             enabled=self.enabled,
-            entry=self.entry,
             tracer=self.trace,
             cache_size=self.cache_size,
         )

@@ -464,10 +464,9 @@ def record_serve_trajectory(
 #
 # The serve trajectory trends the daemon; the demand trajectory trends the
 # *demand tier*: one entry per ``benchmarks/bench_demand.py --record`` run,
-# carrying per-benchmark rows (slice size, demand analysis seconds, warm
-# query latency, speedup vs a full re-index) so a regression in the slice
-# construction or the memoized PTF path shows up as a drift line the run
-# it lands.  Same discipline as the other two sections: append-only
+# carrying per-benchmark rows (edit -> first fresh answer seconds, warm
+# query latency, speedup vs a full re-index) so a regression in the
+# tier's re-index path shows up as a drift line the run it lands.  Same discipline as the other two sections: append-only
 # history, atomic writes, never refuse to record.
 
 #: demand drift below these floors is noise, never reported
@@ -478,14 +477,13 @@ def build_demand_entry(rows: list[dict], revision: Optional[str] = None) -> dict
     """One demand-trajectory entry for a finished bench_demand sweep.
 
     ``rows`` are the per-benchmark dicts the harness produced (name,
-    procedures, slice_procs, demand_seconds, warm_query_ms, speedup,
-    equal, error) — recorded verbatim, with suite totals alongside."""
+    procedures, demand_seconds, warm_query_ms, speedup, equal, error) —
+    recorded verbatim, with suite totals alongside."""
     good = [r for r in rows if not r.get("error")]
     totals = {
         "demand_seconds": round(
             sum(r.get("demand_seconds") or 0.0 for r in good), 6
         ),
-        "slice_procs": sum(r.get("slice_procs") or 0 for r in good),
         "errors": len(rows) - len(good),
         "mismatches": sum(1 for r in good if r.get("equal") is False),
     }
@@ -517,9 +515,7 @@ def load_demand_trajectory(path: str = DEMAND_TRAJECTORY_PATH) -> dict:
 def compare_demand_entries(prev: dict, cur: dict) -> list[str]:
     """Human-readable drift lines between two demand entries.
 
-    Covers total demand analysis time, total slice size (a slice that
-    grows means the demand tier is analyzing more than it used to for
-    the same queries), new errors, and new equality mismatches."""
+    Covers total demand time, new errors, and new equality mismatches."""
     lines: list[str] = []
     p, c = prev.get("totals", {}), cur.get("totals", {})
     since = prev.get("revision", "?")
@@ -535,16 +531,6 @@ def compare_demand_entries(prev: dict, cur: dict) -> list[str]:
             lines.append(
                 f"demand analysis {verb}: {p_sec:.3f}s -> {c_sec:.3f}s "
                 f"({delta / p_sec:+.1%}) since {since}"
-            )
-
-    p_procs, c_procs = p.get("slice_procs"), c.get("slice_procs")
-    if p_procs and c_procs is not None and c_procs != p_procs:
-        delta = c_procs - p_procs
-        if abs(delta) / p_procs >= _RELATIVE_THRESHOLD:
-            verb = "grew" if delta > 0 else "shrank"
-            lines.append(
-                f"demand slices {verb}: {p_procs} -> {c_procs} procs "
-                f"({delta / p_procs:+.1%}) since {since}"
             )
 
     p_err, c_err = p.get("errors", 0), c.get("errors", 0)

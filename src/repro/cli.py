@@ -305,62 +305,9 @@ def _analyze_batch(args: argparse.Namespace) -> int:
     return _batch_status(batch)
 
 
-def _analyze_demand(args: argparse.Namespace) -> int:
-    """``repro analyze --demand-root VAR@PROC``: print the demand slice
-    for each root and answer its points-to query from a query-rooted
-    analysis (the unreachable fast path never runs the fixpoint)."""
-    from .analysis.demand import (
-        DemandAnalysis,
-        DemandEngine,
-        fresh_analysis_state,
-    )
-    from .frontend.parser import load_project_files
-    from .query import QueryError
-
-    opts = _options_from(args)
-    fresh_analysis_state()
-    program = load_project_files(
-        args.files, tolerant=not opts.strict, faults=opts.faults
-    )
-    analysis = DemandAnalysis(program, options=opts, tracer=opts.trace)
-    engine = DemandEngine(analysis, sources=args.files)
-    status = EXIT_OK
-    for spec in args.demand_root:
-        var, _, proc = spec.partition("@")
-        proc = proc or "main"
-        sl = analysis.slice_for(proc)
-        if sl.reachable:
-            print(
-                f"demand slice {var}@{proc}: {len(sl.procs)}/"
-                f"{len(program.procedures)} procedure(s), "
-                f"{sl.shards} shard(s), "
-                f"{len(sl.context_procs)} context proc(s)"
-            )
-        else:
-            print(
-                f"demand slice {var}@{proc}: unreachable from main — "
-                "empty facts, no analysis"
-            )
-        try:
-            answer = engine.query({"op": "points_to", "var": var, "proc": proc})
-        except QueryError as exc:
-            print(f"error: {spec!r}: {exc}", file=sys.stderr)
-            status = EXIT_ERROR
-            continue
-        for line in _render_query_answer(answer):
-            print(line)
-    _emit_trace(args, opts.trace)
-    if status == EXIT_OK and analysis.degraded():
-        _report_degradation(analysis.run_result().degradation)
-        return EXIT_PARTIAL
-    return status
-
-
 def cmd_analyze(args: argparse.Namespace) -> int:
     if getattr(args, "jobs", None) is not None:
         return _analyze_batch(args)
-    if getattr(args, "demand_root", None):
-        return _analyze_demand(args)
     from .analysis.results import run_analysis
     from .frontend.parser import load_project_files
 
@@ -813,8 +760,8 @@ def _answer_query_specs(
     ``--analyze-on-miss`` paths.  Per-answer ``mode``/``stale``
     annotations come from the engine's ``info`` dict (the answers
     themselves are shared cache entries and stay byte-identical);
-    ``forced_mode`` marks every answer when the engine *is* a demand
-    engine (no store to be stale against)."""
+    ``forced_mode`` marks every answer when the engine serves an
+    in-memory index of the sources (no store to be stale against)."""
     from .analysis.guards import AnalysisBudget, GuardTripped
     from .query import QueryError, parse_query_spec
 
@@ -871,14 +818,20 @@ def _answer_query_specs(
     if demand_used and forced_mode is None:
         print(
             "repro: sources changed since 'repro index'; stale answers "
-            "were recomputed on their demand slices (mode: demand)",
+            "were recomputed from the edited sources (mode: demand)",
             file=sys.stderr,
         )
     elif stale_seen:
+        error = engine.demand.stats().get("error") if engine.demand else None
+        why, fix = (
+            (f"the edited sources cannot be analyzed ({error})",
+             "fix them, or re-run 'repro index'") if error
+            else ("demand mode is off",
+                  "re-run 'repro index', or drop --no-demand")
+        )
         print(
             "repro: warning: the store is stale for some queried facts "
-            "and demand mode is off; those answers may be outdated "
-            "(re-run 'repro index', or drop --no-demand)",
+            f"and {why}; those answers may be outdated ({fix})",
             file=sys.stderr,
         )
     degraded = engine.degraded or any(
@@ -895,29 +848,26 @@ def _answer_query_specs(
 
 
 def _query_without_store(args: argparse.Namespace) -> int:
-    """The ``--analyze-on-miss`` path: no store — lower the given
-    sources and answer straight from a one-shot demand analysis."""
-    from .analysis.demand import (
-        DemandAnalysis,
-        DemandEngine,
-        fresh_analysis_state,
-    )
+    """The ``--analyze-on-miss`` path: no store — index the given
+    sources in memory, as the demand tier does, and answer from that."""
+    from .analysis.demand import fresh_analysis_state, index_in_memory
     from .frontend.parser import load_project_files
+    from .query import QueryEngine
 
     fresh_analysis_state()
     program = load_project_files(args.analyze_on_miss)
-    engine = DemandEngine(
-        DemandAnalysis(program),
-        sources=args.analyze_on_miss,
-        cache_size=args.cache_size,
-    )
+    if "main" not in program.procedures:
+        print("error: no analyzable main procedure", file=sys.stderr)
+        return EXIT_ERROR
+    store = index_in_memory(program, sources=args.analyze_on_miss)
+    engine = QueryEngine(store, cache_size=args.cache_size)
     return _answer_query_specs(args, engine, forced_mode="demand")
 
 
 def cmd_query(args: argparse.Namespace) -> int:
     """Answer demand queries from a persisted store; when the indexed
-    sources have been edited since, stale answers are recomputed on
-    their demand slices instead of silently served (docs/QUERY.md §6)."""
+    sources have been edited since, stale answers are recomputed from
+    the edited sources instead of silently served (docs/QUERY.md §6)."""
     from .query import QueryEngine, load_store
 
     try:
@@ -1215,13 +1165,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "snapshot to DIR/<name>.snapshot.json")
     p.add_argument("--points-to", action="append", metavar="[PROC:]VAR",
                    help="print the points-to set of a variable")
-    p.add_argument("--demand-root", action="append", metavar="VAR[@PROC]",
-                   help="demand mode: print the query's demand slice "
-                        "over the static call graph and answer its "
-                        "points-to query from a query-rooted analysis "
-                        "(an unreachable PROC answers empty with no "
-                        "analysis at all); repeatable — the slice "
-                        "analysis runs once and is shared")
     p.add_argument("--stats-json", nargs="?", const="-", metavar="PATH",
                    help="dump analysis metrics as JSON (to PATH, or stdout "
                         "when no PATH is given)")
@@ -1401,8 +1344,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--demand", dest="demand", action="store_true",
                    default=True,
                    help="when the indexed sources changed on disk, "
-                        "recompute stale answers on their demand slices "
-                        "instead of serving outdated facts (the "
+                        "recompute stale answers from a fresh in-memory "
+                        "index instead of serving outdated facts (the "
                         "default)")
     p.add_argument("--no-demand", dest="demand", action="store_false",
                    help="never re-analyze: stale answers are served "
@@ -1471,8 +1414,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "procedures whose sources changed since 'repro "
                         "index' are answered from the (stale) store "
                         "with an explicit \"stale\": true envelope "
-                        "field instead of being recomputed on their "
-                        "demand slice")
+                        "field instead of being recomputed from the "
+                        "edited sources")
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser(

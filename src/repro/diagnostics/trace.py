@@ -151,18 +151,16 @@ EVENT_VOCABULARY: dict[str, str] = {
     "query.deadline": "i a query's per-request deadline expired before "
                       "an answer was produced; args: op, key",
     # -- demand mode (repro.analysis.demand; docs/QUERY.md §6) -----------
-    "demand.slice": "i a demand slice was computed for a query target "
-                    "on the SCC condensation; args: target, entry, "
-                    "reachable, procs, contexts, shards",
-    "demand.analyze": "i the demand tier ran the slice analysis (one "
-                      "fixpoint per source generation, memoized across "
-                      "queries); args: entry, procs, seconds",
+    "demand.analyze": "i the demand tier analyzed the edited sources "
+                      "and built their store in memory (one per source "
+                      "generation, shared by every routed query); args: "
+                      "procs, seconds",
     "demand.stale": "i the staleness probe re-lowered edited sources "
                     "and diffed IR digests against the store; args: "
                     "stale, changed, added, removed, globals_changed",
-    "demand.fallback": "i a query was routed to the demand engine "
-                       "because the store is stale for the fact it "
-                       "states; args: op, proc",
+    "demand.fallback": "i a query was answered from the demand "
+                       "tier's fresh index because the store is stale "
+                       "for the fact it states; args: op, proc",
     # -- serve daemon (repro.query.server; docs/OBSERVABILITY.md §5) -----
     "server.request": "i the daemon finalized one request: envelope "
                       "written, latency measured line-read to "

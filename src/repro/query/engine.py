@@ -170,8 +170,9 @@ class QueryEngine:
         self.metrics = metrics if metrics is not None else Metrics()
         self.trace = tracer
         #: optional :class:`repro.analysis.demand.DemandTier` — probed on
-        #: every query; stale facts are either recomputed on a demand
-        #: slice (tier enabled) or annotated ``info["stale"]`` (disabled)
+        #: every query; stale facts are either answered from a fresh
+        #: in-memory index of the edited sources (tier enabled) or
+        #: annotated ``info["stale"]`` (disabled)
         self.demand = demand
         self.cache_size = max(0, cache_size)
         self._cache: OrderedDict[str, dict] = OrderedDict()
@@ -200,29 +201,10 @@ class QueryEngine:
         return not self.store["snapshot"]["degradation"]["ok"]
 
     def _proc(self, name: str) -> dict:
-        rec = self._proc_record_or_none(name)
+        rec = self._procs.get(name)
         if rec is None:
             raise QueryError("unknown-proc", f"no procedure named {name!r}")
         return rec
-
-    # accessor seams overridden by the demand engine
-    # (:class:`repro.analysis.demand.DemandEngine` materializes these
-    # lazily from a live analysis instead of a stored index)
-
-    def _proc_record_or_none(self, name: str) -> Optional[dict]:
-        return self._procs.get(name)
-
-    def _has_proc(self, name: str) -> bool:
-        return name in self._procs
-
-    def _pointed_by_table(self) -> dict:
-        return self.store["index"]["pointed_by"]
-
-    def _callsite_table(self) -> list:
-        return self.store["index"]["callsites"]
-
-    def _graph(self) -> dict:
-        return self._call_graph
 
     def _check_var(self, proc_rec: dict, proc: str, var: str) -> None:
         known = proc_rec.get("queryable", ())
@@ -358,10 +340,10 @@ class QueryEngine:
         answer itself must not carry (answers are shared cache entries,
         byte-identical across calls): ``info["cache"]`` is set to
         ``"hit"`` or ``"miss"`` for cacheable ops; when a demand tier is
-        attached, ``info["mode"] = "demand"`` marks answers recomputed
-        on a demand slice and ``info["stale"] = True`` marks answers
-        served from a store known-stale for the facts they state — the
-        daemon lifts both into the response envelope.
+        attached, ``info["mode"] = "demand"`` marks answers from a fresh
+        index of the edited sources and ``info["stale"] = True`` marks
+        answers served from a store known-stale for the facts they
+        state — the daemon lifts both into the response envelope.
         """
         op = request.get("op")
         if op not in OPS:
@@ -379,9 +361,9 @@ class QueryEngine:
             if self.demand is not None:
                 route = self.demand.route(request, self)
                 if route == "demand":
-                    # bypass this engine's LRU entirely: the demand
+                    # bypass this engine's LRU entirely: the tier's
                     # engine answers (and caches) from its own fresh
-                    # analysis, so a later reload's adopt_cache never
+                    # index, so a later reload's adopt_cache never
                     # sees a demand answer under a store-keyed entry
                     return self.demand.answer(request, budget=budget, info=info)
                 if route == "stale" and info is not None:
@@ -466,7 +448,7 @@ class QueryEngine:
         }
 
     def pointed_by(self, name: str) -> dict:
-        pairs = self._pointed_by_table().get(name, [])
+        pairs = self._index["pointed_by"].get(name, [])
         return {
             "op": "pointed_by",
             "name": name,
@@ -493,11 +475,11 @@ class QueryEngine:
         procedure-level sets.  Callees outside the store (externals,
         libc) are listed as ``unresolved``: their effects are whatever
         the analysis's external policy assumed."""
-        if not self._has_proc(proc):
+        if proc not in self._procs:
             raise QueryError("unknown-proc", f"no procedure named {proc!r}")
         sites = [
             site
-            for site in self._callsite_table()
+            for site in self._index["callsites"]
             if site["proc"] == proc and _coord_line(site["coord"]) == line
         ]
         if not sites:
@@ -511,7 +493,7 @@ class QueryEngine:
         for site in sites:
             for callee in site["callees"]:
                 callees.add(callee)
-                target = self._proc_record_or_none(callee)
+                target = self._procs.get(callee)
                 if target is None:
                     unresolved.add(callee)
                     continue
@@ -538,7 +520,7 @@ class QueryEngine:
         }
 
     def reaches(self, src: str, dst: str) -> dict:
-        if src not in self._graph():
+        if src not in self._call_graph:
             raise QueryError("unknown-proc", f"no procedure named {src!r}")
         path = self._shortest_path(src, dst)
         return {
@@ -550,7 +532,7 @@ class QueryEngine:
         }
 
     def callees(self, proc: str) -> dict:
-        graph = self._graph()
+        graph = self._call_graph
         if proc not in graph:
             raise QueryError("unknown-proc", f"no procedure named {proc!r}")
         return {
@@ -560,7 +542,7 @@ class QueryEngine:
         }
 
     def callers(self, proc: str) -> dict:
-        graph = self._graph()
+        graph = self._call_graph
         known = set(graph) | {
             c for callees in graph.values() for c in callees
         }
@@ -596,7 +578,7 @@ class QueryEngine:
     # -- helpers -----------------------------------------------------------
 
     def _shortest_path(self, src: str, dst: str) -> Optional[list]:
-        graph = self._graph()
+        graph = self._call_graph
         if src == dst:
             return [src]
         prev: dict = {src: None}

@@ -32,14 +32,22 @@ Canonicalization rules (what makes the IR digest *stable*):
 * node identity is positional (the procedure's reverse-postorder
   index), never the process-local ``uid``.
 
-Staleness propagation: a changed procedure invalidates its **transitive
-callers** (the call-graph *dependents*).  In Wilson & Lam's PTF scheme a
-caller's summary folds in its callees' side effects — so when a callee
-changes, every summary downstream of it on the call graph is suspect —
-while a *callee* of a changed procedure keeps its PTFs: they are keyed
-by input alias pattern, and at worst a re-analysis presents patterns
-that already match (§5.2 reuse).  A change to the global environment
-digest invalidates everything (initializers run in the root context).
+Staleness propagation reaches both directions of the call graph.  A
+changed procedure invalidates its **transitive callers**: in Wilson &
+Lam's PTF scheme a caller's summary folds in its callees' side effects.
+It also invalidates the **transitive callees** of itself and of those
+callers: stored facts are merged over every calling context, and a
+callee's contexts (its input alias patterns, the values its parameters
+and globals carry in) come from its callers.  Editing ``main`` to pass
+``&h`` where it passed ``&g`` changes what ``p`` points to inside the
+unedited ``pick(int *p)``; an edit to ``use`` that stores a new pointer
+in a global changes what the unedited ``peek`` reads from it after
+``main`` calls both.  Callee edges include, from every caller of an
+external (the libc models invoke their callback arguments: ``qsort``,
+``bsearch``, ``atexit``, ``signal``), every address-taken procedure.
+Only procedures no stale procedure can call stay clean.  A change to
+the global environment digest invalidates everything (initializers run
+in the root context).
 
 One class of edit escapes the stored call graph entirely: **function-
 pointer retargeting**.  The stored graph is the *pre-edit* resolution —
@@ -155,8 +163,9 @@ def program_ir_digests(program: "Program") -> dict:
 class StaleReport:
     """Which procedures of a store must be recomputed, and why.
 
-    ``stale`` is the minimal recomputation set: changed + added
-    procedures plus their transitive call-graph dependents (callers).
+    ``stale`` is the recomputation set: changed + added procedures plus
+    their dependents (transitive callers, and the transitive callees of
+    both).
     ``clean`` is its complement over the current program — the work a
     repeated ``repro index`` run may skip.
     """
@@ -167,7 +176,8 @@ class StaleReport:
     added: list[str] = field(default_factory=list)
     #: procedures in the store but gone from the sources
     removed: list[str] = field(default_factory=list)
-    #: transitive callers of changed/added/removed procedures
+    #: transitive callers of changed/added/removed procedures, and the
+    #: transitive callees of those and of the roots
     dependents: list[str] = field(default_factory=list)
     #: True when the global-environment digest moved (everything stale)
     globals_changed: bool = False
@@ -213,36 +223,70 @@ class StaleReport:
         return lines
 
 
-def _transitive_callers(call_graph: dict, roots: set) -> set:
-    """Every procedure that can reach a root through call edges (the
-    dependents whose summaries embed a root's side effects)."""
+def _reachable(edges: dict, roots: set) -> set:
+    """Every procedure reachable from ``roots`` over ``edges``."""
+    out: set = set()
+    work = list(roots)
+    while work:
+        for nxt in edges.get(work.pop(), ()):
+            if nxt not in out:
+                out.add(nxt)
+                work.append(nxt)
+    return out
+
+
+def _dependents(call_graph: dict, roots: set) -> set:
+    """The transitive callers of ``roots`` (their summaries embed a
+    root's side effects) and the transitive callees of both (their
+    calling contexts come from them)."""
     callers_of: dict[str, set] = {}
     for caller, callees in call_graph.items():
         for callee in callees:
             callers_of.setdefault(callee, set()).add(caller)
-    out: set = set()
-    work = list(roots)
-    while work:
-        name = work.pop()
-        for caller in callers_of.get(name, ()):
-            if caller not in out and caller not in roots:
-                out.add(caller)
-                work.append(caller)
-    return out
+    callers = _reachable(callers_of, roots)
+    return callers | _reachable(call_graph, roots | callers)
+
+
+def _with_callbacks(call_graph: dict, procs, taken) -> dict:
+    """``call_graph`` plus edges to every address-taken procedure from
+    each caller of an external (the libc models call their callback
+    arguments); ``taken`` None means unrecorded: every procedure."""
+    procs = set(procs)
+    taken = procs if taken is None else set(taken)
+    graph = {caller: set(callees) for caller, callees in call_graph.items()}
+    for callees in graph.values():
+        if callees - procs:
+            callees |= taken
+    return graph
+
+
+def _program_call_graph(program: "Program") -> dict:
+    """The lowered program's call edges: direct targets (externals
+    included), and every address-taken procedure at indirect call
+    sites and at calls to externals."""
+    from ..analysis.guards import _direct_targets
+    from ..analysis.scc import address_taken_procs
+
+    taken = address_taken_procs(program)
+    graph: dict = {}
+    for name, proc in program.procedures.items():
+        callees: set = set()
+        for node in proc.call_nodes():
+            callees |= _direct_targets(node) or taken
+        graph[name] = callees
+    return _with_callbacks(graph, program.procedures, taken)
 
 
 def compute_stale(store: dict, program: "Program") -> StaleReport:
     """Compare a store's recorded IR digests against a freshly lowered
-    ``program`` and report the minimal set of procedures whose PTFs must
-    be recomputed.
+    ``program`` and report the set of procedures whose PTFs must be
+    recomputed.
 
     The comparison is pure digest work — the analysis engine never runs.
-    The store's *recorded* call graph drives dependent propagation (the
-    new program's call graph may differ for stale procedures, but every
-    edge that could transmit a stale summary into a clean procedure is,
-    by definition, an edge the old solution had).  Newly *added*
-    procedures seed dependents through the new program's static call
-    edges instead (the old graph cannot name them).
+    Dependents travel over the union of the store's *recorded* call
+    graph and the lowered program's call edges: an edge in either world
+    can carry a stale summary up or a changed context down, and only the
+    new program can name an *added* procedure.
     """
     stored = store.get("ir", {})
     stored_procs: dict = stored.get("procedures", {})
@@ -267,22 +311,13 @@ def compute_stale(store: dict, program: "Program") -> StaleReport:
         return report
 
     roots = set(report.changed) | set(report.added) | set(report.removed)
-    call_graph = {
-        caller: set(callees)
-        for caller, callees in store.get("call_graph", {}).items()
-    }
-    # added procedures are reachable only through the *new* program's
-    # static call edges; fold those in so their callers invalidate
-    if report.added:
-        from ..analysis.guards import _direct_targets
-
-        for name, proc in program.procedures.items():
-            for node in proc.call_nodes():
-                for target in _direct_targets(node):
-                    if target in report.added:
-                        call_graph.setdefault(name, set()).add(target)
+    call_graph = _with_callbacks(
+        store.get("call_graph", {}), stored_procs, stored.get("address_taken")
+    )
+    for caller, callees in _program_call_graph(program).items():
+        call_graph.setdefault(caller, set()).update(callees)
     widened = _fnptr_widening(stored, program, roots)
-    dependents = _transitive_callers(call_graph, roots | widened) | widened
+    dependents = _dependents(call_graph, roots | widened) | widened
     report.dependents = sorted((dependents - roots) & set(cur_procs))
     stale = (roots | dependents) & set(cur_procs)
     report.stale = sorted(stale)
@@ -333,8 +368,12 @@ def compute_stale_between_stores(old_store: dict, new_store: dict) -> StaleRepor
 
     roots = set(report.changed) | set(report.added) | set(report.removed)
     call_graph: dict = {}
-    for store in (old_store, new_store):
-        for caller, callees in (store.get("call_graph") or {}).items():
+    for store, ir in ((old_store, old_ir), (new_store, new_ir)):
+        for caller, callees in _with_callbacks(
+            store.get("call_graph") or {},
+            ir.get("procedures") or {},
+            ir.get("address_taken"),
+        ).items():
             call_graph.setdefault(caller, set()).update(callees)
 
     widened: set = set()
@@ -357,7 +396,7 @@ def compute_stale_between_stores(old_store: dict, new_store: dict) -> StaleRepor
         if trigger:
             widened = indirect & set(new_procs)
 
-    dependents = _transitive_callers(call_graph, roots | widened) | widened
+    dependents = _dependents(call_graph, roots | widened) | widened
     report.dependents = sorted((dependents - roots) & set(new_procs))
     stale = (roots | dependents) & set(new_procs)
     report.stale = sorted(stale)

@@ -203,13 +203,7 @@ def _alias_table(result: "AnalysisResult", proc_name: str) -> dict:
 
 
 def procedure_record(result: "AnalysisResult", proc_name: str) -> dict:
-    """The full per-procedure index record for one procedure.
-
-    Shared between exhaustive indexing (:func:`build_store`) and the
-    demand engine (:mod:`repro.analysis.demand`), which materializes
-    records lazily from its own analysis — using the same builder is
-    what makes demand answers byte-identical to stored ones.
-    """
+    """The full per-procedure index record for one procedure."""
     vars_ = _var_table(result, proc_name)
     modref = result.mod_ref(proc_name)
     return {

@@ -1,23 +1,24 @@
-"""Unit tests for the demand-driven analysis layer (repro.analysis.demand).
+"""Unit tests for the demand tier (repro.analysis.demand).
 
-Covers the slice construction over the SCC condensation, the
-unreachable fast path (no fixpoint ever runs), the one-fixpoint-per-
-generation memoization, trace instants, and the budget/deadline guard
-on the demand engine.
+Covers the one-analysis-per-source-generation memoization, the trace
+instants, the budget/deadline guard, the error state for edits that
+leave nothing analyzable, and the reconstruction of the store's
+analyzer options.
 """
 
 import pytest
 
-from repro import AnalyzerOptions, load_program
+from repro import AnalyzerOptions
 from repro.analysis.demand import (
-    DemandAnalysis,
-    DemandEngine,
-    compute_demand_slice,
+    DemandTier,
     fresh_analysis_state,
+    index_in_memory,
     options_from_store,
 )
 from repro.analysis.guards import AnalysisBudget, GuardTripped
 from repro.diagnostics.trace import Tracer
+from repro.frontend.parser import load_project_files
+from repro.query import QueryEngine
 
 CHAIN = """
 int g1, g2;
@@ -32,125 +33,109 @@ int main(void) {
 int *orphan(int *q) { return q; }
 """
 
+#: main now wraps g2: every procedure main reaches is stale
+EDITED = CHAIN.replace("wrap(&g1)", "wrap(&g2)")
 
-def chain_program():
+
+def edited_tier(tmp_path, edited=EDITED, tracer=None):
+    """A tier over an index of CHAIN whose source now reads ``edited``."""
+    src = tmp_path / "chain.c"
+    src.write_text(CHAIN)
     fresh_analysis_state()
-    return load_program(CHAIN, "chain.c", "chain")
+    program = load_project_files([str(src)], name="chain")
+    store = index_in_memory(program, program_name="chain", sources=[str(src)])
+    src.write_text(edited)
+    tier = DemandTier(store, tracer=tracer)
+    return tier, QueryEngine(store, demand=tier)
 
 
-# -- slices -----------------------------------------------------------------
+A_MAIN = {"op": "points_to", "var": "a", "proc": "main"}
 
 
-class TestSlices:
-    def test_slice_is_entry_forward_closure(self):
-        program = chain_program()
-        sl = compute_demand_slice(program, "identity")
-        assert sl.reachable
-        assert "identity" in sl.procs and "main" in sl.procs
-        assert "orphan" not in sl.procs
-
-    def test_context_procs_are_transitive_callers(self):
-        program = chain_program()
-        sl = compute_demand_slice(program, "identity")
-        assert set(sl.context_procs) == {"identity", "wrap", "main"}
-        # sink never calls identity: it supplies no invocation context
-        assert "sink" not in sl.context_procs
-
-    def test_unreachable_target_yields_empty_slice(self):
-        program = chain_program()
-        sl = compute_demand_slice(program, "orphan")
-        assert not sl.reachable
-        assert sl.procs == () and sl.context_procs == ()
-
-    def test_unknown_target_yields_empty_slice(self):
-        program = chain_program()
-        sl = compute_demand_slice(program, "no_such_proc")
-        assert not sl.reachable
-
-    def test_slice_memoized_per_target(self):
-        analysis = DemandAnalysis(chain_program(), options=AnalyzerOptions())
-        assert analysis.slice_for("wrap") is analysis.slice_for("wrap")
-        assert analysis.slice_sizes() == {"wrap": 4}
-
-
-# -- laziness and memoization ----------------------------------------------
+# -- one analysis per source generation ---------------------------------------
 
 
 class TestLaziness:
-    def test_unreachable_query_never_runs_fixpoint(self):
-        analysis = DemandAnalysis(chain_program(), options=AnalyzerOptions())
-        engine = DemandEngine(analysis)
-        ans = engine.query({"op": "points_to", "var": "q", "proc": "orphan"})
-        assert ans["targets"] == []
-        assert analysis.analyses == 0
-
-    def test_one_fixpoint_across_many_queries(self):
-        analysis = DemandAnalysis(chain_program(), options=AnalyzerOptions())
-        engine = DemandEngine(analysis)
-        engine.query({"op": "points_to", "var": "a", "proc": "main"})
+    def test_one_fixpoint_across_many_queries(self, tmp_path):
+        tier, engine = edited_tier(tmp_path)
+        engine.query(dict(A_MAIN))
         engine.query({"op": "points_to", "var": "p", "proc": "identity"})
         engine.query({"op": "modref", "proc": "sink"})
-        engine.query({"op": "pointed_by", "name": "g1"})
-        assert analysis.analyses == 1
+        engine.query({"op": "pointed_by", "name": "g2"})
+        assert tier.stats()["analyses"] == 1
+        assert tier.stats()["fallbacks"] == 4
 
-    def test_reachable_answer_has_real_facts(self):
-        analysis = DemandAnalysis(chain_program(), options=AnalyzerOptions())
-        engine = DemandEngine(analysis)
-        ans = engine.query({"op": "points_to", "var": "a", "proc": "main"})
-        assert ans["targets"] == ["g1"]
+    def test_reachable_answer_has_real_facts(self, tmp_path):
+        _, engine = edited_tier(tmp_path)
+        info = {}
+        ans = engine.query(dict(A_MAIN), info=info)
+        assert info["mode"] == "demand"
+        assert ans["targets"] == ["g2"]
 
-    def test_unrun_analysis_is_not_degraded(self):
-        analysis = DemandAnalysis(chain_program(), options=AnalyzerOptions())
-        engine = DemandEngine(analysis)
-        assert engine.degraded is False
+    def test_unrun_analysis_is_not_degraded(self, tmp_path):
+        tier, engine = edited_tier(tmp_path)
+        assert tier.probe() == "stale"
+        assert tier.stats()["analyses"] == 0  # probing never analyzes
+        info = {}
+        engine.query(dict(A_MAIN), info=info)
+        assert "demand_degraded" not in info
+
+    def test_new_generation_analyzes_again(self, tmp_path):
+        tier, engine = edited_tier(tmp_path)
+        engine.query(dict(A_MAIN))
+        (tmp_path / "chain.c").write_text(CHAIN.replace("wrap(&g1)", "&g1"))
+        assert engine.query(dict(A_MAIN))["targets"] == ["g1"]
+        assert tier.stats()["analyses"] == 2
 
 
 # -- tracing ----------------------------------------------------------------
 
 
 class TestTracing:
-    def test_slice_and_analyze_instants(self):
+    def test_stale_analyze_and_fallback_instants(self, tmp_path):
         tracer = Tracer()
-        analysis = DemandAnalysis(
-            chain_program(), options=AnalyzerOptions(), tracer=tracer
+        _, engine = edited_tier(tmp_path, tracer=tracer)
+        engine.query(dict(A_MAIN))
+        engine.query(dict(A_MAIN))
+        names = [e["name"] for e in tracer.events if e["cat"] == "demand"]
+        assert names == [
+            "demand.stale", "demand.analyze", "demand.fallback",
+            "demand.fallback",
+        ]
+        analyze = next(
+            e for e in tracer.events if e["name"] == "demand.analyze"
         )
-        engine = DemandEngine(analysis, tracer=tracer)
-        engine.query({"op": "points_to", "var": "a", "proc": "main"})
-        names = [e["name"] for e in tracer.events]
-        assert "demand.slice" in names
-        assert "demand.analyze" in names
-        slice_event = next(
-            e for e in tracer.events if e["name"] == "demand.slice"
-        )
-        assert slice_event["args"]["target"] == "main"
-        assert slice_event["args"]["reachable"] is True
-
-    def test_unreachable_slice_instant(self):
-        tracer = Tracer()
-        analysis = DemandAnalysis(
-            chain_program(), options=AnalyzerOptions(), tracer=tracer
-        )
-        analysis.slice_for("orphan")
-        event = next(e for e in tracer.events if e["name"] == "demand.slice")
-        assert event["args"]["reachable"] is False
-        assert event["args"]["procs"] == 0
+        assert analyze["args"]["procs"] == 5
 
 
 # -- budget -----------------------------------------------------------------
 
 
 class TestBudget:
-    def test_expired_deadline_trips_guard(self):
-        analysis = DemandAnalysis(chain_program(), options=AnalyzerOptions())
-        engine = DemandEngine(analysis)
+    def test_expired_deadline_trips_guard(self, tmp_path):
+        tier, engine = edited_tier(tmp_path)
         budget = AnalysisBudget(deadline_seconds=0.0)
         budget.start()
         with pytest.raises(GuardTripped) as exc:
-            engine.query(
-                {"op": "points_to", "var": "a", "proc": "main"}, budget=budget
-            )
+            engine.query(dict(A_MAIN), budget=budget)
         assert exc.value.reason == "deadline"
-        assert analysis.analyses == 0  # refused before any fixpoint
+        assert tier.stats()["analyses"] == 0  # refused before any fixpoint
+
+
+# -- nothing analyzable -------------------------------------------------------
+
+
+class TestMissingMain:
+    def test_edit_removing_main_serves_store_annotated_stale(self, tmp_path):
+        no_main = CHAIN.replace("int main(void)", "int not_main(void)")
+        tier, engine = edited_tier(tmp_path, edited=no_main)
+        info = {}
+        ans = engine.query(dict(A_MAIN), info=info)
+        assert info.get("stale") is True and "mode" not in info
+        assert ans["targets"] == ["g1"]  # the stored fact
+        stats = engine.query({"op": "stats"})["demand"]
+        assert stats["error"] == "no analyzable main procedure"
+        assert stats["analyses"] == 0 and stats["stale_served"] == 1
 
 
 # -- options reconstruction -------------------------------------------------

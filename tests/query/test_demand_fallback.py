@@ -1,11 +1,11 @@
 """The demand fallback tier end to end: engine routing, server
 envelopes, hot-reload counter carry-over, and the CLI surface
-(``--demand``/``--no-demand``/``--analyze-on-miss``/``--demand-root``).
+(``--demand``/``--no-demand``/``--analyze-on-miss``).
 
 Every store here records its sources (path + sha256), because that is
 what the tier probes; the scenarios then edit those sources on disk and
-check who answers — the store (fresh), the demand engine
-(``mode: demand``), or the store annotated (``stale: true``).
+check who answers — the store (fresh), the tier's fresh in-memory
+index (``mode: demand``), or the store annotated (``stale: true``).
 """
 
 import json
@@ -33,6 +33,18 @@ int main(void) {
 #: same program, one edit inside ``main``: a now points at h
 EDITED = SOURCE.replace("pick(&g)", "pick(&h)")
 
+#: ``use`` stores a new pointer in a global that ``peek`` (also called by
+#: main, never by use) reads: peek's facts move though peek did not
+CONTEXT = """
+int x, y;
+int *gp = &x;
+void use(void) { gp = &x; }
+int peek(void) { int *r = gp; return *r; }
+int main(void) { use(); return peek(); }
+"""
+CONTEXT_EDITED = CONTEXT.replace("void use(void) { gp = &x; }",
+                                 "void use(void) { gp = &y; }")
+
 #: touches only the leaf, leaving main stale via the dependents set
 LEAF_EDIT = SOURCE.replace(
     "int *pick(int *p) { return p; }",
@@ -52,6 +64,13 @@ def index_sources(tmp_path, text=SOURCE):
     store_path = tmp_path / "prog.store.json"
     write_store(store, str(store_path))
     return src, store_path, load_store(str(store_path))
+
+
+def fresh_answer(tmp_path, text, request):
+    """The answer a fresh ``repro index`` of ``text`` gives (indexed at
+    the same path: answers name their sources)."""
+    _, _, store = index_sources(tmp_path, text)
+    return QueryEngine(store).query(dict(request))
 
 
 def demand_engine_for(store):
@@ -103,6 +122,34 @@ class TestRouting:
         engine.query(dict(POINTS_TO_A), info=info)
         assert info.get("mode") == "demand"  # main is a dependent of pick
 
+    def test_callee_of_edited_caller_is_recomputed(self, tmp_path):
+        """main now passes &h: pick did not change, but its parameter's
+        context did, so p@pick must not keep answering g."""
+        src, _, store = index_sources(tmp_path)
+        engine = demand_engine_for(store)
+        request = {"op": "points_to", "var": "p", "proc": "pick"}
+        assert engine.query(dict(request))["targets"] == ["g"]
+        src.write_text(EDITED)
+        info = {}
+        ans = engine.query(dict(request), info=info)
+        assert info.get("mode") == "demand"
+        assert ans["targets"] == ["h"]
+        assert ans == fresh_answer(tmp_path, EDITED, request)
+
+    def test_sibling_callee_reading_a_global_is_recomputed(self, tmp_path):
+        """use now stores &y in gp; peek, which only main calls, reads
+        gp and must answer y."""
+        src, _, store = index_sources(tmp_path, CONTEXT)
+        engine = demand_engine_for(store)
+        request = {"op": "points_to", "var": "r", "proc": "peek"}
+        assert engine.query(dict(request))["targets"] == ["x"]
+        src.write_text(CONTEXT_EDITED)
+        info = {}
+        ans = engine.query(dict(request), info=info)
+        assert info.get("mode") == "demand"
+        assert ans["targets"] == ["y"]
+        assert ans == fresh_answer(tmp_path, CONTEXT_EDITED, request)
+
     def test_disabled_tier_serves_store_annotated_stale(self, tmp_path):
         src, _, store = index_sources(tmp_path)
         engine = QueryEngine(store, demand=DemandTier(store, enabled=False))
@@ -134,6 +181,19 @@ class TestRouting:
         assert ans["targets"] == ["g"]
         tier = engine.demand
         assert "error" in tier.stats()
+
+    def test_error_state_recovers_when_main_returns(self, tmp_path):
+        src, _, store = index_sources(tmp_path)
+        engine = demand_engine_for(store)
+        src.write_text(EDITED.replace("int main(void)", "int start(void)"))
+        info = {}
+        engine.query(dict(POINTS_TO_A), info=info)
+        assert info.get("stale") is True
+        src.write_text(EDITED)
+        info = {}
+        ans = engine.query(dict(POINTS_TO_A), info=info)
+        assert info.get("mode") == "demand" and ans["targets"] == ["h"]
+        assert "error" not in engine.demand.stats()
 
     def test_stats_expose_tier_block(self, tmp_path):
         src, _, store = index_sources(tmp_path)
@@ -187,6 +247,19 @@ class TestServer:
             {"op": "stats", "format": "prometheus"}
         )["result"]["text"]
         assert "repro_server_demand_fallbacks 2" in metrics
+
+    def test_reload_drops_cached_callee_answer(self, tmp_path):
+        """A cached p@pick answer states g; after main's edit is
+        re-indexed and swapped in, it must be dropped, not carried."""
+        src, store_path, server = self.build(tmp_path)
+        request = {"op": "points_to", "var": "p", "proc": "pick"}
+        assert server.handle_request(dict(request))["result"]["targets"] == ["g"]
+        _, _, fresh_store = index_sources(tmp_path, EDITED)
+        write_store(fresh_store, str(store_path))
+        reload_env = server.handle_request({"op": "reload"})
+        assert reload_env["result"]["cache"] == {"carried": 0, "dropped": 1}
+        after = server.handle_request(dict(request))
+        assert "mode" not in after and after["result"]["targets"] == ["h"]
 
     def test_reload_rebinds_tier_and_keeps_counters(self, tmp_path):
         src, store_path, server = self.build(tmp_path)
@@ -269,19 +342,26 @@ class TestCLI:
         assert answers[0]["stale"] is True
         assert "--no-demand" in captured.err  # the warning names the way out
 
-    def test_demand_root_prints_slice(self, tmp_path, capsys):
-        src = tmp_path / "prog.c"
-        src.write_text(SOURCE)
-        rc = main(["analyze", str(src), "--demand-root", "a@main"])
+    def test_sources_without_main_serve_the_store_stale(self, tmp_path, capsys):
+        src, store = self.prog(tmp_path)
+        capsys.readouterr()
+        src.write_text(SOURCE.replace("int main(void)", "int start(void)"))
+        rc = main(["query", str(store), "points-to a@main", "--json"])
         assert rc == 0
-        out = capsys.readouterr().out
-        assert "demand slice a@main:" in out
-        assert "-> ['g']" in out
+        captured = capsys.readouterr()
+        answers = json.loads(captured.out)
+        assert answers[0]["targets"] == ["g"]
+        assert answers[0]["stale"] is True and "mode" not in answers[0]
+        assert "no analyzable main procedure" in captured.err
 
-    def test_demand_root_unreachable_is_empty(self, tmp_path, capsys):
-        src = tmp_path / "prog.c"
-        src.write_text(SOURCE + "\nint *stray(int *s) { return s; }\n")
-        rc = main(["analyze", str(src), "--demand-root", "s@stray"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "unreachable" in out
+    def test_analyze_on_miss_without_main_exits_2(self, tmp_path, capsys):
+        src = tmp_path / "lib.c"
+        src.write_text("int *pick(int *p) { return p; }\n")
+        rc = main(
+            [
+                "query", str(tmp_path / "absent.json"), "points-to p@pick",
+                "--analyze-on-miss", str(src),
+            ]
+        )
+        assert rc == 2
+        assert "no analyzable main procedure" in capsys.readouterr().err

@@ -7,9 +7,10 @@ over the same sources:
 * **exhaustive** — analyze, ``build_store``, store-backed
   :class:`QueryEngine` (exactly what ``repro index`` + ``repro query``
   do), and
-* **demand** — a fresh lowering (``fresh_analysis_state`` first: uid
-  counters restart, as the tier does before every re-lowering) wrapped
-  in :class:`DemandAnalysis`/:class:`DemandEngine`.
+* **demand** — a :class:`DemandTier` over that store, made to see the
+  sources as edited (the store's recorded content hashes are blanked),
+  so its probe re-lowers them after ``fresh_analysis_state`` and
+  ``DemandTier.answer`` serves from the tier's own in-memory index.
 
 The exhaustive sweep then compares every answer the store can produce —
 ``points_to`` for every indexed (proc, var), ``modref``/``callees``/
@@ -27,11 +28,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.demand import (
-    DemandAnalysis,
-    DemandEngine,
-    fresh_analysis_state,
-)
+from repro.analysis.demand import DemandTier, fresh_analysis_state
 from repro.analysis.engine import AnalyzerOptions
 from repro.analysis.results import run_analysis
 from repro.bench.programs import PROGRAMS, source_path
@@ -44,13 +41,12 @@ _cache: dict[str, tuple] = {}
 
 
 def corpus(name: str):
-    """(store, store engine, demand engine) for one benchmark.
+    """(store, store engine, demand tier) for one benchmark.
 
-    The demand side is fully materialized here (``pointed_by_table``
-    touches every procedure record) while its analysis generation is
-    the active one; after that, both engines answer from rendered
-    records only, so the module-level cache is safe across the
-    per-benchmark ``fresh_analysis_state`` resets.
+    The tier's first answer builds its in-memory index while its
+    analysis generation is the active one; after that, both sides
+    answer from rendered records only, so the module-level cache is
+    safe across the per-benchmark ``fresh_analysis_state`` resets.
     """
     if name not in _cache:
         path = source_path(name)
@@ -61,21 +57,21 @@ def corpus(name: str):
         store = build_store(result, program_name=name, sources=[path])
         store_engine = QueryEngine(store)
 
-        fresh_analysis_state()
-        program = load_project_files([path], name=name)
-        analysis = DemandAnalysis(program, options=AnalyzerOptions())
-        demand = DemandEngine(analysis, sources=[path], program_name=name)
-        analysis.pointed_by_table()
-        analysis.callsite_table()
-        analysis.call_graph_table()
+        edited_view = dict(store)
+        edited_view["sources"] = [
+            dict(rec, sha256="0" * 64) for rec in store["sources"]
+        ]
+        tier = DemandTier(edited_view)
+        assert tier.probe() == "fresh"  # same IR: nothing is stale...
+        tier.answer({"op": "callees", "proc": "main"})  # ...but it indexes
 
-        _cache[name] = (store, store_engine, demand)
+        _cache[name] = (store, store_engine, tier)
     return _cache[name]
 
 
 def assert_same_answer(store_engine, demand, request, context):
     expected = json.dumps(store_engine.query(dict(request)), sort_keys=True)
-    got = json.dumps(demand.query(dict(request)), sort_keys=True)
+    got = json.dumps(demand.answer(dict(request)), sort_keys=True)
     assert got == expected, context
 
 
@@ -113,7 +109,8 @@ def test_demand_pointed_by_has_no_extra_targets(name):
     """Demand's reverse index names exactly the store's targets — no
     target appears on one side only."""
     store, _, demand = corpus(name)
-    assert set(demand.analysis.pointed_by_table()) == set(
+    fresh = demand._fresh_engine().store  # built by corpus(), memoized
+    assert set(fresh["index"]["pointed_by"]) == set(
         store["index"]["pointed_by"]
     )
 

@@ -1,16 +1,19 @@
 """Staleness detection: IR digests and the minimal recomputation set.
 
-The headline property (the PR's incrementality acceptance check) is the
-two-unit test below: edit one procedure and only that procedure plus its
-transitive call-graph *callers* go stale — and re-analysis proves the
-clean procedures really did keep their solution digests.
+The headline property (the incrementality acceptance check) is the
+two-unit test below: edit one procedure and only that procedure, its
+transitive call-graph *callers* and their transitive *callees* go stale
+— and re-analysis proves the clean procedures really did keep their
+solution digests.  Every scenario also checks, through
+:func:`assert_clean_means_identical`, that each clean procedure's index
+record is byte-identical in the old store and in a fresh index.
 """
 
 import pytest
 
-from repro import AnalyzerOptions, analyze_source
+from repro import AnalyzerOptions
+from repro.analysis.demand import fresh_analysis_state
 from repro.frontend.parser import load_project_files
-from repro.memory.pointsto import reset_interning
 from repro.query import (
     build_store,
     compute_stale,
@@ -18,6 +21,8 @@ from repro.query import (
     procedure_ir_digest,
     program_ir_digests,
 )
+
+from .staleness_oracle import assert_clean_means_identical
 
 UNIT_A = """
 int g;
@@ -48,14 +53,25 @@ def _program(tmp_path, unit_a: str, unit_b: str = UNIT_B, tag: str = ""):
     # keep the file *names* identical across the edit by using separate
     # directories per variant instead (names feed nothing hashed, but
     # being strict here keeps the test honest)
+    fresh_analysis_state()
     return load_project_files([str(a), str(b)])
 
 
 def _analyze(program):
     from repro.analysis.results import run_analysis
 
-    reset_interning()
     return run_analysis(program, AnalyzerOptions())
+
+
+def _index(program):
+    return build_store(_analyze(program), program_name="two-unit")
+
+
+def _stale(store, edited):
+    """compute_stale, checked against a fresh index of ``edited``."""
+    report = compute_stale(store, edited)
+    assert_clean_means_identical(report, store, _index(edited))
+    return report
 
 
 # -- digest stability -------------------------------------------------------
@@ -117,20 +133,18 @@ def test_procedure_digest_covers_structure(tmp_path):
 
 def test_two_unit_edit_marks_only_proc_and_dependents_stale(tmp_path):
     """Edit ``leaf`` in unit A: the stale set is exactly ``leaf`` plus
-    its transitive callers (``mid``, ``top``, ``main``) minus nothing —
-    and since *everything* here transitively calls leaf, also check the
-    complementary program where a pure sibling stays clean."""
+    its transitive callers (``mid``, ``top``, ``main``) and their
+    callees — here that is everything, so the complementary program
+    below checks that a procedure nobody stale calls stays clean."""
     program = _program(tmp_path / "orig", UNIT_A)
-    result = _analyze(program)
-    store = build_store(result, program_name="two-unit")
+    store = _index(program)
 
     edited = _program(tmp_path / "edit", UNIT_A_EDITED)
-    report = compute_stale(store, edited)
+    report = _stale(store, edited)
     assert not report.up_to_date
     assert report.changed == ["leaf"]
     assert report.added == [] and report.removed == []
-    # dependents: every transitive caller of leaf, through the *stored*
-    # call graph
+    # dependents: every transitive caller of leaf (and their callees)
     assert report.dependents == ["main", "mid", "top"]
     assert report.stale == ["leaf", "main", "mid", "top"]
     assert report.clean == []
@@ -138,17 +152,16 @@ def test_two_unit_edit_marks_only_proc_and_dependents_stale(tmp_path):
 
 
 def test_unrelated_procedure_stays_clean_with_matching_solution(tmp_path):
-    """A procedure outside the edited one's caller chain is *clean* —
+    """A procedure no stale procedure calls is *clean* —
     and its per-procedure solution digest is bit-identical when the
     edited program is re-analyzed (the proof that skipping it is
     sound)."""
     unit_b = UNIT_B + "\nint lonely(int *q) { return *q; }\n"
     program = _program(tmp_path / "orig", UNIT_A, unit_b)
-    result = _analyze(program)
-    store = build_store(result, program_name="two-unit")
+    store = _index(program)
 
     edited = _program(tmp_path / "edit", UNIT_A_EDITED, unit_b)
-    report = compute_stale(store, edited)
+    report = _stale(store, edited)
     assert "lonely" in report.clean
     assert "lonely" not in report.stale
 
@@ -166,10 +179,9 @@ def test_unrelated_procedure_stays_clean_with_matching_solution(tmp_path):
 
 def test_up_to_date_on_identical_sources(tmp_path):
     program = _program(tmp_path / "orig", UNIT_A)
-    result = _analyze(program)
-    store = build_store(result, program_name="two-unit")
+    store = _index(program)
     again = _program(tmp_path / "again", UNIT_A)
-    report = compute_stale(store, again)
+    report = _stale(store, again)
     assert report.up_to_date
     assert report.summary_lines() == [
         "store is up to date (all procedure digests match)"
@@ -178,15 +190,14 @@ def test_up_to_date_on_identical_sources(tmp_path):
 
 def test_added_procedure_invalidates_its_callers(tmp_path):
     program = _program(tmp_path / "orig", UNIT_A)
-    result = _analyze(program)
-    store = build_store(result, program_name="two-unit")
+    store = _index(program)
     grown = UNIT_A.replace(
         "void mid(int *p) { leaf(p); }",
         "void extra(int *p) { *p = 1; }\n"
         "void mid(int *p) { leaf(p); extra(p); }",
     )
     edited = _program(tmp_path / "edit", grown)
-    report = compute_stale(store, edited)
+    report = _stale(store, edited)
     assert report.added == ["extra"]
     assert "mid" in report.changed  # its body changed too
     assert "extra" in report.stale
@@ -196,13 +207,12 @@ def test_added_procedure_invalidates_its_callers(tmp_path):
 
 def test_removed_procedure_invalidates_former_callers(tmp_path):
     program = _program(tmp_path / "orig", UNIT_A)
-    result = _analyze(program)
-    store = build_store(result, program_name="two-unit")
+    store = _index(program)
     shrunk = UNIT_A.replace("void mid(int *p) { leaf(p); }",
                             "void mid(int *p) { (void)p; }")
     shrunk = shrunk.replace("void leaf(int *p) { g = *p; }", "")
     edited = _program(tmp_path / "edit", shrunk)
-    report = compute_stale(store, edited)
+    report = _stale(store, edited)
     assert report.removed == ["leaf"]
     assert "mid" in report.stale
     assert not report.up_to_date
@@ -210,10 +220,9 @@ def test_removed_procedure_invalidates_former_callers(tmp_path):
 
 def test_global_environment_change_invalidates_everything(tmp_path):
     program = _program(tmp_path / "orig", UNIT_A)
-    result = _analyze(program)
-    store = build_store(result, program_name="two-unit")
+    store = _index(program)
     edited = _program(tmp_path / "edit", UNIT_A.replace("int g;", "int g, h;"))
-    report = compute_stale(store, edited)
+    report = _stale(store, edited)
     assert report.globals_changed
     assert report.stale == sorted(edited.procedures)
     assert report.clean == []
@@ -221,9 +230,8 @@ def test_global_environment_change_invalidates_everything(tmp_path):
 
 def test_report_dict_round_trip(tmp_path):
     program = _program(tmp_path / "orig", UNIT_A)
-    result = _analyze(program)
-    store = build_store(result, program_name="two-unit")
-    report = compute_stale(store, _program(tmp_path / "edit", UNIT_A_EDITED))
+    store = _index(program)
+    report = _stale(store, _program(tmp_path / "edit", UNIT_A_EDITED))
     d = report.as_dict()
     assert d["up_to_date"] is False
     assert d["changed"] == ["leaf"]
@@ -235,14 +243,14 @@ def test_report_dict_round_trip(tmp_path):
 
 
 def _store_for(tmp_path, unit_a: str, unit_b: str = UNIT_B):
-    result = _analyze(_program(tmp_path, unit_a, unit_b))
-    return build_store(result, program_name="two-unit")
+    return _index(_program(tmp_path, unit_a, unit_b))
 
 
 def test_identical_stores_are_up_to_date(tmp_path):
     old = _store_for(tmp_path / "r1", UNIT_A)
     new = _store_for(tmp_path / "r2", UNIT_A)
     report = compute_stale_between_stores(old, new)
+    assert_clean_means_identical(report, old, new)
     assert report.up_to_date
     assert report.clean == sorted(new["ir"]["procedures"])
 
@@ -254,10 +262,30 @@ def test_between_stores_matches_compute_stale(tmp_path):
     old = _store_for(tmp_path / "orig", UNIT_A, unit_b)
     new = _store_for(tmp_path / "edit", UNIT_A_EDITED, unit_b)
     report = compute_stale_between_stores(old, new)
+    assert_clean_means_identical(report, old, new)
     assert report.changed == ["leaf"]
     assert report.stale == ["leaf", "main", "mid", "top"]
     assert report.clean == ["lonely"]
     assert not report.globals_changed
+
+
+def test_between_stores_marks_callees_of_an_edited_caller(tmp_path):
+    """main passes a different pointer to an unedited callee: the callee
+    is stale in the store-to-store report too (reload drops its cached
+    answers), and a procedure nobody calls stays clean."""
+    unit = """
+int g, h;
+int *pick(int *p) { return p; }
+int *lonely(int *q) { return q; }
+int main(void) { int *a = pick(&g); return *a; }
+"""
+    old = _store_for(tmp_path / "orig", unit, "")
+    new = _store_for(tmp_path / "edit", unit.replace("pick(&g)", "pick(&h)"), "")
+    report = compute_stale_between_stores(old, new)
+    assert_clean_means_identical(report, old, new)
+    assert report.changed == ["main"]
+    assert report.dependents == ["pick"]
+    assert report.clean == ["lonely"]
 
 
 def test_between_stores_globals_change_dirties_everything(tmp_path):
@@ -266,6 +294,7 @@ def test_between_stores_globals_change_dirties_everything(tmp_path):
         tmp_path / "edit", UNIT_A.replace("int g;", "int g, h;")
     )
     report = compute_stale_between_stores(old, new)
+    assert_clean_means_identical(report, old, new)
     assert report.globals_changed
     assert report.stale == sorted(new["ir"]["procedures"])
     assert report.clean == []
@@ -279,6 +308,7 @@ def test_between_stores_missing_globals_digest_is_conservative(tmp_path):
     new = _store_for(tmp_path / "r2", UNIT_A)
     old["ir"].pop("globals", None)
     report = compute_stale_between_stores(old, new)
+    assert_clean_means_identical(report, old, new)
     assert report.globals_changed
     assert report.clean == []
 
@@ -292,6 +322,32 @@ def test_between_stores_added_and_removed(tmp_path):
     old = _store_for(tmp_path / "orig", UNIT_A)
     new = _store_for(tmp_path / "edit", grown)
     forward = compute_stale_between_stores(old, new)
+    assert_clean_means_identical(forward, old, new)
     assert forward.added == ["extra"]
     backward = compute_stale_between_stores(new, old)
+    assert_clean_means_identical(backward, new, old)
     assert backward.removed == ["extra"]
+
+
+CALLBACK = """
+void qsort(void *base, unsigned long n, unsigned long size,
+           int (*cmp)(const void *, const void *));
+int x, y;
+int *arr[2];
+int cmp(const void *a, const void *b) { int *const *pa = a; int *r = *pa; return *r; }
+int main(void) { arr[0] = &x; qsort(arr, 2, sizeof(int *), cmp); return 0; }
+"""
+
+
+def test_callback_of_an_external_is_a_callee(tmp_path):
+    """The qsort model calls ``cmp`` with main's array: no internal call
+    site names cmp, yet main's edit moves cmp's facts."""
+    store = _index(_program(tmp_path / "orig", CALLBACK, "", tag="cb"))
+    edited = _program(
+        tmp_path / "edit", CALLBACK.replace("= &x;", "= &y;"), "", tag="cb"
+    )
+    report = _stale(store, edited)
+    assert report.changed == ["main"]
+    assert "cmp" in report.stale
+    old = store["index"]["procedures"]["cmp"]["vars"]["r"]["targets"]
+    assert old == ["x"]

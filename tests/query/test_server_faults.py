@@ -19,11 +19,19 @@ import time
 import pytest
 
 from repro import AnalyzerOptions, analyze_source
+from repro.analysis.demand import fresh_analysis_state
 from repro.diagnostics.faults import FaultPlan
 from repro.diagnostics.telemetry import TelemetryRegistry
-from repro.memory.pointsto import reset_interning
-from repro.query import QueryEngine, build_store, load_store, write_store
+from repro.query import (
+    QueryEngine,
+    build_store,
+    compute_stale_between_stores,
+    load_store,
+    write_store,
+)
 from repro.query.server import QueryServer
+
+from .staleness_oracle import assert_clean_means_identical
 
 SOURCE_V1 = """
 int g;
@@ -31,6 +39,7 @@ int *gp;
 void set(int **pp, int *v) { *pp = v; }
 int use(int *p) { return *p; }
 int iso(void) { int z; int *r = &z; return *r; }
+int orphan(void) { int w; int *s = &w; return *s; }
 int main(void) {
     int x, y;
     int *p = &x;
@@ -40,8 +49,10 @@ int main(void) {
 }
 """
 
-#: ``use`` edited — ``main`` (its caller) goes stale with it, ``iso``
-#: and ``set`` stay clean; every points-to answer is unchanged
+#: ``use`` edited — ``main`` (its caller) goes stale with it, and so do
+#: ``set`` and ``iso`` (main's callees: their contexts come from main);
+#: only ``orphan``, which nobody calls, stays clean.  Every points-to
+#: answer is unchanged
 SOURCE_V2 = SOURCE_V1.replace(
     "int use(int *p) { return *p; }",
     "int use(int *p) { return *p + 1; }",
@@ -52,7 +63,7 @@ SOURCE_V3 = SOURCE_V1.replace("int *p = &x;", "int *p = &y;")
 
 
 def build(source: str) -> dict:
-    reset_interning()
+    fresh_analysis_state()
     result = analyze_source(source, options=AnalyzerOptions())
     return build_store(result, program_name="faulty")
 
@@ -90,6 +101,15 @@ def ask(server, request) -> dict:
 
 P_MAIN = {"op": "points_to", "var": "p", "proc": "main"}
 R_ISO = {"op": "points_to", "var": "r", "proc": "iso"}
+R_ORPHAN = {"op": "points_to", "var": "s", "proc": "orphan"}
+
+
+def assert_reload_report_sound(old_store, new_store):
+    """The reload's staleness report, checked against the new store
+    (a fresh index of the new sources)."""
+    report = compute_stale_between_stores(old_store, new_store)
+    assert_clean_means_identical(report, old_store, new_store)
+    return report
 
 
 # -- hot store swap ---------------------------------------------------------
@@ -109,6 +129,7 @@ def test_reload_promotes_new_store(tmp_path, store_v1, store_v3):
     assert server.generation == 2 and server.reloads == 1
     # the promoted store answers
     assert ask(server, P_MAIN)["result"]["targets"] == ["y"]
+    assert_reload_report_sound(store_v1, store_v3)
 
 
 def test_reload_stale_report_in_result(tmp_path, store_v1, store_v2):
@@ -119,8 +140,11 @@ def test_reload_stale_report_in_result(tmp_path, store_v1, store_v2):
     result = ask(server, {"op": "reload"})["result"]
     assert result["stale"]["changed"] == 1  # use
     assert result["stale"]["globals_changed"] is False
-    assert result["stale"]["stale"] == 2  # use + its caller main
-    assert result["stale"]["clean"] >= 2  # set, iso survive
+    # use, its caller main, and main's callees set and iso
+    assert result["stale"]["stale"] == 4
+    assert result["stale"]["clean"] == 1  # orphan: nobody calls it
+    report = assert_reload_report_sound(store_v1, store_v2)
+    assert report.clean == ["orphan"]
 
 
 def test_requests_in_one_line_pin_one_store(tmp_path, store_v1, store_v3):
@@ -147,16 +171,18 @@ def test_reload_carries_clean_cache_slice(tmp_path, store_v1, store_v2):
     path = str(tmp_path / "hot.store.json")
     write_store(store_v1, path)
     server = make_server(store_v1, store_path=path)
-    iso_before = ask(server, R_ISO)["result"]
-    ask(server, P_MAIN)  # second cache entry, proc main (stale in v2)
+    orphan_before = ask(server, R_ORPHAN)["result"]
+    ask(server, P_MAIN)  # proc main: stale in v2 (caller of use)
+    ask(server, R_ISO)  # proc iso: stale in v2 (callee of main)
     write_store(store_v2, path)
     result = ask(server, {"op": "reload"})["result"]
-    assert result["cache"] == {"carried": 1, "dropped": 1}
+    assert result["cache"] == {"carried": 1, "dropped": 2}
+    assert_reload_report_sound(store_v1, store_v2)
     # the carried entry answers as a cache hit on the new engine (the
     # metrics are shared across the swap, so the counters are cumulative)
     hits_before = server.engine.metrics.query_cache_hits
-    env = ask(server, R_ISO)
-    assert env["result"] == iso_before
+    env = ask(server, R_ORPHAN)
+    assert env["result"] == orphan_before
     assert server.engine.metrics.query_cache_hits == hits_before + 1
 
 
@@ -174,6 +200,7 @@ def test_reload_accepts_explicit_path(tmp_path, store_v1, store_v3):
     env = ask(server, {"op": "reload", "path": other})
     assert env["ok"] and env["result"]["generation"] == 2
     assert ask(server, P_MAIN)["result"]["targets"] == ["y"]
+    assert_reload_report_sound(store_v1, store_v3)
 
 
 # -- integrity on the reload path -------------------------------------------
