@@ -3,7 +3,11 @@
 Starts ``repro serve <store> --tcp`` as a subprocess, replays a scripted
 batch of points-to/alias/modref queries built from the store's own index
 — the second half repeats the first, so the shared LRU cache must report
-hits — then shuts the daemon down and asserts a clean exit.
+hits — then replays the same requests as pipelined single lines over two
+concurrent connections, sent in small chunks so lines straddle ``recv``
+boundaries, and asserts each connection's answers equal the batch's,
+byte for byte and in order.  Finally it shuts the daemon down and
+asserts a clean exit.
 
 Usage::
 
@@ -22,6 +26,7 @@ import os
 import socket
 import subprocess
 import sys
+import threading
 import time
 
 
@@ -43,6 +48,18 @@ def build_requests(store: dict, cap: int = 12) -> list[dict]:
         if len(reqs) >= cap:
             break
     return reqs
+
+
+def pipelined_replay(port: int, batch: list[dict], chunk: int = 61
+                     ) -> list[str]:
+    """Send every request of ``batch`` as its own line, all before
+    reading, in ``chunk``-byte pieces; return the answer lines."""
+    payload = "".join(json.dumps(r) + "\n" for r in batch).encode("utf-8")
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        for start in range(0, len(payload), chunk):
+            sock.sendall(payload[start:start + chunk])
+        fh = sock.makefile("r", encoding="utf-8")
+        return [fh.readline() for _ in batch]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -81,11 +98,32 @@ def main(argv: list[str] | None = None) -> int:
             batch = [dict(r, id=i) for i, r in enumerate(reqs)]
             fh.write(json.dumps(batch) + "\n")
             fh.flush()
+            answers = []
             for _ in batch:
                 line = fh.readline()
                 log.write(line)
                 env = json.loads(line)
                 assert env["ok"] and env["status"] == 0, env
+                answers.append(line)
+
+            # the same requests pipelined on two concurrent connections
+            replays: list = [None, None]
+
+            def replay(slot: int) -> None:
+                replays[slot] = pipelined_replay(args.port, batch)
+
+            workers = [threading.Thread(target=replay, args=(slot,))
+                       for slot in range(2)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(60)
+                assert not worker.is_alive(), "pipelined replay hung"
+            for slot, got in enumerate(replays):
+                assert got == answers, (
+                    f"connection {slot}: pipelined answers differ from "
+                    "the batch replay"
+                )
 
             fh.write(json.dumps({"op": "stats", "id": "s"}) + "\n")
             fh.flush()
@@ -102,8 +140,9 @@ def main(argv: list[str] | None = None) -> int:
         code = daemon.wait(timeout=30)
         assert code == 0, f"daemon exited {code}"
         print(
-            f"{store.get('program', args.store)}: {len(reqs)} queries, "
-            f"hit rate {stats['cache_hit_rate']}, clean shutdown"
+            f"{store.get('program', args.store)}: {len(reqs)} queries "
+            f"(+2x{len(reqs)} pipelined), hit rate "
+            f"{stats['cache_hit_rate']}, clean shutdown"
         )
         return 0
     finally:

@@ -1397,9 +1397,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "max(1, QPS))")
     p.add_argument("--idle-timeout", type=float, default=300.0,
                    metavar="SECONDS",
-                   help="per-connection read/idle timeout; a silent "
-                        "peer releases its handler thread (default "
-                        "300; <= 0 disables)")
+                   help="per-connection idle timeout; a peer that "
+                        "neither sends nor reads for this long is "
+                        "disconnected (default 300; <= 0 disables)")
     p.add_argument("--watch", type=float, metavar="SECONDS",
                    help="poll the store path and hot-swap it into the "
                         "live daemon when it changes (the reload admin "

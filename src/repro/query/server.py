@@ -7,9 +7,13 @@ transports share the protocol:
 
 * **stdio** (:meth:`QueryServer.serve_stdio`) — the default; suited to
   editor integrations and test harnesses that own the child process;
-* **TCP** (:meth:`QueryServer.serve_tcp`) — a threading server so many
-  clients share one engine (and therefore one LRU cache: a fact one
-  client warmed is a hit for every other).
+* **TCP** (:meth:`QueryServer.serve_tcp`) — one ``selectors`` loop on
+  the serving thread answers every connection, so many clients share
+  one engine (and therefore one LRU cache: a fact one client warmed is
+  a hit for every other) without handing the GIL between threads.
+  Lines are answered strictly in arrival order; while one line is
+  being answered (a demand re-index, a reload, an injected stall),
+  every other connection waits.
 
 Protocol
 --------
@@ -64,11 +68,17 @@ shed request lines *before* the engine is consulted: every request on a
 shed line gets an error envelope with the stable code ``overloaded``
 and a ``retry_after_ms`` hint.  Control-only lines (ping / health /
 stats / shutdown / reload) are exempt — an overloaded daemon must stay
-probeable and stoppable.  Accepted TCP connections carry a read/idle
-socket timeout (default 300 s) so a stalled peer releases its handler
-thread; releases are counted as ``idle_timeouts``.  Because shedding
-happens before the engine, every *non*-shed answer stays byte-identical
-to an unlimited server's.
+probeable and stoppable.  On TCP a line is in flight from the moment
+the loop splits it off a connection's read buffer until it is answered,
+and the gate judges each line by the level at its arrival, so a
+pipelined burst of more than N lines sheds the excess.  An accepted
+TCP connection that neither sends nor drains anything for the idle
+timeout (default 300 s) is closed and counted in ``idle_timeouts``.
+The loop stops reading from a connection while more than
+:data:`MAX_UNSENT_BYTES` of its answers wait to be sent, so a client
+that pipelines without reading cannot grow the daemon's memory or stall
+other clients.  Because shedding happens before the engine, every
+*non*-shed answer stays byte-identical to an unlimited server's.
 
 **Serve-path chaos.**  Pass a :class:`~repro.diagnostics.faults.FaultPlan`
 with serve sites and the daemon deterministically injects slow handlers
@@ -118,8 +128,9 @@ threshold) under the vocabulary in :mod:`repro.diagnostics.trace`.
 
 Graceful shutdown: :meth:`QueryServer.install_signal_handlers` maps
 SIGTERM/SIGINT to the same path as the in-band ``shutdown`` op — stop
-accepting, drain in-flight lines, flush the access log, write a final
-telemetry snapshot to the announce stream, exit 0.
+accepting, answer the lines already read, flush unsent answers (bounded
+wait), flush the access log, write a final telemetry snapshot to the
+announce stream, exit 0.
 """
 
 from __future__ import annotations
@@ -127,9 +138,9 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import selectors
 import signal
 import socket
-import socketserver
 import sys
 import threading
 import time
@@ -153,9 +164,19 @@ CONTROL_OPS = ("ping", "shutdown", "stats", "health", "reload", "metrics")
 #: the ``slow`` counter (milliseconds)
 DEFAULT_SLOW_MS = 100.0
 
-#: default per-connection read/idle socket timeout (seconds); a peer
-#: that sends nothing for this long releases its handler thread
+#: default per-connection idle timeout (seconds); a TCP peer that
+#: neither sends nor drains anything for this long is disconnected
 DEFAULT_IDLE_TIMEOUT = 300.0
+
+#: backpressure: the TCP loop stops reading from a connection while more
+#: than this many bytes of its answers wait to be sent
+MAX_UNSENT_BYTES = 1 << 20
+
+#: bytes one loop round reads from a ready connection
+_RECV_BYTES = 1 << 16
+
+#: how long a stopping TCP loop keeps flushing unsent answers (seconds)
+_SHUTDOWN_FLUSH_SECONDS = 5.0
 
 #: retry-after hint on in-flight-gate sheds (the level drains in
 #: request time, not bucket-refill time, so a fixed small hint fits)
@@ -223,7 +244,8 @@ class QueryServer:
         #: store, reload refused
         self.store_path = store_path
         #: admission gate: shed a request line when this many lines are
-        #: already in flight (None = no gate)
+        #: already in flight (None = no gate); on TCP, lines read but
+        #: not yet answered, across all connections
         self.max_in_flight = max_in_flight
         #: token-bucket rate limiter (None = unlimited); one token per
         #: request, so a batch line of N requests costs N tokens
@@ -231,8 +253,8 @@ class QueryServer:
         self._bucket: Optional[TokenBucket] = (
             TokenBucket(rate_limit, burst) if rate_limit else None
         )
-        #: per-connection read/idle socket timeout in seconds
-        #: (None or <= 0 disables — a stalled peer then pins its thread)
+        #: per-connection idle timeout in seconds (None or <= 0
+        #: disables — a stalled peer then keeps its connection open)
         self.idle_timeout = (
             idle_timeout if idle_timeout and idle_timeout > 0 else None
         )
@@ -242,7 +264,7 @@ class QueryServer:
             faults, "serves_faults", False
         ) else None
         #: set once a ``shutdown`` request (in-band or signal) is
-        #: handled; both transports poll it to unwind cleanly
+        #: handled; both transports check it to unwind cleanly
         self.shutting_down = threading.Event()
         #: requests handled (all envelopes, including errors)
         self.requests_handled = 0
@@ -273,7 +295,8 @@ class QueryServer:
         self._rid = itertools.count(1)
         self._in_flight = 0
         self._started_mono = time.perf_counter()
-        self._tcp_server: Optional[socketserver.ThreadingTCPServer] = None
+        #: write end of the running TCP loop's wake-up socketpair
+        self._wake: Optional[socket.socket] = None
         self._transport: Optional[str] = None
         self._signal_received: Optional[str] = None
         # instrument handles are resolved once here, not per request —
@@ -670,13 +693,18 @@ class QueryServer:
             mode=info.get("mode"),
         )
 
-    def _process_line(self, line: str) -> list[_Pending]:
+    def _process_line(
+        self, line: str, level: Optional[int] = None
+    ) -> list[_Pending]:
         """Answer one input line: one JSON request or a batch array.
 
         Returns one pending envelope per request (batch answers stay in
         request order).  Malformed JSON yields a single ``bad-json``
         error envelope.  Telemetry/access-log recording happens in
         :meth:`_finalize`, *after* the transport wrote the envelopes.
+        ``level`` is the in-flight level when the line was read (the
+        TCP loop reads several lines before answering the first); None
+        means the current level.
         """
         text = line.strip()
         if not text:
@@ -705,7 +733,7 @@ class QueryServer:
         # pin the engine once per line: every request in this line is
         # answered from the same store, even across a concurrent reload
         engine = self.engine
-        shed_reason = self._admission(requests)
+        shed_reason = self._admission(requests, level)
         if shed_reason is not None:
             pending = [self._shed_request(req, shed_reason)
                        for req in requests]
@@ -736,22 +764,27 @@ class QueryServer:
             for req in requests
         )
 
-    def _admission(self, requests: list) -> Optional[tuple[str, float]]:
+    def _admission(
+        self, requests: list, level: Optional[int] = None
+    ) -> Optional[tuple[str, float]]:
         """Decide whether to shed this line; returns ``(reason,
         retry_after_ms)`` to shed, None to admit.
 
         The in-flight gate is checked first and consumes no tokens (a
         shed caused by concurrency should not also starve the bucket);
         the token bucket then pays one token per request, so batches
-        cost their true weight.
+        cost their true weight.  ``level`` is the in-flight level the
+        line arrived at (None: the current level); either includes
+        this line.
         """
         if self.max_in_flight is None and self._bucket is None:
             return None
         if not requests or self._control_only(requests):
             return None
         if self.max_in_flight is not None:
-            with self._count_lock:
-                level = self._in_flight  # includes this line
+            if level is None:
+                with self._count_lock:
+                    level = self._in_flight
             if level > self.max_in_flight:
                 return ("in_flight", DEFAULT_RETRY_AFTER_MS)
         if self._bucket is not None and not self._bucket.take(len(requests)):
@@ -968,15 +1001,17 @@ class QueryServer:
     # -- graceful shutdown -------------------------------------------------
 
     def request_shutdown(self) -> None:
-        """Begin a graceful stop: no new lines are answered after the
-        current ones, and a live TCP ``serve_forever`` loop is unwound
-        from a helper thread (``shutdown()`` must not be called from a
-        thread it would join — including the signal-handling main
-        thread, which is *inside* ``serve_forever``)."""
+        """Begin a graceful stop: the lines already read are answered,
+        no new ones are read, and a TCP loop blocked in ``select`` is
+        woken through its socketpair (one non-blocking ``send``, so
+        this is safe from a signal handler and from the loop itself)."""
         self.shutting_down.set()
-        srv = self._tcp_server
-        if srv is not None:
-            threading.Thread(target=srv.shutdown, daemon=True).start()
+        wake = self._wake
+        if wake is not None:
+            try:
+                wake.send(b"\0")
+            except OSError:  # already full of wake-ups, or closed
+                pass
 
     def install_signal_handlers(self) -> None:
         """Map SIGTERM/SIGINT onto the graceful-shutdown path (the
@@ -997,18 +1032,6 @@ class QueryServer:
 
         for signum in (signal.SIGTERM, signal.SIGINT):
             signal.signal(signum, _handler)
-
-    def _drain(self, timeout: float = 5.0) -> bool:
-        """Wait for in-flight lines to finalize; True when fully
-        drained."""
-        deadline = time.perf_counter() + timeout
-        while time.perf_counter() < deadline:
-            with self._count_lock:
-                if self._in_flight == 0:
-                    return True
-            time.sleep(0.01)
-        with self._count_lock:
-            return self._in_flight == 0
 
     def _shutdown_report(self, log: IO[str]) -> None:
         """Flush the access log and write the final telemetry snapshot
@@ -1082,130 +1105,312 @@ class QueryServer:
         announced via ``ready_cb((host, port))`` (tests) and one
         ``repro: serving <program> on HOST:PORT`` line on ``log``
         (defaults to stderr — the CLI contract scripts can wait for).
-        On shutdown the listening socket stops accepting, in-flight
-        lines drain (bounded wait), the access log is flushed and the
+        Every connection is served by one selector loop on the calling
+        thread (:class:`_TcpLoop`).  On shutdown the listening socket
+        closes, the lines already read are answered, unsent answers
+        are flushed (bounded wait), the access log is flushed and the
         final telemetry snapshot lands on ``log`` before this returns —
         a clean shutdown leaves no orphan socket behind.
         """
-        outer = self
         log = log if log is not None else sys.stderr
         self._transport = "tcp"
+        listener = socket.create_server((host, port))
+        loop = _TcpLoop(self, listener, log)
+        try:
+            # publish the wake-up socket before the loop first checks
+            # shutting_down, so a concurrent request_shutdown either is
+            # seen by that check or wakes the select
+            self._wake = loop.wake_w
+            bound_host, bound_port = listener.getsockname()[:2]
+            log.write(
+                f"repro: serving {self.engine.program} on "
+                f"{bound_host}:{bound_port}\n"
+            )
+            log.flush()
+            if ready_cb is not None:
+                ready_cb((bound_host, bound_port))
+            loop.run()
+        finally:
+            self._wake = None
+            loop.close()
+        self._shutdown_report(log)
+        return 0
 
-        class Handler(socketserver.StreamRequestHandler):
-            # per-connection read/idle timeout (StreamRequestHandler
-            # applies it in setup()): a stalled peer releases its
-            # handler thread instead of pinning it
-            timeout = outer.idle_timeout
 
-            def handle(self) -> None:
-                peer = "%s:%s" % self.client_address[:2]
-                while not outer.shutting_down.is_set():
-                    try:
-                        raw = self.rfile.readline()
-                    except socket.timeout:
-                        with outer._count_lock:
-                            outer.idle_timeouts += 1
-                        if outer.telemetry is not None:
-                            outer._tel_idle_timeouts.inc()
-                        if outer.trace is not None:
-                            outer.trace.instant(
-                                "server.idle_timeout", "server", peer=peer,
-                            )
-                        break
-                    except OSError:
-                        break  # peer reset mid-read
-                    if not raw:
-                        break
-                    received_ns = time.perf_counter_ns()
-                    line = raw.decode("utf-8", errors="replace")
-                    outer._note_begin()
-                    pending = []
-                    dropped = False
-                    try:
-                        pending = outer._process_line(line)
-                        if (
-                            outer.faults is not None
-                            and pending
-                            and outer.faults.drop_connection(line.strip())
-                        ):
-                            # injected mid-request disconnect: the line
-                            # was fully processed (and is finalized
-                            # below — the accounting invariant holds),
-                            # but the answer never reaches the peer
-                            with outer._count_lock:
-                                outer.fault_disconnects += 1
-                            if outer.telemetry is not None:
-                                outer._tel_fault_disconnects.inc()
-                            dropped = True
-                        else:
-                            try:
-                                for p in pending:
-                                    self.wfile.write(
-                                        p.text.encode("utf-8") + b"\n"
-                                    )
-                                self.wfile.flush()
-                            except OSError:
-                                # peer went away mid-write; the full
-                                # pending list still finalizes so the
-                                # counters account for every read line
-                                with outer._count_lock:
-                                    outer.client_disconnects += 1
-                                if outer.telemetry is not None:
-                                    outer._tel_client_disconnects.inc()
-                                dropped = True
-                    finally:
-                        outer._finalize(pending, received_ns, peer=peer)
-                    if dropped:
-                        break
-                    if outer.shutting_down.is_set():
-                        # the shutdown envelope is already on the wire;
-                        # request_shutdown() has unwound serve_forever
-                        break
+class _Connection:
+    """One accepted TCP peer of the selector loop: the bytes read but
+    not yet split into lines, and the answer bytes not yet sent."""
 
-            def finish(self) -> None:
-                # BufferedWriter.close() re-raises BrokenPipeError when
-                # the peer vanished with bytes still buffered; a chaos
-                # client must never surface a traceback
+    __slots__ = ("sock", "peer", "inbuf", "outbuf", "last_active", "eof",
+                 "events", "closed")
+
+    def __init__(self, sock: socket.socket, peer: str, now: float) -> None:
+        self.sock = sock
+        self.peer = peer
+        self.inbuf = bytearray()
+        self.outbuf = bytearray()
+        #: monotonic time of the last byte received or sent
+        self.last_active = now
+        #: the peer closed its side; answer what was read, then close
+        self.eof = False
+        self.events = selectors.EVENT_READ
+        self.closed = False
+
+    def split_lines(self, data: bytes) -> list:
+        """Buffer ``data``; return the complete lines it finishes
+        (newlines stripped), keeping any unterminated tail."""
+        if b"\n" not in data:
+            self.inbuf += data
+            return []
+        if self.inbuf:
+            self.inbuf += data
+            data = bytes(self.inbuf)
+        *lines, rest = data.split(b"\n")
+        self.inbuf = bytearray(rest)
+        return lines
+
+
+class _TcpLoop:
+    """The TCP transport: one ``selectors`` loop answering every
+    connection of one :meth:`QueryServer.serve_tcp` call.
+
+    Each round waits for readiness, sends queued answer bytes to the
+    writable connections, reads once from each readable one and splits
+    complete lines off its buffer — every such line is in flight from
+    here on — and then answers those lines in arrival order through the
+    server's ``_process_line`` → send → ``_finalize`` sequence.  The
+    answers to one line go out in one ``send``; bytes the socket does
+    not take wait in the connection's ``outbuf`` for ``EVENT_WRITE``.
+    """
+
+    def __init__(self, server: QueryServer, listener: socket.socket,
+                 log) -> None:
+        self.server = server
+        self.listener = listener
+        self.log = log
+        self.sel = selectors.DefaultSelector()
+        self.conns: set = set()
+        self.wake_r, self.wake_w = socket.socketpair()
+        for sock in (listener, self.wake_r, self.wake_w):
+            sock.setblocking(False)
+        self.sel.register(listener, selectors.EVENT_READ)
+        self.sel.register(self.wake_r, selectors.EVENT_READ)
+
+    def run(self) -> None:
+        server = self.server
+        idle = server.idle_timeout
+        #: no connection can reach its idle timeout before this moment
+        next_sweep: Optional[float] = None
+        while not server.shutting_down.is_set():
+            timeout = (
+                None if next_sweep is None
+                else max(0.0, next_sweep - time.monotonic())
+            )
+            events = self.sel.select(timeout)
+            now = time.monotonic()
+            received_ns = time.perf_counter_ns()
+            ready = []
+            lines = []
+            for key, mask in events:
+                conn = key.data
+                if conn is None:
+                    if key.fileobj is self.listener:
+                        if (self._accept(now) and idle is not None
+                                and next_sweep is None):
+                            next_sweep = now + idle
+                    else:
+                        self.wake_r.recv(4096)  # a shutdown wake-up
+                    continue
+                ready.append(conn)
+                if mask & selectors.EVENT_WRITE:
+                    self._flush(conn, now)
+                if mask & selectors.EVENT_READ and not conn.closed:
+                    for raw in self._read(conn, now):
+                        server._note_begin()
+                        lines.append((conn, raw, server._in_flight))
+            for conn, raw, level in lines:
+                if conn.closed:
+                    # dropped mid-round: its later lines go unanswered
+                    server._finalize([], received_ns)
+                    continue
                 try:
-                    super().finish()
+                    self._answer(conn, raw, received_ns, level)
+                except Exception as exc:
+                    # never a traceback for one connection's trouble:
+                    # one grep-able line, and the daemon serves on
+                    self.log.write(
+                        f"repro: connection error from {conn.peer}: "
+                        f"{exc!r}\n"
+                    )
+                    self.log.flush()
+                    self._close(conn)
+            for conn in ready:
+                self._settle(conn)
+            if next_sweep is not None and now >= next_sweep:
+                next_sweep = self._sweep(now, idle)
+
+    # -- per-connection steps ----------------------------------------------
+
+    def _accept(self, now: float) -> bool:
+        """Accept every pending connection; True when any was."""
+        accepted = False
+        while True:
+            try:
+                sock, addr = self.listener.accept()
+            except OSError:  # BlockingIOError: none left
+                return accepted
+            sock.setblocking(False)
+            conn = _Connection(sock, "%s:%s" % addr[:2], now)
+            self.sel.register(sock, selectors.EVENT_READ, conn)
+            self.conns.add(conn)
+            accepted = True
+
+    def _read(self, conn: _Connection, now: float) -> list:
+        """One ``recv``; the complete lines it finishes."""
+        try:
+            data = conn.sock.recv(_RECV_BYTES)
+        except BlockingIOError:
+            return []
+        except OSError:  # peer reset mid-read
+            self._close(conn)
+            return []
+        conn.last_active = now
+        if data:
+            return conn.split_lines(data)
+        # EOF: like readline, an unterminated last line is still a line
+        conn.eof = True
+        tail = bytes(conn.inbuf)
+        conn.inbuf.clear()
+        return [tail] if tail else []
+
+    def _answer(self, conn: _Connection, raw: bytes, received_ns: int,
+                level: int) -> None:
+        server = self.server
+        line = raw.decode("utf-8", errors="replace")
+        pending: list[_Pending] = []
+        dropped = False
+        try:
+            pending = server._process_line(line, level)
+            if (
+                server.faults is not None
+                and pending
+                and server.faults.drop_connection(line.strip())
+            ):
+                # injected mid-request disconnect: the line was fully
+                # processed (and is finalized below — the accounting
+                # invariant holds), but the answer never reaches the peer
+                self._count("fault_disconnects")
+                dropped = True
+            elif pending and not self._send(conn, pending):
+                # peer went away mid-write; the full pending list still
+                # finalizes so the counters account for every read line
+                self._count("client_disconnects")
+                dropped = True
+        finally:
+            server._finalize(pending, received_ns, peer=conn.peer)
+        if dropped:
+            self._close(conn)
+
+    def _send(self, conn: _Connection, pending: list) -> bool:
+        """Queue one line's answers, sending at once when nothing else
+        is queued; False when the peer is gone."""
+        data = "".join([p.text + "\n" for p in pending]).encode("utf-8")
+        if conn.outbuf:
+            conn.outbuf += data
+            return True
+        try:
+            sent = conn.sock.send(data)
+        except BlockingIOError:
+            sent = 0
+        except OSError:
+            return False
+        if sent < len(data):
+            conn.outbuf += data[sent:]
+        return True
+
+    def _flush(self, conn: _Connection, now: float) -> None:
+        """Send what the socket takes of the queued answer bytes."""
+        try:
+            sent = conn.sock.send(conn.outbuf)
+        except BlockingIOError:
+            return
+        except OSError:
+            self._count("client_disconnects")
+            self._close(conn)
+            return
+        del conn.outbuf[:sent]
+        conn.last_active = now
+
+    def _settle(self, conn: _Connection) -> None:
+        """Close a finished connection, or re-arm its interest: read
+        unless the peer closed or too many answer bytes wait (the
+        backpressure rule), write while answer bytes wait."""
+        if conn.closed:
+            return
+        if conn.eof and not conn.outbuf:
+            self._close(conn)
+            return
+        events = 0
+        if not conn.eof and len(conn.outbuf) <= MAX_UNSENT_BYTES:
+            events |= selectors.EVENT_READ
+        if conn.outbuf:
+            events |= selectors.EVENT_WRITE
+        if events != conn.events:
+            self.sel.modify(conn.sock, events, conn)
+            conn.events = events
+
+    def _sweep(self, now: float, idle: float) -> Optional[float]:
+        """Close the connections idle for ``idle`` seconds; return the
+        next moment one can be."""
+        next_sweep = None
+        for conn in list(self.conns):
+            deadline = conn.last_active + idle
+            if deadline <= now:
+                self._count("idle_timeouts")
+                if self.server.trace is not None:
+                    self.server.trace.instant(
+                        "server.idle_timeout", "server", peer=conn.peer,
+                    )
+                self._close(conn)
+            elif next_sweep is None or deadline < next_sweep:
+                next_sweep = deadline
+        return next_sweep
+
+    def _count(self, name: str) -> None:
+        """Bump one of the server's fault counters and its telemetry
+        mirror (``_tel_<name>``)."""
+        server = self.server
+        with server._count_lock:
+            setattr(server, name, getattr(server, name) + 1)
+        if server.telemetry is not None:
+            getattr(server, "_tel_" + name).inc()
+
+    def _close(self, conn: _Connection) -> None:
+        if conn.closed:
+            return
+        conn.closed = True
+        self.conns.discard(conn)
+        self.sel.unregister(conn.sock)
+        conn.sock.close()
+
+    def close(self) -> None:
+        """Stop accepting, give unsent answers up to
+        ``_SHUTDOWN_FLUSH_SECONDS`` in all to reach their peers, and
+        close every socket."""
+        self.listener.close()
+        deadline = time.monotonic() + _SHUTDOWN_FLUSH_SECONDS
+        for conn in list(self.conns):
+            remaining = deadline - time.monotonic()
+            if conn.outbuf and remaining > 0:
+                try:
+                    conn.sock.settimeout(remaining)
+                    conn.sock.sendall(conn.outbuf)
                 except OSError:
                     pass
-
-        class Server(socketserver.ThreadingTCPServer):
-            allow_reuse_address = True
-            daemon_threads = True
-
-            def handle_error(self, request, client_address) -> None:
-                # never print a traceback for a misbehaving client —
-                # one grep-able line instead (the chaos gate greps
-                # stderr for "Traceback")
-                exc = sys.exc_info()[1]
-                try:
-                    log.write(
-                        f"repro: connection error from "
-                        f"{client_address}: {exc!r}\n"
-                    )
-                    log.flush()
-                except OSError:  # pragma: no cover - log stream gone
-                    pass
-
-        with Server((host, port), Handler) as server:
-            self._tcp_server = server
-            try:
-                bound_host, bound_port = server.server_address[:2]
-                log.write(
-                    f"repro: serving {self.engine.program} on "
-                    f"{bound_host}:{bound_port}\n"
-                )
-                log.flush()
-                if ready_cb is not None:
-                    ready_cb((bound_host, bound_port))
-                server.serve_forever(poll_interval=0.05)
-            finally:
-                self._tcp_server = None
-            self._drain()
-            self._shutdown_report(log)
-        return 0
+            self._close(conn)
+        self.sel.close()
+        self.wake_r.close()
+        self.wake_w.close()
 
 
 def _probe_tcp(host: str, port: int, timeout: float = 0.2) -> bool:

@@ -612,3 +612,30 @@ def test_sigterm_drains_and_exits_zero(store, tmp_path):
                for l in access_path.read_text().splitlines()]
     assert [r["op"] for r in records] == ["points_to"]
     assert not _probe_tcp(*addr)
+
+
+# -- the selector loop ------------------------------------------------------
+
+
+def test_tcp_connections_start_no_threads(store):
+    """One selector loop serves every connection: opening and being
+    answered on 8 connections adds no thread to the process."""
+    server = make_server(store)
+    thread, addr = start_tcp(server)
+    socks = []
+    try:
+        before = threading.active_count()
+        for i in range(8):
+            sock = socket.create_connection(addr, timeout=10)
+            socks.append(sock)
+            fh = sock.makefile("rw", encoding="utf-8")
+            fh.write(json.dumps({"op": "ping", "id": i}) + "\n")
+            fh.flush()
+            assert json.loads(fh.readline())["id"] == i
+        assert threading.active_count() == before
+    finally:
+        for sock in socks:
+            sock.close()
+        shutdown_tcp(addr)
+        thread.join(10)
+    assert not thread.is_alive()

@@ -304,6 +304,35 @@ def test_in_flight_gate_sheds_with_stable_code(store_v1):
     assert block["telemetry"]["counters"]["sheds.in_flight"] == 1
 
 
+def test_in_flight_gate_sheds_the_excess_of_a_pipelined_burst(store_v1):
+    """On TCP a line is in flight from when the loop reads it until it
+    is answered: a burst of more than N pipelined lines sheds the
+    excess, and every admitted answer is byte-identical to an
+    unlimited server's."""
+    n, burst = 3, 8
+    lines = [json.dumps(dict(P_MAIN, id=i)) for i in range(burst)]
+    unlimited = make_server(store_v1)
+    expected = [unlimited.handle_line(line)[0] for line in lines]
+    server = make_server(store_v1, max_in_flight=n)
+    thread, addr = start_tcp(server)
+    try:
+        with socket.create_connection(addr, timeout=10) as sock:
+            # one send: the daemon reads the whole burst in one round
+            sock.sendall("".join(line + "\n" for line in lines).encode())
+            fh = sock.makefile("r", encoding="utf-8")
+            answers = [fh.readline().rstrip("\n") for _ in lines]
+    finally:
+        shutdown_tcp(addr)
+        thread.join(10)
+    assert not thread.is_alive()
+    assert answers[:n] == expected[:n]
+    for text in answers[n:]:
+        env = json.loads(text)
+        assert env["error"]["code"] == "overloaded"
+        assert env["error"]["retry_after_ms"] > 0
+    assert server.sheds == burst - n
+
+
 def test_token_bucket_sheds_after_burst(store_v1):
     server = make_server(store_v1, rate_limit=0.001, burst=2.0,
                          telemetry=TelemetryRegistry())
@@ -413,6 +442,68 @@ def test_idle_timeout_releases_connection(store_v1):
             assert fh.readline() == ""
         assert _wait_for(lambda: server.idle_timeouts == 1)
     finally:
+        shutdown_tcp(addr)
+        thread.join(10)
+    assert not thread.is_alive()
+
+
+def _settled(read, quiet=0.5, timeout=10.0):
+    """``read()`` once it has not changed for ``quiet`` seconds."""
+    value, since = read(), time.monotonic()
+    deadline = since + timeout
+    while time.monotonic() < deadline:
+        time.sleep(0.05)
+        now_value = read()
+        if now_value != value:
+            value, since = now_value, time.monotonic()
+        elif time.monotonic() - since >= quiet:
+            break
+    return value
+
+
+def test_unread_pipeline_stalls_nobody(store_v1, monkeypatch):
+    """Backpressure and fairness: a client that pipelines 500 requests
+    and reads nothing neither stalls another client's ping nor makes
+    the daemon buffer its answers without bound; once it reads, it gets
+    all 500 answers in order."""
+    import repro.query.server as server_mod
+
+    monkeypatch.setattr(server_mod, "MAX_UNSENT_BYTES", 64 * 1024)
+    server = make_server(store_v1)
+    thread, addr = start_tcp(server)
+    # a long id makes every answer ~16 KB, so 500 unread answers (~8 MB)
+    # overflow the kernel's socket buffers and the daemon must stop
+    # reading from this connection instead of blocking its loop
+    pad = "x" * 16384
+    payload = "".join(
+        json.dumps(dict(P_MAIN, id=f"{pad}{i}")) + "\n"
+        for i in range(500)
+    ).encode("utf-8")
+    slow = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    slow.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    slow.settimeout(30)
+    slow.connect(addr)
+    sender = threading.Thread(target=slow.sendall, args=(payload,))
+    try:
+        sender.start()
+        assert _wait_for(lambda: server.requests_finalized > 0)
+        t0 = time.monotonic()
+        with socket.create_connection(addr, timeout=10) as sock:
+            fh = sock.makefile("rw", encoding="utf-8")
+            fh.write(json.dumps({"op": "ping", "id": "other"}) + "\n")
+            fh.flush()
+            assert json.loads(fh.readline())["id"] == "other"
+        assert time.monotonic() - t0 < 5.0
+        # the unread answers stopped the daemon reading from `slow`: the
+        # count of answered lines settles short of 500
+        assert _settled(lambda: server.requests_finalized) < 500
+        fh = slow.makefile("r", encoding="utf-8")
+        ids = [json.loads(fh.readline())["id"] for _ in range(500)]
+        assert ids == [f"{pad}{i}" for i in range(500)]
+        sender.join(10)
+        assert not sender.is_alive()
+    finally:
+        slow.close()
         shutdown_tcp(addr)
         thread.join(10)
     assert not thread.is_alive()
