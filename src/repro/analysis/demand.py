@@ -29,7 +29,6 @@ uid, so objects from different analysis generations cannot be confused
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import threading
 import time
@@ -66,6 +65,8 @@ def options_from_store(store: dict):
     a store's recorded non-default option fields — the demand analysis
     must run under the same budgets/policies the store was built with,
     or its facts could legitimately differ."""
+    import dataclasses
+
     from .engine import AnalyzerOptions
 
     recorded = store.get("options") or {}
@@ -77,7 +78,7 @@ def options_from_store(store: dict):
 
 def index_in_memory(
     program, options=None, program_name: Optional[str] = None,
-    sources: Optional[list] = None,
+    sources: Optional[list] = None, source_files: Optional[list] = None,
 ) -> dict:
     """What ``repro index`` would write for ``program``, never written:
     one whole-program analysis and one store document.  The caller
@@ -87,6 +88,7 @@ def index_in_memory(
     return build_store(
         run_analysis(program, options), options=options,
         program_name=program_name, sources=sources,
+        source_files=source_files,
     )
 
 
@@ -134,8 +136,13 @@ class DemandTier:
         # built from the store on the first refresh: a tier over
         # unchanged sources never needs the analyzer's options
         self.options = None
-        records = store.get("sources") or []
-        self.paths = [rec.get("path") for rec in records if rec.get("path")]
+        records = [rec for rec in store.get("sources") or [] if rec.get("path")]
+        #: the paths as indexed (what answers display) and where the
+        #: probe reads them: a relative path's recorded absolute form,
+        #: so the probe works from any working directory (stores
+        #: written without one fall back to the path itself)
+        self.paths = [rec["path"] for rec in records]
+        self.files = [rec.get("abspath") or rec["path"] for rec in records]
         self._stored_digests = tuple(rec.get("sha256") for rec in records)
         self._lock = threading.RLock()
         self._sig = None
@@ -161,7 +168,7 @@ class DemandTier:
 
     def _signature(self):
         sig = []
-        for path in self.paths:
+        for path in self.files:
             st = os.stat(path)
             sig.append((path, st.st_mtime_ns, st.st_size))
         return tuple(sig)
@@ -182,7 +189,7 @@ class DemandTier:
                 return self._verdict
             try:
                 content = tuple(
-                    rec["sha256"] for rec in source_records(self.paths)
+                    rec["sha256"] for rec in source_records(self.files)
                 )
             except OSError as exc:
                 return self._enter_error(f"cannot hash sources: {exc}")
@@ -212,7 +219,7 @@ class DemandTier:
         fresh_analysis_state()
         try:
             program = load_project_files(
-                list(self.paths), name=self.store.get("program", "<project>")
+                list(self.files), name=self.store.get("program", "<project>")
             )
         except Exception as exc:  # parse errors mid-edit must not kill serving
             return self._enter_error(f"sources no longer lower: {exc}")
@@ -290,6 +297,7 @@ class DemandTier:
             store = index_in_memory(
                 self._program, self.options,
                 program_name=self.store.get("program"), sources=self.paths,
+                source_files=self.files,
             )
             seconds = time.perf_counter() - started
             self.analyses += 1

@@ -46,6 +46,8 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
+from .tripped import GuardTripped
+
 if TYPE_CHECKING:  # pragma: no cover
     from ..ir.program import Program
 
@@ -58,25 +60,6 @@ __all__ = [
     "conservative_region",
     "Region",
 ]
-
-
-class GuardTripped(Exception):
-    """A resource guard fired.
-
-    ``reason`` is one of the stable degradation-reason strings
-    (``deadline``, ``max_passes``, ``call_depth``, ``ptf_cap``,
-    ``state_entries``, ``injected``, ``quarantined``); ``proc`` names the
-    procedure being evaluated when the guard tripped.
-    """
-
-    def __init__(self, reason: str, proc: str = "", detail: str = "") -> None:
-        self.reason = reason
-        self.proc = proc
-        self.detail = detail
-        message = f"{proc or '<program>'}: {reason}"
-        if detail:
-            message += f" ({detail})"
-        super().__init__(message)
 
 
 @dataclass

@@ -41,20 +41,27 @@ engine so they share the cache.
 Deadlines: pass an armed :class:`repro.analysis.guards.AnalysisBudget`
 to :meth:`QueryEngine.query` and the engine raises
 :class:`~repro.analysis.guards.GuardTripped` (reason ``deadline``) when
-the budget expires — the same guards machinery, and the same structured
-reason strings, as the analysis engine's degradation ladder.
+the budget expires — the same exception, and the same structured
+reason strings, as the analysis engine's degradation ladder.  The engine
+takes the exception from its import-free home
+(:mod:`repro.analysis.tripped`) and the overlap test from
+:mod:`repro.ranges`, so answering a query loads neither the guards
+module nor the memory model.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from ..analysis.guards import AnalysisBudget, GuardTripped
+from ..analysis.tripped import GuardTripped
 from ..diagnostics.metrics import Metrics, safe_ratio
-from ..memory.locset import WORD_SIZE, ranges_overlap_mod
+from ..ranges import WORD_SIZE, ranges_overlap_mod
 from .store import STORE_FORMAT
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..analysis.guards import AnalysisBudget
 
 __all__ = ["QueryEngine", "QueryError", "parse_query_spec", "OPS"]
 

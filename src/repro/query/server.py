@@ -144,13 +144,15 @@ import socket
 import sys
 import threading
 import time
-from typing import IO, Optional
+from typing import IO, TYPE_CHECKING, Optional
 
-from ..analysis.guards import AnalysisBudget, GuardTripped
+from ..analysis.tripped import GuardTripped
 from ..diagnostics.telemetry import TelemetryRegistry, TokenBucket
 from .engine import QueryEngine, QueryError
-from .invalidate import compute_stale_between_stores
 from .store import StoreError, load_store
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..analysis.guards import AnalysisBudget
 
 __all__ = ["QueryServer"]
 
@@ -437,6 +439,8 @@ class QueryServer:
     def _budget(self) -> Optional[AnalysisBudget]:
         if self.deadline_seconds is None:
             return None
+        from ..analysis.guards import AnalysisBudget
+
         budget = AnalysisBudget(deadline_seconds=self.deadline_seconds)
         budget.start()
         return budget
@@ -543,6 +547,8 @@ class QueryServer:
         raises :class:`QueryError` with code ``reload-failed`` and
         leaves the old engine serving.
         """
+        from .invalidate import compute_stale_between_stores
+
         target = path or self.store_path
         if target is None:
             raise QueryError(

@@ -16,7 +16,7 @@ Document layout (format tag ``repro-store/1``)::
       "format":   "repro-store/1",
       "program":  name,
       "created":  ISO-8601 UTC,
-      "sources":  [{"path": ..., "sha256": ...}, ...],
+      "sources":  [{"path": ..., "sha256": ..., ["abspath": ...]}, ...],
       "options":  non-default AnalyzerOptions (unhashed, provenance),
       "snapshot": the full canonical run snapshot (repro-snapshot/1 —
                   byte-for-byte what ``repro snapshot`` would have
@@ -77,6 +77,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import time
 from typing import IO, TYPE_CHECKING, Optional, Union
 
@@ -252,16 +253,26 @@ def _build_index(result: "AnalysisResult") -> dict:
 # ---------------------------------------------------------------------------
 
 
-def source_records(paths: list) -> list:
+def source_records(paths: list, files: Optional[list] = None) -> list:
     """``[{"path", "sha256"}, ...]`` for the indexed source files —
     recorded so query answers can carry ready-made ``repro explain``
     invocations and so ``repro index`` can cheaply detect unchanged
-    inputs before even re-lowering."""
+    inputs before even re-lowering.
+
+    ``path`` is kept as given, for display.  A relative one also records
+    its absolute form as ``abspath``: that is where the demand tier's
+    staleness probe reads the file, so a store queried from another
+    working directory is not mistaken for stale.  ``files``, parallel to
+    ``paths``, names where to read each source when that is not the path
+    itself (the demand tier re-indexing from another directory)."""
     out = []
-    for path in paths:
-        with open(path, "rb") as fh:
+    for path, file in zip(paths, files or paths):
+        with open(file, "rb") as fh:
             digest = hashlib.sha256(fh.read()).hexdigest()
-        out.append({"path": str(path), "sha256": digest})
+        rec = {"path": str(path), "sha256": digest}
+        if not os.path.isabs(path):
+            rec["abspath"] = os.path.abspath(file)
+        out.append(rec)
     return out
 
 
@@ -270,14 +281,16 @@ def build_store(
     options: Optional["AnalyzerOptions"] = None,
     program_name: Optional[str] = None,
     sources: Optional[list] = None,
+    source_files: Optional[list] = None,
 ) -> dict:
     """Assemble the persistent store for a finished analysis.
 
     ``sources`` is the list of indexed file paths (recorded with content
-    hashes); omit it for in-memory programs (tests).  The embedded
-    snapshot always includes the full canonical solution — the store is
-    the archival artifact, slimming it would break the agreement
-    property tests and ``repro diff`` provability.
+    hashes, read from ``source_files`` when given — see
+    :func:`source_records`); omit it for in-memory programs (tests).
+    The embedded snapshot always includes the full canonical solution —
+    the store is the archival artifact, slimming it would break the
+    agreement property tests and ``repro diff`` provability.
     """
     from ..analysis.scc import address_taken_procs, indirect_call_procs
     from ..diagnostics.snapshot import build_snapshot
@@ -297,7 +310,9 @@ def build_store(
         "format": STORE_FORMAT,
         "program": snapshot["program"],
         "created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "sources": source_records(list(sources)) if sources else [],
+        "sources": (
+            source_records(list(sources), source_files) if sources else []
+        ),
         "options": snapshot["options"],
         "snapshot": snapshot,
         "ir": ir,

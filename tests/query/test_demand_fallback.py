@@ -9,9 +9,13 @@ index (``mode: demand``), or the store annotated (``stale: true``).
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro import AnalyzerOptions
 from repro.analysis.demand import DemandTier, fresh_analysis_state
 from repro.analysis.results import run_analysis
@@ -19,7 +23,7 @@ from repro.cli import main
 from repro.frontend.parser import load_project_files
 from repro.query.engine import QueryEngine
 from repro.query.server import QueryServer
-from repro.query.store import build_store, load_store, write_store
+from repro.query.store import build_store, load_store, seal_store, write_store
 
 SOURCE = """
 int g, h;
@@ -365,3 +369,86 @@ class TestCLI:
         )
         assert rc == 2
         assert "no analyzable main procedure" in capsys.readouterr().err
+
+
+class TestOtherWorkingDirectory:
+    """A store indexed with a relative source path probes the file by
+    its recorded absolute path, so it answers fresh from any working
+    directory and still sees edits there; answers keep the path as
+    typed."""
+
+    def index_relative(self, tmp_path, monkeypatch):
+        home, elsewhere = tmp_path / "home", tmp_path / "elsewhere"
+        home.mkdir()
+        elsewhere.mkdir()
+        (home / "prog.c").write_text(SOURCE)
+        monkeypatch.chdir(home)
+        assert main(["index", "prog.c", "-o", "prog.store.json"]) == 0
+        monkeypatch.chdir(elsewhere)
+        return home / "prog.c", home / "prog.store.json"
+
+    def query(self, store, capsys):
+        capsys.readouterr()
+        rc = main(["query", str(store), "points-to a@main", "callees main", "--json"])
+        captured = capsys.readouterr()
+        return rc, json.loads(captured.out), captured.err
+
+    def serve(self, store, cwd):
+        requests = [
+            {"op": "points_to", "var": "a", "proc": "main", "id": 1},
+            {"op": "shutdown", "id": 2},
+        ]
+        env = dict(os.environ)
+        src_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", str(store)],
+            input="".join(json.dumps(r) + "\n" for r in requests),
+            capture_output=True, text=True, timeout=120, env=env, cwd=cwd,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.splitlines()[0])
+
+    def test_query_from_another_directory(self, tmp_path, monkeypatch, capsys):
+        src, store = self.index_relative(tmp_path, monkeypatch)
+        assert load_store(str(store))["sources"][0]["path"] == "prog.c"
+        rc, answers, err = self.query(store, capsys)
+        assert rc == 0 and err == ""
+        assert all("stale" not in a and "mode" not in a for a in answers)
+        assert answers[0]["targets"] == ["g"]
+        assert answers[0]["explain"] == "repro explain prog.c --query a@main"
+        src.write_text(EDITED)
+        rc, answers, err = self.query(store, capsys)
+        assert rc == 0 and "warning" not in err
+        assert answers[0]["mode"] == "demand"
+        assert answers[0]["targets"] == ["h"]
+        assert answers[0]["explain"] == "repro explain prog.c --query a@main"
+
+    def test_serve_from_another_directory(self, tmp_path, monkeypatch):
+        src, store = self.index_relative(tmp_path, monkeypatch)
+        elsewhere = tmp_path / "elsewhere"
+        envelope = self.serve(store, elsewhere)
+        assert "stale" not in envelope and "mode" not in envelope
+        assert envelope["result"]["targets"] == ["g"]
+        src.write_text(EDITED)
+        envelope = self.serve(store, elsewhere)
+        assert envelope["mode"] == "demand"
+        assert envelope["result"]["targets"] == ["h"]
+
+    def test_store_without_absolute_paths_probes_as_before(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """A store written before ``abspath`` was recorded resolves its
+        relative paths against the working directory, as it always did."""
+        _, store = self.index_relative(tmp_path, monkeypatch)
+        doc = load_store(str(store))
+        for rec in doc["sources"]:
+            del rec["abspath"]
+        write_store(seal_store(doc), str(store))
+        rc, answers, err = self.query(store, capsys)
+        assert rc == 0 and all(a.get("stale") for a in answers)
+        assert "cannot stat sources" in err
+        monkeypatch.chdir(tmp_path / "home")
+        rc, answers, err = self.query(store, capsys)
+        assert rc == 0 and err == ""
+        assert all("stale" not in a for a in answers)

@@ -1,11 +1,14 @@
-"""Which modules each entry point loads.
+"""Which modules each entry point loads, and how many source lines.
 
 A one-shot ``repro query`` answers from a sealed store; it has no use
 for the C frontend or the analyzer unless a source changed since
-``repro index``.  Every module it imports anyway is compiled on every
-run, so these tests pin the boundary in fresh interpreters: the query
-and serve paths load the analysis and frontend layers only when a stale
-source forces a refresh, and then they do load them.
+``repro index``.  Where no ``.pyc`` is written (``PYTHONDONTWRITEBYTECODE``),
+every module it imports anyway is compiled on every run, and compile
+time scales with source lines, not with module counts.  So these tests
+pin, in fresh interpreters, the lines each entry point loads, and the
+boundary: the query and serve paths load the analysis and frontend
+layers only when a stale source forces a refresh, and then they do load
+them.
 """
 
 import json
@@ -20,23 +23,31 @@ from repro.cli import main
 
 SRC_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
-#: runs ``python -m repro ARGS...`` and, at exit, writes the sorted names
-#: of the loaded repro/pycparser modules to the file named by argv[1]
-PROBE = """
-import atexit, json, runpy, sys
+#: writes ``{module: source lines}`` for the loaded repro/pycparser
+#: modules to the file named by argv[1] at exit
+DUMP = """
+import atexit, json, sys
 
 dest = sys.argv.pop(1)
 
 
 def dump():
-    loaded = sorted(
-        m for m in sys.modules if m.split(".")[0] in ("repro", "pycparser")
-    )
+    loaded = {}
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] in ("repro", "pycparser"):
+            with open(module.__file__, "rb") as fh:
+                loaded[name] = fh.read().count(b"\\n")
     with open(dest, "w") as fh:
         json.dump(loaded, fh)
 
 
 atexit.register(dump)
+"""
+
+#: runs ``python -m repro ARGS...`` under :data:`DUMP`
+PROBE = DUMP + """
+import runpy
+
 sys.argv[0] = "repro"
 runpy.run_module("repro", run_name="__main__", alter_sys=True)
 """
@@ -74,12 +85,17 @@ def _env():
     return env
 
 
-def run_repro(tmp_path, args, stdin=None):
-    """``python -m repro ARGS`` in a fresh interpreter -> (process,
-    loaded modules)."""
+#: most repro source lines each entry point may load on unchanged
+#: sources; compile time follows lines (docs/QUERY.md §7)
+IMPORT_CLI_LINES = 400
+QUERY_LINES = 2_700
+SERVE_LINES = 5_000
+
+
+def _probe(tmp_path, script, args, stdin=None):
     dest = tmp_path / "modules.json"
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, str(dest), *args],
+        [sys.executable, "-c", script, str(dest), *args],
         input=stdin,
         capture_output=True,
         text=True,
@@ -89,12 +105,22 @@ def run_repro(tmp_path, args, stdin=None):
     return proc, json.loads(dest.read_text())
 
 
+def run_repro(tmp_path, args, stdin=None):
+    """``python -m repro ARGS`` in a fresh interpreter -> (process,
+    ``{loaded module: source lines}``)."""
+    return _probe(tmp_path, PROBE, args, stdin)
+
+
+def repro_lines(loaded):
+    return sum(n for m, n in loaded.items() if m.split(".")[0] == "repro")
+
+
 def frontend_modules(loaded):
-    return [m for m in loaded if m.startswith(FRONTEND_PREFIXES)]
+    return sorted(m for m in loaded if m.startswith(FRONTEND_PREFIXES))
 
 
 def analysis_modules(loaded):
-    return [m for m in loaded if m in ANALYSIS_LAYERS]
+    return sorted(m for m in loaded if m in ANALYSIS_LAYERS)
 
 
 @pytest.fixture
@@ -106,23 +132,14 @@ def indexed(tmp_path):
     return src, store
 
 
-def test_import_cli_loads_no_frontend_or_analyzer():
-    proc = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "import json, sys, repro.cli; print(json.dumps(sorted(sys.modules)))",
-        ],
-        capture_output=True,
-        text=True,
-        timeout=120,
-        env=_env(),
-    )
+def test_import_cli_loads_no_frontend_or_analyzer(tmp_path):
+    proc, loaded = _probe(tmp_path, DUMP + "import repro.cli", [])
     assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout)
     assert "repro.cli" in loaded
+    assert not any(m.startswith("repro.commands.") for m in loaded), loaded
     assert "repro.analysis.engine" not in loaded
     assert frontend_modules(loaded) == []
+    assert repro_lines(loaded) <= IMPORT_CLI_LINES, loaded
 
 
 def test_query_on_fresh_store_skips_frontend_and_analyzer(tmp_path, indexed):
@@ -134,8 +151,23 @@ def test_query_on_fresh_store_skips_frontend_and_analyzer(tmp_path, indexed):
     assert all("mode" not in a for a in answers)
     assert frontend_modules(loaded) == []
     assert analysis_modules(loaded) == []
-    # a budget for the store path itself (it loads 15 today)
-    assert len(loaded) <= 20, loaded
+    assert "repro.analysis.guards" not in loaded
+    assert not any(m.startswith("repro.memory") for m in loaded), loaded
+    assert [m for m in loaded if m.startswith("repro.commands.")] == [
+        "repro.commands.query"
+    ]
+    assert repro_lines(loaded) <= QUERY_LINES, loaded
+
+
+def test_query_deadline_loads_the_budget_only(tmp_path, indexed):
+    _, store = indexed
+    proc, loaded = run_repro(
+        tmp_path, ["query", str(store), "--deadline", "30", *QUERIES]
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "repro.analysis.guards" in loaded
+    assert analysis_modules(loaded) == []
+    assert frontend_modules(loaded) == []
 
 
 def test_query_on_stale_store_loads_the_demand_path(tmp_path, indexed):
@@ -152,11 +184,11 @@ def test_query_on_stale_store_loads_the_demand_path(tmp_path, indexed):
     assert analysis_modules(loaded) == sorted(ANALYSIS_LAYERS)
 
 
-def test_serve_on_fresh_store_skips_frontend_and_analyzer(tmp_path, indexed):
-    _, store = indexed
+def _serve(tmp_path, store, extra=()):
     requests = [
         {"op": "points_to", "var": "p", "proc": "main", "id": 1},
-        {"op": "shutdown", "id": 2},
+        *extra,
+        {"op": "shutdown", "id": 9},
     ]
     proc, loaded = run_repro(
         tmp_path,
@@ -164,8 +196,41 @@ def test_serve_on_fresh_store_skips_frontend_and_analyzer(tmp_path, indexed):
         stdin="".join(json.dumps(r) + "\n" for r in requests),
     )
     assert proc.returncode == 0, proc.stderr
-    first = json.loads(proc.stdout.splitlines()[0])
-    assert first["result"]["targets"] == ["g"]
+    replies = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert replies[0]["result"]["targets"] == ["g"]
+    return replies, loaded
+
+
+def test_serve_on_fresh_store_skips_frontend_and_analyzer(tmp_path, indexed):
+    _, store = indexed
+    _, loaded = _serve(tmp_path, store)
     assert "repro.query.server" in loaded
+    assert "repro.query.invalidate" not in loaded
+    assert "repro.analysis.guards" not in loaded
     assert frontend_modules(loaded) == []
     assert analysis_modules(loaded) == []
+    assert repro_lines(loaded) <= SERVE_LINES, loaded
+
+
+def test_serve_loads_invalidation_on_reload(tmp_path, indexed):
+    _, store = indexed
+    replies, loaded = _serve(tmp_path, store, [{"op": "reload", "id": 2}])
+    assert replies[1]["status"] == 0, replies[1]
+    assert "repro.query.invalidate" in loaded
+    assert analysis_modules(loaded) == []
+
+
+def test_index_loads_no_query_engine_or_telemetry(tmp_path):
+    src = tmp_path / "prog.c"
+    src.write_text(SOURCE)
+    proc, loaded = run_repro(
+        tmp_path, ["index", str(src), "-o", str(tmp_path / "prog.store.json")]
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "repro.analysis.engine" in loaded
+    for module in (
+        "repro.query.engine",
+        "repro.query.server",
+        "repro.diagnostics.telemetry",
+    ):
+        assert module not in loaded
