@@ -2,25 +2,32 @@
 
 The sparse scheme records points-to deltas only where they change and looks
 values up through the dominator tree; the dense reference implementation
-keeps a full map per node.  Both must compute identical results; the
-trade-off under test is time/space.
+(the test oracle ``tests/memory/dense_oracle.py``) keeps a full map per
+node.  Both must compute identical results; the trade-off under test is
+time/space.
 """
 
 import pytest
 
-from repro import AnalyzerOptions
 from repro.bench import analyze_benchmark
+from tests.memory.dense_oracle import DenseState, use_state
 
 SUBSET = ["grep", "compress", "loader", "eqntott"]
+
+
+def analyze_kind(name, kind="sparse"):
+    if kind == "dense":
+        with use_state(DenseState):
+            return analyze_benchmark(name)
+    return analyze_benchmark(name)
 
 
 @pytest.mark.parametrize("name", SUBSET)
 @pytest.mark.parametrize("kind", ["sparse", "dense"])
 def test_state_kind_time(benchmark, name, kind):
     result = benchmark.pedantic(
-        analyze_benchmark,
-        args=(name,),
-        kwargs={"options": AnalyzerOptions(state_kind=kind)},
+        analyze_kind,
+        args=(name, kind),
         rounds=3,
         iterations=1,
     )
@@ -38,8 +45,8 @@ def test_sparse_and_dense_agree(name):
         # between program loads; compare by literal text only
         return {re.sub(r"@str\d+$", "", n) for n in names}
 
-    sparse = analyze_benchmark(name, AnalyzerOptions(state_kind="sparse"))
-    dense = analyze_benchmark(name, AnalyzerOptions(state_kind="dense"))
+    sparse = analyze_kind(name)
+    dense = analyze_kind(name, "dense")
     for var, symbol in sparse.program.globals.items():
         s = canon(sparse.points_to_names("main", var))
         d = canon(dense.points_to_names("main", var))
@@ -50,8 +57,8 @@ def test_sparse_and_dense_agree(name):
 def test_sparse_stores_fewer_entries(name):
     """The sparse states record per-node deltas; dense states materialize
     full in/out maps.  Count stored bindings."""
-    sparse = analyze_benchmark(name, AnalyzerOptions(state_kind="sparse"))
-    dense = analyze_benchmark(name, AnalyzerOptions(state_kind="dense"))
+    sparse = analyze_kind(name)
+    dense = analyze_kind(name, "dense")
 
     def stored(result, attr_names):
         total = 0

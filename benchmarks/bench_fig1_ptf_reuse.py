@@ -3,12 +3,16 @@
 The 12-line example program is analyzed; S1 and S2 share one PTF because
 their alias patterns match even though the actual parameters differ, and
 S3 (where p and r alias) gets a second PTF.  The benchmark times the whole
-analysis of the example.
+analysis of the example, over the sparse state and over the dense test
+oracle (``tests/memory/dense_oracle.py``).
 """
+
+import contextlib
 
 import pytest
 
-from repro import analyze_source, AnalyzerOptions
+from repro import analyze_source
+from tests.memory.dense_oracle import DenseState, use_state
 
 FIG1 = """
 int x, y, z;
@@ -35,9 +39,9 @@ int main(void) {
 
 @pytest.mark.parametrize("kind", ["sparse", "dense"])
 def test_fig1_analysis(benchmark, kind):
-    result = benchmark(
-        analyze_source, FIG1, options=AnalyzerOptions(state_kind=kind)
-    )
+    swap = use_state(DenseState) if kind == "dense" else contextlib.nullcontext()
+    with swap:
+        result = benchmark(analyze_source, FIG1)
     # one PTF for S1+S2, one for S3
     assert len(result.ptfs_of("f")) == 2
     benchmark.extra_info["ptfs_f"] = len(result.ptfs_of("f"))

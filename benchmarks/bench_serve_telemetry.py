@@ -3,7 +3,7 @@
 The serve instrumentation (PR 7) must follow the same
 pay-for-what-you-use discipline as the analysis tracer, and it is held
 to the **same bar as the trace-overhead check**
-(``bench_lookup_cache.py --trace-overhead-check``):
+(``bench_trace.py --trace-overhead-check``):
 
 * **disabled-path check (gated, ≤2%)** — with telemetry and the access
   log off, the instrumented daemon must cost nothing measurable: two

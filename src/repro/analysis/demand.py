@@ -65,15 +65,9 @@ def options_from_store(store: dict):
     a store's recorded non-default option fields — the demand analysis
     must run under the same budgets/policies the store was built with,
     or its facts could legitimately differ."""
-    import dataclasses
+    from .engine import options_from_payload
 
-    from .engine import AnalyzerOptions
-
-    recorded = store.get("options") or {}
-    known = {f.name for f in dataclasses.fields(AnalyzerOptions)}
-    return AnalyzerOptions(
-        **{k: v for k, v in recorded.items() if k in known}
-    )
+    return options_from_payload(store.get("options"))
 
 
 def index_in_memory(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from ..diagnostics import FaultPlan, Metrics, ProvenanceLog, Tracer
@@ -26,16 +26,19 @@ from .libc import LibcSummaries
 from .ptf import PTF, ParamMap
 from .recursion import ensure_recursion_limit
 
-__all__ = ["AnalyzerOptions", "Analyzer", "analyze"]
+__all__ = [
+    "AnalyzerOptions",
+    "Analyzer",
+    "analyze",
+    "options_payload",
+    "options_from_payload",
+]
 
 
 @dataclass
 class AnalyzerOptions:
     """Tunable knobs, including the ablation switches DESIGN.md calls out."""
 
-    #: points-to state representation: "sparse" (the paper's §4.2 scheme)
-    #: or "dense" (the reference implementation)
-    state_kind: str = "sparse"
     #: what to do with calls to unknown external functions:
     #: "havoc" (conservative) or "ignore" (optimistic)
     external_policy: str = "havoc"
@@ -61,12 +64,6 @@ class AnalyzerOptions:
     #: reanalyze-per-context behaviour (§6); expect invocation-graph-sized
     #: PTF counts and analysis blow-up
     reuse_ptfs: bool = True
-    #: memoize the sparse representation's ``lookup_overlapping`` answers
-    #: and overlapping-key lists, and each call site's interprocedural
-    #: transfer (the call-site memo); disabling must produce bit-identical
-    #: points-to results (the memos are pure) and exists for the
-    #: before/after benchmark and as a debugging escape hatch
-    lookup_cache: bool = True
     #: optional :class:`repro.diagnostics.trace.Tracer` collecting the
     #: hierarchical span/event trace (driver phases, per-procedure
     #: evaluations, fixpoint passes, interprocedural events).  ``None``
@@ -106,6 +103,34 @@ class AnalyzerOptions:
     #: and records it in ``Analyzer.peak_memory_kb``.  The cheap live
     #: gauges of :meth:`Analyzer.memory_profile` are collected regardless
     track_memory: bool = False
+
+
+def options_payload(options: Optional[AnalyzerOptions]) -> dict:
+    """The wire form of ``options``: its scalar fields that differ from
+    the defaults.  Worker tasks, bench subprocess rows, snapshots and
+    stores all record options this way; live objects (tracer, fault
+    plan) are not encoded."""
+    if options is None:
+        return {}
+    defaults = AnalyzerOptions()
+    out = {}
+    for f in fields(AnalyzerOptions):
+        value = getattr(options, f.name)
+        if value == getattr(defaults, f.name):
+            continue
+        if isinstance(value, (bool, int, float, str)) or value is None:
+            out[f.name] = value
+    return out
+
+
+def options_from_payload(payload: Optional[dict]) -> AnalyzerOptions:
+    """Decode :func:`options_payload`.  Fields this version does not
+    know are dropped, so a store or snapshot that recorded a retired
+    option still loads."""
+    known = {f.name for f in fields(AnalyzerOptions)}
+    return AnalyzerOptions(
+        **{k: v for k, v in (payload or {}).items() if k in known}
+    )
 
 
 class Analyzer(InterproceduralMixin):
@@ -206,13 +231,7 @@ class Analyzer(InterproceduralMixin):
         return block
 
     def new_ptf(self, proc: Procedure) -> PTF:
-        ptf = PTF(
-            proc,
-            state_kind=self.options.state_kind,
-            lookup_cache=self.options.lookup_cache,
-            metrics=self.metrics,
-            provenance=self.provenance,
-        )
+        ptf = PTF(proc, metrics=self.metrics, provenance=self.provenance)
         self.ptfs.setdefault(proc.name, []).append(ptf)
         self._ptf_by_uid[ptf.uid] = ptf
         return ptf
@@ -406,8 +425,6 @@ class Analyzer(InterproceduralMixin):
         out = self.metrics.as_dict()
         out["interprocedural"] = dict(self.stats)
         out["elapsed_seconds"] = round(self.elapsed_seconds, 6)
-        out["lookup_cache"] = self.options.lookup_cache
-        out["state_kind"] = self.options.state_kind
         out["degradation"] = self.degradation.as_dict()
         out["memory"] = self.memory_profile()
         return out

@@ -128,11 +128,7 @@ class InterproceduralMixin:
             return
         caller = frame.ptf
         state = caller.state
-        if (
-            not caller.lookup_cache
-            or state.kind != "sparse"
-            or self.options.heap_context_depth
-        ):
+        if self.options.heap_context_depth:
             map_ = self._record_actuals(frame, evaluator, node, proc)
             self._dispatch_internal(frame, node, proc, map_, multiple, on_stack)
             return

@@ -33,7 +33,7 @@ from ..ir.expr import (
 )
 from ..ir.nodes import AssignNode, CallNode, EntryNode, ExitNode, MeetNode, Node
 from ..memory.locset import LocationSet
-from ..memory.pointsto import SparseState, normalize_loc
+from ..memory.pointsto import normalize_loc
 from .context import Frame
 from .guards import GuardTripped
 
@@ -159,11 +159,11 @@ class ProcEvaluator:
                     index=passes,
                     changed=not converged,
                 )
-            if max_entries is not None and self._state_entries() > max_entries:
+            if max_entries is not None and self.state.entry_count() > max_entries:
                 raise GuardTripped(
                     "state_entries",
                     self.proc.name,
-                    f"{self._state_entries()} points-to entries exceed the "
+                    f"{self.state.entry_count()} points-to entries exceed the "
                     f"cap of {max_entries}",
                 )
             if converged:
@@ -176,25 +176,17 @@ class ProcEvaluator:
                     else f"no fixpoint after {passes} passes",
                 )
 
-    def _state_entries(self) -> int:
-        """Size proxy for the procedure state: assigned keys plus lazily
-        fetched initial entries (both representations maintain the two)."""
-        state = self.state
-        return len(state.assigned_keys) + len(getattr(state, "_initial", ()))
-
     def _predecessor_evaluated(self, node: Node) -> bool:
         return any(
             p.uid in self.evaluated or isinstance(p, EntryNode) for p in node.preds
         )
 
     # ------------------------------------------------------------------
-    # EvalMeet (Figure 9) — sparse states only; dense states merge maps
+    # EvalMeet (Figure 9)
     # ------------------------------------------------------------------
 
     def eval_meet(self, node: Node) -> None:
         state = self.state
-        if not isinstance(state, SparseState):
-            return
         for loc in sorted(
             state.phi_locations(node), key=lambda l: (l.base.uid, l.offset, l.stride)
         ):

@@ -40,36 +40,15 @@ from __future__ import annotations
 import os
 import time
 from contextlib import suppress
-from dataclasses import dataclass, field, fields as _dataclass_fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 __all__ = [
     "AnalysisTask",
     "BatchResult",
-    "options_payload",
     "run_batch",
     "default_jobs",
 ]
-
-
-def options_payload(options) -> dict:
-    """The pickle/JSON-clean scalar option fields that differ from the
-    defaults — the only part of :class:`AnalyzerOptions` that crosses the
-    process boundary (tracers, fault plans and other live objects stay in
-    the parent; workers run plain)."""
-    from .engine import AnalyzerOptions
-
-    if options is None:
-        return {}
-    defaults = AnalyzerOptions()
-    out = {}
-    for f in _dataclass_fields(AnalyzerOptions):
-        value = getattr(options, f.name)
-        if value == getattr(defaults, f.name):
-            continue
-        if isinstance(value, (bool, int, float, str)) or value is None:
-            out[f.name] = value
-    return out
 
 
 @dataclass(frozen=True)
@@ -84,7 +63,8 @@ class AnalysisTask:
     files: tuple[str, ...] = ()
     source: Optional[str] = None
     filename: Optional[str] = None
-    #: scalar AnalyzerOptions overrides (see :func:`options_payload`)
+    #: scalar AnalyzerOptions overrides
+    #: (:func:`repro.analysis.engine.options_payload`)
     options: dict = field(default_factory=dict)
     #: also build the persistent query store (``repro index --jobs``)
     build_store: bool = False
@@ -163,7 +143,7 @@ def _worker_run(task: AnalysisTask) -> dict:
     try:
         from ..diagnostics.snapshot import build_snapshot
         from ..analysis.results import run_analysis
-        from ..analysis.engine import AnalyzerOptions
+        from .engine import options_from_payload
         from .scc import build_plan, static_call_graph
 
         t_phase = time.perf_counter()
@@ -180,7 +160,7 @@ def _worker_run(task: AnalysisTask) -> dict:
             return out
         plan = build_plan(static_call_graph(program))
         if task.options or task.profile:
-            options = AnalyzerOptions(**task.options)
+            options = options_from_payload(task.options)
         else:
             options = None
         if tracer is not None:

@@ -32,7 +32,7 @@ from ..ir.nodes import CallNode, Node
 from ..ir.program import Procedure
 from ..memory.blocks import ExtendedParameter
 from ..memory.locset import LocationSet
-from ..memory.pointsto import DenseState, PointsToState, SparseState, normalize_loc
+from ..memory.pointsto import SparseState, normalize_loc
 
 __all__ = ["PTF", "ParamMap", "InitialEntry", "reset_ptf_counter"]
 
@@ -129,21 +129,17 @@ class PTF:
     def __init__(
         self,
         proc: Procedure,
-        state_kind: str = "sparse",
-        lookup_cache: bool = True,
         metrics=None,
         provenance=None,
     ) -> None:
         self.uid = next(_ptf_counter)
         self.proc = proc
-        self.state_kind = state_kind
-        self.lookup_cache = lookup_cache
         #: shared diagnostics sink (``Analyzer.metrics``); every state this
         #: PTF creates (including after ``reset``) reports into it
         self.metrics = metrics
         #: optional shared derivation log (``Analyzer.provenance``)
         self.provenance = provenance
-        self.state: PointsToState = self._new_state()
+        self.state: SparseState = self._new_state()
         #: extended parameters in creation order (§5.2 compares in order)
         self.params: list[ExtendedParameter] = []
         #: ordered initial points-to entries (the input domain)
@@ -184,13 +180,11 @@ class PTF:
         #: ``InterproceduralMixin._call_internal``
         self.call_memo: dict[tuple, tuple] = {}
 
-    def _new_state(self) -> PointsToState:
-        cls = SparseState if self.state_kind == "sparse" else DenseState
-        return cls(
-            self.proc.entry,
-            lookup_cache=self.lookup_cache,
-            metrics=self.metrics,
-            provenance=self.provenance,
+    def _new_state(self) -> SparseState:
+        """The one place a PTF's points-to state is built; the test
+        oracles replace it to run a whole analysis over another state."""
+        return SparseState(
+            self.proc.entry, metrics=self.metrics, provenance=self.provenance
         )
 
     # -- parameters -------------------------------------------------------

@@ -33,10 +33,10 @@ import signal
 import subprocess
 import sys
 import time
-from dataclasses import dataclass, fields as _dataclass_fields
+from dataclasses import dataclass
 from typing import Optional
 
-from ..analysis.engine import AnalyzerOptions
+from ..analysis.engine import AnalyzerOptions, options_from_payload, options_payload
 from ..analysis.results import AnalysisResult, run_analysis
 from ..baselines.invocation import build_invocation_graph
 from ..clients.machine import MachineModel, ProgramTiming
@@ -173,26 +173,6 @@ def _error_row(prog: BenchmarkProgram, error: str) -> Table2Row:
     )
 
 
-def _options_payload(options: Optional[AnalyzerOptions]) -> dict:
-    """Scalar option fields that differ from the defaults.
-
-    Used to forward analyzer options into the per-program subprocess;
-    non-serializable fields (tracer, fault plan) are dropped — subprocess
-    isolation is a batch-robustness feature, not an observability one.
-    """
-    if options is None:
-        return {}
-    defaults = AnalyzerOptions()
-    out = {}
-    for f in _dataclass_fields(AnalyzerOptions):
-        value = getattr(options, f.name)
-        if value == getattr(defaults, f.name):
-            continue
-        if isinstance(value, (bool, int, float, str)) or value is None:
-            out[f.name] = value
-    return out
-
-
 def _run_isolated(
     cmd: list[str], timeout: float, env: dict
 ) -> tuple[int, str, str]:
@@ -237,7 +217,7 @@ def _subprocess_row(
     import repro
 
     payload = {"name": prog.name}
-    opt_payload = _options_payload(options)
+    opt_payload = options_payload(options)
     if opt_payload:
         payload["options"] = opt_payload
     src_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
@@ -292,7 +272,7 @@ def _parallel_rows(
     ``"parallel_profile"`` (the trajectory's utilization /
     critical-path columns and the CI artifact both come from it).
     """
-    from ..analysis.parallel import AnalysisTask, options_payload, run_batch
+    from ..analysis.parallel import AnalysisTask, run_batch
 
     tasks = [
         AnalysisTask(
@@ -476,7 +456,7 @@ def _child_row(payload_json: str) -> int:
     payload = json.loads(payload_json)
     options = None
     if payload.get("options"):
-        options = AnalyzerOptions(**payload["options"])
+        options = options_from_payload(payload["options"])
     result = analyze_benchmark(payload["name"], options)
     row = _row_from_result(by_name(payload["name"]), result)
     print(json.dumps({

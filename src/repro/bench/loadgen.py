@@ -57,7 +57,7 @@ import threading
 import time
 from typing import Optional
 
-from ..diagnostics.metrics import safe_ratio
+from ..ratio import safe_ratio
 from ..diagnostics.telemetry import LogHistogram
 
 __all__ = [

@@ -19,11 +19,9 @@ def options_from(args: argparse.Namespace) -> AnalyzerOptions:
     from ..analysis.engine import AnalyzerOptions
 
     opts = AnalyzerOptions(
-        state_kind=args.state,
         external_policy=args.external,
         strong_updates=not args.no_strong_updates,
         heap_context_depth=args.heap_context,
-        lookup_cache=not args.no_lookup_cache,
     )
     if getattr(args, "trace_json", None) or getattr(args, "trace_jsonl", None):
         from ..diagnostics import Tracer
@@ -52,18 +50,12 @@ def options_from(args: argparse.Namespace) -> AnalyzerOptions:
 
 
 def add_analysis_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--state", choices=["sparse", "dense"], default="sparse",
-                   help="points-to state representation (default: sparse)")
     p.add_argument("--external", choices=["havoc", "ignore"], default="havoc",
                    help="policy for unknown external functions")
     p.add_argument("--no-strong-updates", action="store_true",
                    help="disable strong updates (ablation)")
     p.add_argument("--heap-context", type=int, default=0, metavar="K",
                    help="heap naming call-chain depth (default 0: site only)")
-    p.add_argument("--no-lookup-cache", action="store_true",
-                   help="disable the sparse lookup and call-site memoization "
-                        "(debugging / benchmark baseline; results are "
-                        "bit-identical)")
     g = p.add_argument_group(
         "robustness", "resource budgets and graceful degradation "
                       "(see docs/ROBUSTNESS.md; exit code 4 = partial result)")
@@ -115,7 +107,8 @@ def batch_tasks(args: argparse.Namespace, opts, build_store: bool = False):
     never collide."""
     import os
 
-    from ..analysis.parallel import AnalysisTask, options_payload
+    from ..analysis.engine import options_payload
+    from ..analysis.parallel import AnalysisTask
 
     payload = options_payload(opts)
     seen: dict[str, int] = {}

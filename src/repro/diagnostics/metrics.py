@@ -7,11 +7,9 @@ state it creates, so the counters aggregate across all PTFs of a run.
 Counter semantics:
 
 * ``lookups`` — calls to the public ``lookup``/``lookup_overlapping`` of
-  any points-to state (dense or sparse);
+  any points-to state;
 * ``cache_hits`` / ``cache_misses`` — probes of the sparse state's
-  ``lookup_overlapping`` memo.  The hit rate only counts probes while the
-  memo is enabled; with ``AnalyzerOptions.lookup_cache=False`` both stay
-  zero;
+  ``lookup_overlapping`` memo;
 * ``dom_walk_steps`` — indexed def nodes examined by the sparse
   representation's interval scans for the nearest dominating def or
   strong-update fence (the work that replaces the paper's §4.2 dominator
@@ -33,8 +31,7 @@ Counter semantics:
   (§8's generalization fallback);
 * ``call_memo_hits`` / ``call_memo_misses`` — internal call dispatches
   skipped because nothing their last dispatch read had changed, and those
-  that ran (the call-site memo of the interprocedural layer).  Both stay
-  zero with ``AnalyzerOptions.lookup_cache=False`` and for dense states.
+  that ran (the call-site memo of the interprocedural layer).
 
 Timers: ``phase_seconds`` buckets the top-level driver phases
 (``finalize`` / ``analysis`` / ``summary``); ``proc_seconds`` buckets
@@ -57,9 +54,11 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional
 
-__all__ = ["Metrics", "safe_ratio"]
+from ..ratio import safe_ratio
+
+__all__ = ["Metrics"]
 
 #: counter attribute names, in reporting order
 COUNTERS = (
@@ -77,32 +76,7 @@ COUNTERS = (
     "ptf_generalizations",
     "call_memo_hits",
     "call_memo_misses",
-    # -- query subsystem (repro.query; zero for plain analysis runs) ------
-    "queries",
-    "query_cache_hits",
-    "query_cache_misses",
 )
-
-
-def safe_ratio(
-    numerator: Union[int, float],
-    denominator: Union[int, float],
-    ndigits: int = 4,
-) -> Optional[float]:
-    """``numerator / denominator`` rounded, or ``None`` on a zero
-    denominator.
-
-    The single null-on-zero-denominator guard shared by every derived
-    ratio in the diagnostics stack (``Metrics.as_dict``'s
-    ``cache_hit_rate`` / ``dom_steps_per_lookup`` and the query engine's
-    ``query_cache_hit_rate``).  ``None`` — not ``0.0`` — because a run
-    that never probed a cache is not an all-miss run, and downstream
-    consumers (the snapshot differ, the bench trajectory) must not be
-    fed a fabricated number.
-    """
-    if not denominator:
-        return None
-    return round(numerator / denominator, ndigits)
 
 
 class Metrics:
@@ -216,18 +190,11 @@ class Metrics:
 
     def cache_hit_rate(self) -> float:
         """Fraction of sparse overlap-memo probes that hit (0.0 when the
-        memo was never probed, e.g. dense states or memo disabled)."""
+        memo was never probed)."""
         probes = self.cache_hits + self.cache_misses
         if probes == 0:
             return 0.0
         return self.cache_hits / probes
-
-    def query_cache_hit_rate(self) -> Optional[float]:
-        """Fraction of query-engine LRU probes that hit, or ``None`` when
-        no query ever probed the cache (plain analysis runs)."""
-        return safe_ratio(
-            self.query_cache_hits, self.query_cache_hits + self.query_cache_misses
-        )
 
     def counters(self) -> dict[str, int]:
         return {name: getattr(self, name) for name in COUNTERS}
@@ -248,7 +215,6 @@ class Metrics:
             "derived": {
                 "dom_steps_per_lookup": steps_per_lookup,
                 "cache_hit_rate": hit_rate,
-                "query_cache_hit_rate": self.query_cache_hit_rate(),
             },
             "timers": {
                 "phases": {k: round(v, 6) for k, v in sorted(self.phase_seconds.items())},

@@ -29,14 +29,13 @@ of host speed, wall time, or pure-memoization knobs:
   generalization count; totals including the degradation record count;
 * ``call_graph`` and the sanitized ``degradation`` account (records,
   quarantines, reasons — *not* the budget's elapsed seconds);
-* ``options`` — the non-default scalar :class:`AnalyzerOptions` fields,
-  recorded for provenance but **not hashed** (so the pure-memoization
-  knobs — ``lookup_cache`` — provably do not move the digest, which the
-  determinism tests assert both ways).
+* ``options`` — the non-default scalar :class:`AnalyzerOptions` fields
+  (:func:`repro.analysis.engine.options_payload`), recorded for
+  provenance but **not hashed**.
 
 **Volatile (unhashed).**  Everything host- and run-dependent: the perf
-profile (phase/procedure timers, elapsed seconds, the raw counters —
-cache hits depend on the memoization knobs) and the memory profile
+profile (phase/procedure timers, elapsed seconds, the raw counters)
+and the memory profile
 (:meth:`repro.analysis.engine.Analyzer.memory_profile`: interning-table
 and sparse-state gauges, PTF-store sizes, and the optional
 tracemalloc-sampled peak).
@@ -44,7 +43,7 @@ tracemalloc-sampled peak).
 Determinism caveat: block uids seed set-iteration order inside the
 engine, so two analyses in the *same process* only produce identical
 solutions if :func:`repro.memory.pointsto.reset_interning` ran before
-each (exactly as the cached-vs-uncached equivalence tests do).  Separate
+each (exactly as the memoized-vs-uncached equivalence tests do).  Separate
 processes — the CLI's ``repro snapshot`` — are always comparable.
 """
 
@@ -53,7 +52,6 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from dataclasses import fields as _dataclass_fields
 from typing import IO, TYPE_CHECKING, Optional, Union
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a circular
@@ -201,24 +199,6 @@ def _sanitized_degradation(report) -> dict:
     }
 
 
-def _canonical_options(options: Optional["AnalyzerOptions"]) -> dict:
-    """Non-default scalar option fields (same convention as the bench
-    harness's subprocess forwarding)."""
-    if options is None:
-        return {}
-    from ..analysis.engine import AnalyzerOptions
-
-    defaults = AnalyzerOptions()
-    out = {}
-    for f in _dataclass_fields(AnalyzerOptions):
-        value = getattr(options, f.name)
-        if value == getattr(defaults, f.name):
-            continue
-        if isinstance(value, (bool, int, float, str)) or value is None:
-            out[f.name] = value
-    return out
-
-
 def _perf_profile(result: "AnalysisResult") -> dict:
     analyzer = result.analyzer
     metrics = analyzer.metrics.as_dict()
@@ -251,6 +231,8 @@ def build_snapshot(
     dropped — the digest is always computed from it first, so a slim
     snapshot still supports digest-level and profile-level diffing.
     """
+    from ..analysis.engine import options_payload
+
     if options is None:
         options = result.analyzer.options
     solution = solution_of(result)
@@ -261,7 +243,7 @@ def build_snapshot(
     snap = {
         "format": SNAPSHOT_FORMAT,
         "program": program_name or result.program.name,
-        "options": _canonical_options(options),
+        "options": options_payload(options),
         "digest": _digest(solution, call_graph),
         "precision": _precision_profile(result, solution),
         "call_graph": call_graph,

@@ -33,7 +33,7 @@ fixed factor ``gamma = (1 + eps) / (1 - eps)``, so
 Snapshots (:meth:`LogHistogram.snapshot`) export exact ``count`` /
 ``min`` / ``max`` and estimated ``p50`` / ``p90`` / ``p99`` (any
 quantile via :meth:`LogHistogram.quantile`); the mean is derived through
-the one shared :func:`~repro.diagnostics.metrics.safe_ratio` guard so an
+the one shared :func:`~repro.ratio.safe_ratio` guard so an
 empty histogram reports ``null``, never a fabricated ``0.0``.
 
 :class:`TelemetryRegistry` is the thread-safe namespace the daemon owns:
@@ -54,7 +54,7 @@ import threading
 import time
 from typing import Iterable, Optional
 
-from .metrics import safe_ratio
+from ..ratio import safe_ratio
 
 __all__ = [
     "Counter",

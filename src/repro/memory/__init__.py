@@ -15,5 +15,5 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "ProcedureBlock",
     ),
     ".locset": ("LocationSet", "locations_overlap", "ranges_overlap_mod"),
-    ".pointsto": ("DenseState", "SparseState", "normalize_loc", "normalize_values"),
+    ".pointsto": ("SparseState", "normalize_loc", "normalize_values"),
 })

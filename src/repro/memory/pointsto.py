@@ -1,20 +1,18 @@
 """Points-to functions: flow-sensitive maps from location sets to values.
 
 At each statement a points-to function maps the location sets containing
-pointers to the locations that may be reached through them (§3.3).  Two
-interchangeable state representations implement the same interface:
+pointers to the locations that may be reached through them (§3.3).
+:class:`SparseState` is the paper's representation (§4.2): per-node
+*deltas* only, lookups answered by the nearest dominating assignment,
+φ-functions inserted dynamically at iterated dominance frontiers, and
+strong-update fences for unique locations (§4.3).  A *strong update*
+(overwriting the destination's previous contents) happens only when the
+destination is a single location set with no stride whose base is a
+unique block (§4.1).
 
-* :class:`DenseState` — a full points-to map per flow-graph node.  Simple
-  and obviously correct; used as the reference implementation and in the
-  sparse-vs-dense ablation benchmark.
-* :class:`SparseState` — the paper's scheme (§4.2): per-node *deltas*
-  only, lookups answered by the nearest dominating assignment, φ-functions
-  inserted dynamically at iterated dominance frontiers, and strong-update
-  fences for unique locations (§4.3).
-
-Both honour the same uniqueness rules: a *strong update* (overwriting the
-destination's previous contents) happens only when the destination is a
-single location set with no stride whose base is a unique block (§4.1).
+The dense reference representation (a full points-to map per flow-graph
+node) lives in the test suite as an oracle
+(``tests/memory/dense_oracle.py``), not in the product.
 
 Keys follow parameter subsumption lazily: whenever a location set's base is
 an extended parameter that has been subsumed (§3.2), the key is normalized
@@ -58,7 +56,6 @@ attributable to one base; they funnel through
 The overlapping-key list each read consults is cached separately, keyed
 by the block's monotone ``pointer_version``, because the pointer-location
 registry changes far more rarely than the points-to values do.
-``lookup_cache=False`` bypasses both the memo and the key-list cache.
 
 Call-dispatch read sets
 -----------------------
@@ -89,9 +86,9 @@ binding or φ-merge, plus the engine-provided source context), which the
 
 Values are hash-consed (:func:`intern_values`; location sets are
 canonical by construction) so that the equality checks behind dict probes
-and change detection usually succeed on identity.  ``lookup_cache=False``
-must produce bit-identical results — the memo is pure, asserted by the
-property tests.
+and change detection usually succeed on identity.  The memos are pure:
+the test suite's uncached state (``tests/memory/uncached_oracle.py``)
+empties them before every probe and must produce bit-identical results.
 """
 
 from __future__ import annotations
@@ -101,14 +98,13 @@ from typing import Iterable, Optional
 
 from ..diagnostics import Metrics
 from ..ir.dominators import iterated_frontier
-from ..ir.nodes import MeetNode, Node
+from ..ir.nodes import Node
 from . import blocks as _blocks
-from .blocks import ExtendedParameter, MemoryBlock
+from .blocks import MemoryBlock
 from .locset import LocationSet
 
 __all__ = [
     "Values",
-    "DenseState",
     "SparseState",
     "normalize_loc",
     "normalize_values",
@@ -205,300 +201,12 @@ def _index(table: dict, key: object, node: Node) -> None:
         entries.insert(i, (pre, node.dom_post, node))
 
 
-class PointsToState:
-    """Interface shared by the dense and sparse representations."""
-
-    kind = "abstract"
-
-    def __init__(
-        self,
-        entry: Node,
-        lookup_cache: bool = True,
-        metrics: Optional[Metrics] = None,
-        provenance=None,
-    ) -> None:
-        self.entry = entry
-        #: keys ever assigned by the procedure body (excludes pure initial
-        #: entries); the PTF summary is built from these
-        self.assigned_keys: set[LocationSet] = set()
-        #: bumped whenever anything changes; drives the fixpoint loop *and*
-        #: the lookup-cache invalidation generation
-        self.change_counter = 0
-        #: when False, every memoization layer is bypassed (ablation /
-        #: ``AnalyzerOptions.lookup_cache=False``)
-        self.lookup_cache = lookup_cache
-        #: shared diagnostics sink; a private one when not threaded in
-        self.metrics = metrics if metrics is not None else Metrics()
-        #: optional shared :class:`repro.diagnostics.provenance.
-        #: ProvenanceLog`; when None (the default) every provenance hook
-        #: is a single ``is not None`` check — same contract as tracing
-        self.provenance = provenance
-
-    # -- initial values (procedure inputs, recorded at the entry node) --
-
-    def set_initial(self, loc: LocationSet, values: Iterable[LocationSet]) -> None:
-        raise NotImplementedError
-
-    def get_initial(self, loc: LocationSet) -> Optional[frozenset]:
-        raise NotImplementedError
-
-    def initial_items(self) -> list[tuple[LocationSet, frozenset]]:
-        raise NotImplementedError
-
-    # -- transfer ---------------------------------------------------------
-
-    def assign(
-        self,
-        loc: LocationSet,
-        values: Iterable[LocationSet],
-        node: Node,
-        strong: bool,
-        size: int = 4,
-    ) -> bool:
-        """Record ``loc -> values`` at ``node``; returns True on change.
-
-        ``size`` is the byte width of the store: a strong update kills every
-        overlapping location within it.
-        """
-        raise NotImplementedError
-
-    def assign_phi(
-        self, loc: LocationSet, values: Iterable[LocationSet], node: Node
-    ) -> bool:
-        """Record a φ result: replaces the recorded merge at a meet node but
-        is not a strong update (it does not fence overlapping locations)."""
-        return self.assign(loc, values, node, strong=False)
-
-    def lookup(self, loc: LocationSet, node: Node, before: bool = True) -> frozenset:
-        """Exact-key lookup of the values of ``loc`` visible at ``node``
-        (before the node executes when ``before`` is True)."""
-        raise NotImplementedError
-
-    def lookup_overlapping(
-        self, loc: LocationSet, node: Node, width: int = 1, before: bool = True
-    ) -> frozenset:
-        """Dereference semantics (§4.3): union the values of every
-        registered pointer location overlapping ``loc``, respecting strong
-        update fences for unique locations."""
-        raise NotImplementedError
-
-    def merge_at(self, node: Node, evaluated: set[int]) -> None:
-        """Prepare the in-state of ``node`` from its evaluated predecessors."""
-        raise NotImplementedError
-
-    def finish_node(self, node: Node) -> None:
-        """Commit a node's evaluation (change detection hook)."""
-        return
-
-    def summary(self, exit_node: Node) -> dict[LocationSet, frozenset]:
-        """The final points-to function over assigned keys at the exit."""
-        out: dict[LocationSet, frozenset] = {}
-        for key in sorted(self.assigned_keys, key=lambda l: (l.base.uid, l.offset, l.stride)):
-            key_n = normalize_loc(key)
-            vals = self.lookup(key_n, exit_node, before=True)
-            if vals:
-                out[key_n] = vals
-        return out
-
-    def mark_changed(self) -> None:
-        self.change_counter += 1
-
-    def note_reads(self, blocks: Iterable[MemoryBlock]) -> None:
-        """Add ``blocks`` to the call-dispatch read set being recorded;
-        a no-op for representations that never record one (calls are
-        not memoized over them)."""
-        return
-
-    # -- memory accounting -------------------------------------------------
-
-    def entry_count(self) -> int:
-        """Assigned keys plus lazily fetched initial entries — the same
-        size proxy the ``max_state_entries`` guard polls."""
-        return len(self.assigned_keys) + len(getattr(self, "_initial", ()))
-
-    def footprint(self) -> dict[str, int]:
-        """Live per-representation size gauges (snapshot memory profile).
-
-        Both representations report ``entries`` (the guard proxy) and
-        ``initial``; each adds its own dominant structures — per-node map
-        cells for the dense state, defs/φ/memo-partition entries for the
-        sparse one.
-        """
-        return {"entries": self.entry_count(), "initial": len(getattr(self, "_initial", ()))}
-
-
-# ---------------------------------------------------------------------------
-# Dense representation
-# ---------------------------------------------------------------------------
-
-
-class DenseState(PointsToState):
-    """Full per-node points-to maps (reference implementation)."""
-
-    kind = "dense"
-
-    def __init__(
-        self,
-        entry: Node,
-        lookup_cache: bool = True,
-        metrics: Optional[Metrics] = None,
-        provenance=None,
-    ) -> None:
-        super().__init__(
-            entry, lookup_cache=lookup_cache, metrics=metrics, provenance=provenance
-        )
-        self._initial: dict[LocationSet, frozenset] = {}
-        #: node uid -> map at node exit
-        self._out: dict[int, dict[LocationSet, frozenset]] = {}
-        #: node uid -> map at node entry (after merging predecessors)
-        self._in: dict[int, dict[LocationSet, frozenset]] = {}
-        #: node uid -> the out map from the previous pass (change detection)
-        self._prev_out: dict[int, Optional[dict]] = {}
-
-    # -- initial ----------------------------------------------------------
-
-    def set_initial(self, loc: LocationSet, values: Iterable[LocationSet]) -> None:
-        loc = normalize_loc(loc)
-        vals = normalize_values(values)
-        _register(loc)
-        old = self._initial.get(loc)
-        # compare the *union* against the old entry: re-recording values
-        # already present must not mark the state changed, or redundant
-        # set_initial calls trigger spurious extra fixpoint passes
-        new = vals if old is None else intern_values(old | vals)
-        if old != new:
-            self._initial[loc] = new
-            self.mark_changed()
-            if self.provenance is not None:
-                self.provenance.tag_initial(loc, vals, self.entry)
-
-    def get_initial(self, loc: LocationSet) -> Optional[frozenset]:
-        return self._initial.get(normalize_loc(loc))
-
-    def initial_items(self) -> list[tuple[LocationSet, frozenset]]:
-        return list(self._initial.items())
-
-    # -- maps ------------------------------------------------------------
-
-    def _map_at(self, node: Node, before: bool) -> dict[LocationSet, frozenset]:
-        if node is self.entry:
-            return self._initial
-        if before:
-            return self._in.get(node.uid, {})
-        return self._out.get(node.uid, self._in.get(node.uid, {}))
-
-    def merge_at(self, node: Node, evaluated: set[int]) -> None:
-        if node is self.entry:
-            return
-        merged: dict[LocationSet, frozenset] = {}
-        for pred in node.preds:
-            if pred.uid not in evaluated and pred is not self.entry:
-                continue
-            pmap = self._out.get(pred.uid)
-            if pmap is None:
-                pmap = self._initial if pred is self.entry else self._in.get(pred.uid, {})
-            for key, vals in pmap.items():
-                key = normalize_loc(key)
-                vals = normalize_values(vals)
-                old = merged.get(key)
-                merged[key] = vals if old is None else intern_values(old | vals)
-        self._in[node.uid] = merged
-        # out starts as a copy of in; assign() then mutates it in place, and
-        # finish_node compares against the previous pass's out map
-        self._prev_out[node.uid] = self._out.get(node.uid)
-        self._out[node.uid] = dict(merged)
-
-    def finish_node(self, node: Node) -> None:
-        if node is self.entry:
-            return
-        if self._out.get(node.uid) != self._prev_out.get(node.uid):
-            self.mark_changed()
-
-    def assign(
-        self,
-        loc: LocationSet,
-        values: Iterable[LocationSet],
-        node: Node,
-        strong: bool,
-        size: int = 4,
-    ) -> bool:
-        loc = normalize_loc(loc)
-        vals = normalize_values(values)
-        if vals:
-            _register(loc)
-        self.assigned_keys.add(loc)
-        out = self._out.setdefault(node.uid, dict(self._in.get(node.uid, {})))
-        changed = False
-        if strong:
-            # a strong update overwrites every location the write covers
-            doomed = [
-                k
-                for k in out
-                if k.base is loc.base
-                and k != loc
-                and loc.overlaps(k, width=max(size, 1), other_width=1)
-            ]
-            for k in doomed:
-                del out[k]
-                changed = True
-            if out.get(loc) != vals:
-                out[loc] = vals
-                changed = True
-        else:
-            old = out.get(loc, EMPTY)
-            new = intern_values(old | vals)
-            if new != old:
-                out[loc] = new
-                changed = True
-        if changed:
-            if strong:
-                self.metrics.strong_updates += 1
-            else:
-                self.metrics.weak_updates += 1
-            if self.provenance is not None:
-                self.provenance.tag(loc, vals, node, strong)
-        return changed
-
-    def lookup(self, loc: LocationSet, node: Node, before: bool = True) -> frozenset:
-        self.metrics.lookups += 1
-        loc = normalize_loc(loc)
-        table = self._map_at(node, before)
-        hit = table.get(loc)
-        if hit is None:
-            # keys may have been recorded before their base was subsumed
-            for key, vals in table.items():
-                if normalize_loc(key) == loc:
-                    hit = vals
-                    break
-        return normalize_values(hit or EMPTY)
-
-    def lookup_overlapping(
-        self, loc: LocationSet, node: Node, width: int = 1, before: bool = True
-    ) -> frozenset:
-        self.metrics.lookups += 1
-        loc = normalize_loc(loc)
-        result: set[LocationSet] = set()
-        for key, vals in self._map_at(node, before).items():
-            key_n = normalize_loc(key)
-            if key_n.base is loc.base and loc.overlaps(key_n, width=width, other_width=1):
-                result |= vals
-        return normalize_values(result)
-
-    def footprint(self) -> dict[str, int]:
-        out = super().footprint()
-        out["map_cells"] = sum(len(m) for m in self._in.values()) + sum(
-            len(m) for m in self._out.values()
-        )
-        out["nodes_mapped"] = len(self._in)
-        return out
-
-
 # ---------------------------------------------------------------------------
 # Sparse representation (the paper's §4.2 scheme)
 # ---------------------------------------------------------------------------
 
 
-class SparseState(PointsToState):
+class SparseState:
     """Per-node deltas + indexed dominating-def lookups + dynamic φ insertion.
 
     Only the points-to values that change at a node are recorded.  Looking
@@ -511,18 +219,24 @@ class SparseState(PointsToState):
     ordered by dominator-tree preorder; see the module docstring.
     """
 
-    kind = "sparse"
-
     def __init__(
         self,
         entry: Node,
-        lookup_cache: bool = True,
         metrics: Optional[Metrics] = None,
         provenance=None,
     ) -> None:
-        super().__init__(
-            entry, lookup_cache=lookup_cache, metrics=metrics, provenance=provenance
-        )
+        self.entry = entry
+        #: keys ever assigned by the procedure body (excludes pure initial
+        #: entries); the PTF summary is built from these
+        self.assigned_keys: set[LocationSet] = set()
+        #: bumped whenever anything changes; drives the fixpoint loop
+        self.change_counter = 0
+        #: shared diagnostics sink; a private one when not threaded in
+        self.metrics = metrics if metrics is not None else Metrics()
+        #: optional shared :class:`repro.diagnostics.provenance.
+        #: ProvenanceLog`; when None (the default) every provenance hook
+        #: is a single ``is not None`` check — same contract as tracing
+        self.provenance = provenance
         self._initial: dict[LocationSet, frozenset] = {}
         #: node uid -> {loc: (values, strong, kill_size)}; kill_size is the
         #: byte width a strong update overwrote (0 for weak and φ entries)
@@ -581,9 +295,15 @@ class SparseState(PointsToState):
         return list(self._initial.items())
 
     def merge_at(self, node: Node, evaluated: set[int]) -> None:
-        # sparse states do not materialize merged maps; φ evaluation happens
-        # when the meet node itself is evaluated (Figure 9)
-        return
+        """Called before ``node`` is evaluated.  A no-op: sparse states do
+        not materialize merged maps, φ evaluation happens when the meet
+        node itself is evaluated (Figure 9).  Kept as the hook the dense
+        test oracle builds its in-maps with."""
+
+    def finish_node(self, node: Node) -> None:
+        """Called after ``node`` is evaluated.  A no-op here (writes bump
+        ``change_counter`` themselves); kept as the hook the dense test
+        oracle detects a changed out-map with."""
 
     # -- φ bookkeeping -----------------------------------------------------
 
@@ -824,8 +544,7 @@ class SparseState(PointsToState):
         ``width``-byte read at ``loc`` (§4.3).
 
         Coverage of the full read range is required: a narrower strong
-        update leaves the history of the uncovered bytes visible, exactly
-        as the dense representation's per-key kill does.  ``inclusive``
+        update leaves the history of the uncovered bytes visible.  ``inclusive``
         reads (the value *after* the node executes) also see a covering
         strong update at the node itself.
         """
@@ -898,18 +617,15 @@ class SparseState(PointsToState):
         read at ``loc`` can touch, cached per registry version."""
         base = loc.base
         cache_key = (loc, width, base.pointer_version)
-        if self.lookup_cache:
-            hit = self._overlap_keys.get(cache_key)
-            if hit is not None:
-                return hit
+        hit = self._overlap_keys.get(cache_key)
+        if hit is not None:
+            return hit
         keys: list[LocationSet] = []
         for offset, stride in sorted(base.pointer_locations):
             key = LocationSet(base, offset, stride)
             if loc.overlaps(key, width=width, other_width=1):
                 keys.append(key)
-        result = tuple(keys)
-        if self.lookup_cache:
-            self._overlap_keys[cache_key] = result
+        result = self._overlap_keys[cache_key] = tuple(keys)
         return result
 
     def lookup_overlapping(
@@ -921,20 +637,18 @@ class SparseState(PointsToState):
         loc = normalize_loc(loc)
         if self._reads is not None:
             self._note_read(loc.base)
-        by_node = None
-        if self.lookup_cache:
-            cache = self._overlap_cache.get(loc.base.uid)
-            if cache is None:
-                cache = self._overlap_cache[loc.base.uid] = {}
-            cache_key = (loc, width, before, loc.base.pointer_version)
-            by_node = cache.get(cache_key)
-            if by_node is None:
-                by_node = cache[cache_key] = {}
-            hit = by_node.get(node.uid)
-            if hit is not None:
-                metrics.cache_hits += 1
-                return hit
-            metrics.cache_misses += 1
+        cache = self._overlap_cache.get(loc.base.uid)
+        if cache is None:
+            cache = self._overlap_cache[loc.base.uid] = {}
+        cache_key = (loc, width, before, loc.base.pointer_version)
+        by_node = cache.get(cache_key)
+        if by_node is None:
+            by_node = cache[cache_key] = {}
+        hit = by_node.get(node.uid)
+        if hit is not None:
+            metrics.cache_hits += 1
+            return hit
+        metrics.cache_misses += 1
         fence: Optional[Node] = None
         if loc.is_unique:
             fence = self._find_strong_fence(
@@ -943,11 +657,9 @@ class SparseState(PointsToState):
         result: set[LocationSet] = set()
         for key in self._overlapping_keys(loc, width):
             result |= self._search(key, node, inclusive=not before, fence=fence)
-        # normalize like DenseState.lookup_overlapping does: values recorded
-        # before their base parameter was subsumed must not leak through
-        out = normalize_values(frozenset(result))
-        if by_node is not None:
-            by_node[node.uid] = out
+        # values recorded before their base parameter was subsumed must not
+        # leak through
+        out = by_node[node.uid] = normalize_values(frozenset(result))
         return out
 
     def summary(self, exit_node: Node) -> dict[LocationSet, frozenset]:
@@ -961,8 +673,17 @@ class SparseState(PointsToState):
                 out[key_n] = vals
         return out
 
+    # -- memory accounting -------------------------------------------------
+
+    def entry_count(self) -> int:
+        """Assigned keys plus lazily fetched initial entries — the size
+        proxy the ``max_state_entries`` guard polls."""
+        return len(self.assigned_keys) + len(self._initial)
+
     def footprint(self) -> dict[str, int]:
-        out = super().footprint()
+        """Live size gauges (snapshot memory profile): the guard proxy,
+        initial entries, defs, φ locations and memo entries."""
+        out = {"entries": self.entry_count(), "initial": len(self._initial)}
         out["defs"] = sum(len(d) for d in self._defs.values())
         out["phis"] = sum(len(p) for p in self.phis.values())
         out["cache_entries"] = sum(

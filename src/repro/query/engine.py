@@ -29,12 +29,12 @@ explain`` invocation (``answer["explain"]``) reconstructing the
 provenance chain from the indexed sources — the store persists *what*
 holds; ``repro explain`` re-derives *why*.
 
-Caching: a bounded LRU keyed by the canonical request.  Hit/miss
-counters flow into the shared :class:`repro.diagnostics.metrics.Metrics`
-vocabulary (``queries`` / ``query_cache_hits`` / ``query_cache_misses``,
-hit rate derived through the one :func:`~repro.diagnostics.metrics.safe_ratio`
-guard) and, when a tracer is attached, each probe emits a ``query.hit``
-/ ``query.miss`` instant.  The engine is thread-safe (one lock around
+Caching: a bounded LRU keyed by the canonical request.  The engine
+counts queries, hits and misses in its own :class:`QueryCounters`
+(shared with the engine that replaces it on a daemon ``reload``; the
+hit rate goes through the one :func:`~repro.ratio.safe_ratio` guard)
+and, when a tracer is attached, each probe emits a ``query.hit`` /
+``query.miss`` instant.  The engine is thread-safe (one lock around
 probe+compute) — the daemon serves concurrent clients through a single
 engine so they share the cache.
 
@@ -56,14 +56,14 @@ from collections import OrderedDict
 from typing import TYPE_CHECKING, Optional
 
 from ..analysis.tripped import GuardTripped
-from ..diagnostics.metrics import Metrics, safe_ratio
 from ..ranges import WORD_SIZE, ranges_overlap_mod
+from ..ratio import safe_ratio
 from .store import STORE_FORMAT
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..analysis.guards import AnalysisBudget
 
-__all__ = ["QueryEngine", "QueryError", "parse_query_spec", "OPS"]
+__all__ = ["QueryEngine", "QueryCounters", "QueryError", "parse_query_spec", "OPS"]
 
 #: the closed operation vocabulary (requests with any other ``op`` are
 #: rejected with a ``bad-request`` error envelope)
@@ -157,13 +157,28 @@ def parse_query_spec(spec: str) -> dict:
     raise QueryError("bad-request", f"unknown operation {words[0]!r} in {spec!r}")
 
 
+class QueryCounters:
+    """Queries answered and LRU probes that hit or missed.  A daemon
+    passes its engine's counters to the engine a ``reload`` swaps in, so
+    they accumulate across store generations."""
+
+    __slots__ = ("queries", "cache_hits", "cache_misses")
+
+    def __init__(self) -> None:
+        self.queries = self.cache_hits = self.cache_misses = 0
+
+    def hit_rate(self) -> Optional[float]:
+        """Fraction of LRU probes that hit; ``None`` before the first."""
+        return safe_ratio(self.cache_hits, self.cache_hits + self.cache_misses)
+
+
 class QueryEngine:
     """Answers demand queries against one loaded store document."""
 
     def __init__(
         self,
         store: dict,
-        metrics: Optional[Metrics] = None,
+        counters: Optional[QueryCounters] = None,
         tracer=None,
         cache_size: int = 256,
         demand=None,
@@ -174,7 +189,7 @@ class QueryEngine:
                 f"(expected {STORE_FORMAT!r})"
             )
         self.store = store
-        self.metrics = metrics if metrics is not None else Metrics()
+        self.counters = counters if counters is not None else QueryCounters()
         self.trace = tracer
         #: optional :class:`repro.analysis.demand.DemandTier` — probed on
         #: every query; stale facts are either answered from a fresh
@@ -237,13 +252,13 @@ class QueryEngine:
         hit = self._cache.get(key)
         if hit is not None:
             self._cache.move_to_end(key)
-            self.metrics.query_cache_hits += 1
+            self.counters.cache_hits += 1
             if info is not None:
                 info["cache"] = "hit"
             if self.trace is not None:
                 self.trace.instant("query.hit", "query", op=op, key=key)
             return hit
-        self.metrics.query_cache_misses += 1
+        self.counters.cache_misses += 1
         if info is not None:
             info["cache"] = "miss"
         if self.trace is not None:
@@ -362,7 +377,7 @@ class QueryEngine:
                 )
             raise GuardTripped("deadline", proc="<query>", detail=str(op))
         with self._lock:
-            self.metrics.queries += 1
+            self.counters.queries += 1
             if op == "stats":  # never cached: reports the live counters
                 return self.stats()
             if self.demand is not None:
@@ -567,14 +582,14 @@ class QueryEngine:
 
     def stats(self) -> dict:
         """Live engine counters; never cached."""
-        m = self.metrics
+        c = self.counters
         out = {
             "op": "stats",
             "program": self.program,
-            "queries": m.queries,
-            "cache_hits": m.query_cache_hits,
-            "cache_misses": m.query_cache_misses,
-            "cache_hit_rate": m.query_cache_hit_rate(),
+            "queries": c.queries,
+            "cache_hits": c.cache_hits,
+            "cache_misses": c.cache_misses,
+            "cache_hit_rate": c.hit_rate(),
             "cache_entries": len(self._cache),
             "degraded": self.degraded,
         }

@@ -536,7 +536,7 @@ class QueryServer:
         The swap is a single attribute rebind: request lines already in
         flight keep the engine they pinned (old store), lines read after
         the rebind see the new one — no request is ever answered from a
-        torn mix.  The new engine shares the old engine's metrics (the
+        torn mix.  The new engine shares the old engine's counters (the
         cumulative counters survive the swap) and adopts the clean slice
         of its LRU: entries whose dependent procedures all have
         unchanged IR digests (per
@@ -587,7 +587,7 @@ class QueryServer:
             report = compute_stale_between_stores(old.store, new_store)
             new_engine = QueryEngine(
                 new_store,
-                metrics=old.metrics,
+                counters=old.counters,
                 tracer=old.trace,
                 cache_size=old.cache_size,
                 # a fresh tier over the new store (fresh probe state —

@@ -5,8 +5,9 @@ what it read; while none of it changes, the dispatch is skipped.  These
 tests check each validity input in isolation on a finished analysis
 (re-dispatching one call of ``main`` by hand), then run the re-dispatch
 oracle (:mod:`tests.analysis.memo_oracle`) over every benchmark program
-and over generated programs, and check that ``lookup_cache=False`` turns
-the memo off without moving any result.
+and over generated programs, and check that the uncached sparse state
+(:mod:`tests.memory.uncached_oracle`), which never takes a memo hit,
+computes the same results.
 """
 
 from __future__ import annotations
@@ -17,14 +18,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import AnalyzerOptions, analyze_source, load_program
+from repro import analyze_source, load_program
 from repro.analysis.intra import ProcEvaluator
 from repro.analysis.results import run_analysis
 from repro.bench.programs import load_source, program_dir
 from repro.diagnostics.snapshot import build_snapshot
 from repro.memory.locset import LocationSet
-from repro.memory.pointsto import reset_interning
+from repro.memory.pointsto import SparseState, reset_interning
 
+from ..memory.dense_oracle import DenseState, use_state
+from ..memory.uncached_oracle import UncachedSparseState
 from .memo_oracle import oracle_result
 from .test_property import ALL_VARS, programs
 from .test_structs import STRUCT_COPY
@@ -194,36 +197,33 @@ class TestNeverStored:
         assert all(key[3] == -1 for key in ptf.call_memo)
 
     def test_dense_state_is_not_memoized(self):
-        r = analyze_source(SRC, options=AnalyzerOptions(state_kind="dense"))
+        # the dense oracle's recorded read sets never validate
+        with use_state(DenseState):
+            r = analyze_source(SRC)
         m = r.analyzer.metrics
-        assert m.call_memo_hits == m.call_memo_misses == 0
+        assert m.call_memo_hits == 0
+        assert m.call_memo_misses > 0
 
 
-class TestLookupCacheOff:
-    def test_memo_never_runs(self):
-        r = analyze_source(SRC, options=AnalyzerOptions(lookup_cache=False))
-        m = r.analyzer.metrics
-        assert m.call_memo_hits == m.call_memo_misses == 0
-        assert all(not p.call_memo for ptfs in r.analyzer.ptfs.values() for p in ptfs)
-
-    def test_counters_in_stats_json(self):
-        stats = analyze_source(SRC).analyzer.stats_dict()
-        assert stats["counters"]["call_memo_hits"] >= 0
-        assert stats["counters"]["call_memo_misses"] > 0
+def test_counters_in_stats_json():
+    stats = analyze_source(SRC).analyzer.stats_dict()
+    assert stats["counters"]["call_memo_hits"] >= 0
+    assert stats["counters"]["call_memo_misses"] > 0
 
 
 BENCHMARKS = sorted(f[:-2] for f in os.listdir(program_dir()) if f.endswith(".c"))
 
 
-def _digest(name, options, oracle=False):
+def _digest(name, oracle=False, state=SparseState):
     reset_interning()
     program = load_program(load_source(name), f"{name}.c", name)
     if oracle:
-        analyzer, result = oracle_result(program, options)
+        analyzer, result = oracle_result(program)
         assert analyzer.violations == []
         checked = analyzer.checked
     else:
-        result = run_analysis(program, options)
+        with use_state(state):
+            result = run_analysis(program)
         checked = result.analyzer.metrics.call_memo_hits
     return build_snapshot(result)["digest"]["program"], checked
 
@@ -232,9 +232,9 @@ def _digest(name, options, oracle=False):
 def test_oracle_and_digests_on_benchmarks(name):
     """Every memo hit re-runs clean, and the memoized, re-run and
     uncached analyses agree on the digest."""
-    memo, hits = _digest(name, AnalyzerOptions())
-    rerun, checked = _digest(name, AnalyzerOptions(), oracle=True)
-    plain, none = _digest(name, AnalyzerOptions(lookup_cache=False))
+    memo, hits = _digest(name)
+    rerun, checked = _digest(name, oracle=True)
+    plain, none = _digest(name, state=UncachedSparseState)
     assert memo == rerun == plain
     assert checked == hits
     assert none == 0
@@ -253,7 +253,8 @@ def check_program(source, names):
     reset_interning()
     memo = analyze_source(source)
     reset_interning()
-    plain = analyze_source(source, options=AnalyzerOptions(lookup_cache=False))
+    with use_state(UncachedSparseState):
+        plain = analyze_source(source)
     assert _points_to(memo, names) == _points_to(plain, names), source
     return analyzer.checked
 

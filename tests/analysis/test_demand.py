@@ -18,7 +18,7 @@ from repro.analysis.demand import (
 from repro.analysis.guards import AnalysisBudget, GuardTripped
 from repro.diagnostics.trace import Tracer
 from repro.frontend.parser import load_project_files
-from repro.query import QueryEngine
+from repro.query import QueryEngine, load_store, seal_store, write_store
 
 CHAIN = """
 int g1, g2;
@@ -154,3 +154,26 @@ class TestOptionsFromStore:
 
     def test_missing_options_block(self):
         assert options_from_store({}) == AnalyzerOptions()
+
+    def test_store_with_retired_options_answers_and_reindexes(self, tmp_path):
+        """A store that recorded options this version no longer has (the
+        dense state and the uncached switch) still loads, answers, and
+        re-indexes in demand mode after a source edit."""
+        src = tmp_path / "chain.c"
+        src.write_text(CHAIN)
+        fresh_analysis_state()
+        program = load_project_files([str(src)], name="chain")
+        store = index_in_memory(program, program_name="chain", sources=[str(src)])
+        retired = {"state_kind": "dense", "lookup_cache": False}
+        store["options"] = dict(retired)
+        store["snapshot"]["options"] = dict(retired)
+        path = tmp_path / "chain.store.json"
+        write_store(seal_store(store), str(path))
+        store = load_store(str(path))
+        assert options_from_store(store) == AnalyzerOptions()
+        engine = QueryEngine(store, demand=DemandTier(store))
+        assert engine.query(dict(A_MAIN))["targets"] == ["g1"]
+        src.write_text(EDITED)
+        info = {}
+        assert engine.query(dict(A_MAIN), info=info)["targets"] == ["g2"]
+        assert info["mode"] == "demand"

@@ -2,14 +2,9 @@
 
 import pytest
 
-from repro import analyze_source, AnalyzerOptions
+from repro import analyze_source
 
-
-def both_kinds(src):
-    return [
-        analyze_source(src, options=AnalyzerOptions(state_kind=k))
-        for k in ("sparse", "dense")
-    ]
+from ..memory.dense_oracle import both_kinds
 
 
 class TestBasicCalls:

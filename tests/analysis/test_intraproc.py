@@ -4,12 +4,7 @@ import pytest
 
 from repro import analyze_source, AnalyzerOptions
 
-
-def both_kinds(src):
-    return [
-        analyze_source(src, options=AnalyzerOptions(state_kind=k))
-        for k in ("sparse", "dense")
-    ]
+from ..memory.dense_oracle import DenseState, both_kinds, use_state
 
 
 class TestBasicAssignments:
@@ -137,9 +132,8 @@ class TestStrongUpdates:
 
     def test_strong_updates_option_off(self):
         src = "int a, b; int main(void){ int *p = &a; p = &b; return 0; }"
-        r = analyze_source(
-            src, options=AnalyzerOptions(strong_updates=False, state_kind="dense")
-        )
+        with use_state(DenseState):
+            r = analyze_source(src, options=AnalyzerOptions(strong_updates=False))
         # ablation: without strong updates the old value survives
         assert r.points_to_names("main", "p") == {"a", "b"}
 

@@ -5,12 +5,7 @@ import pytest
 from repro import analyze_source, AnalyzerOptions
 from repro.analysis.libc import LibcSummaries
 
-
-def both_kinds(src):
-    return [
-        analyze_source(src, options=AnalyzerOptions(state_kind=k))
-        for k in ("sparse", "dense")
-    ]
+from ..memory.dense_oracle import both_kinds
 
 
 class TestAllocators:

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro import analyze_source, AnalyzerOptions
+from repro import analyze_source
+
+from ..memory.dense_oracle import DenseState, use_state
 
 FIG1 = """
 int x, y, z;
@@ -29,7 +31,10 @@ int main(void) {
 
 @pytest.fixture(params=["sparse", "dense"])
 def result(request):
-    return analyze_source(FIG1, options=AnalyzerOptions(state_kind=request.param))
+    if request.param == "dense":
+        with use_state(DenseState):
+            return analyze_source(FIG1)
+    return analyze_source(FIG1)
 
 
 class TestPTFReuse:

@@ -10,12 +10,8 @@ the analysis outcome, not of a summary statistic.
 
 import pytest
 
-from repro.analysis.parallel import (
-    AnalysisTask,
-    BatchResult,
-    options_payload,
-    run_batch,
-)
+from repro.analysis.engine import options_payload
+from repro.analysis.parallel import AnalysisTask, BatchResult, run_batch
 from repro.bench.programs import PROGRAMS, load_source
 
 

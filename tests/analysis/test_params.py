@@ -6,12 +6,7 @@ import pytest
 from repro import analyze_source, AnalyzerOptions
 from repro.memory.blocks import ExtendedParameter
 
-
-def both_kinds(src):
-    return [
-        analyze_source(src, options=AnalyzerOptions(state_kind=k))
-        for k in ("sparse", "dense")
-    ]
+from ..memory.dense_oracle import both_kinds
 
 
 class TestLazyCreation:

@@ -21,6 +21,8 @@ from hypothesis import strategies as st
 from repro import AnalyzerOptions, analyze_source, load_program
 from repro.baselines import andersen_analyze, steensgaard_analyze
 
+from ..memory.dense_oracle import both_kinds
+
 INTS = ["x", "y", "z"]
 PTRS = ["p", "q", "r"]
 PPTRS = ["pp", "qq"]
@@ -117,8 +119,7 @@ ALL_VARS = PTRS + PPTRS
     suppress_health_check=[HealthCheck.too_slow],
 )
 def test_sparse_equals_dense(source):
-    sparse = analyze_source(source, options=AnalyzerOptions(state_kind="sparse"))
-    dense = analyze_source(source, options=AnalyzerOptions(state_kind="dense"))
+    sparse, dense = both_kinds(source)
     for var in ALL_VARS:
         s = sparse.points_to_names("main", var)
         d = dense.points_to_names("main", var)

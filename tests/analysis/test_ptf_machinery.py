@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import analyze_source, AnalyzerOptions
+from repro import analyze_source
 from repro.analysis.ptf import PTF, ParamMap
 from repro.ir.program import Procedure
 from repro.memory.blocks import ExtendedParameter, LocalBlock
@@ -12,7 +12,7 @@ from repro.memory.locset import LocationSet
 def make_ptf():
     proc = Procedure("f")
     proc.finalize()
-    return PTF(proc, state_kind="sparse")
+    return PTF(proc)
 
 
 class TestParamMap:

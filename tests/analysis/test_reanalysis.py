@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro import AnalyzerOptions, analyze, load_program
+from repro import analyze, load_program
 from repro.analysis.results import AnalysisResult
+
+from ..memory.dense_oracle import DenseState, use_state
 
 SRC = """
 int a, b;
@@ -28,8 +30,9 @@ def test_two_analyzers_same_program_agree():
 
 def test_sparse_then_dense_same_program():
     program = load_program(SRC, "t.c")
-    r1 = AnalysisResult(analyze(program, AnalyzerOptions(state_kind="sparse")))
-    r2 = AnalysisResult(analyze(program, AnalyzerOptions(state_kind="dense")))
+    r1 = AnalysisResult(analyze(program))
+    with use_state(DenseState):
+        r2 = AnalysisResult(analyze(program))
     assert r1.points_to_names("main", "g") == r2.points_to_names("main", "g")
 
 

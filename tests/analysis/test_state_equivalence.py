@@ -3,12 +3,13 @@
 Hypothesis drives random assignment/φ sequences over linear and diamond
 flow graphs and checks that
 
-* ``DenseState`` and ``SparseState`` return identical ``lookup``,
-  ``lookup_overlapping`` and ``summary`` results at every node,
-* the sparse state answers identically with the lookup memoization
-  enabled and disabled — including when lookups are interleaved with the
-  writes, which exercises invalidation rather than just cold-cache
-  warmup,
+* the dense oracle (:mod:`tests.memory.dense_oracle`) and ``SparseState``
+  return identical ``lookup``, ``lookup_overlapping`` and ``summary``
+  results at every node,
+* the memoized sparse state answers like the uncached one
+  (:mod:`tests.memory.uncached_oracle`) — including when lookups are
+  interleaved with the writes, which exercises invalidation rather than
+  just cold-cache warmup,
 * an optional parameter subsumption mid-sequence does not break either
   equivalence.
 
@@ -45,7 +46,10 @@ from repro.ir.dominators import finalize_graph
 from repro.ir.nodes import BranchNode, EntryNode, ExitNode, MeetNode
 from repro.memory.blocks import ExtendedParameter, HeapBlock, LocalBlock
 from repro.memory.locset import LocationSet
-from repro.memory.pointsto import DenseState, SparseState
+from repro.memory.pointsto import SparseState
+
+from ..memory.dense_oracle import DenseState
+from ..memory.uncached_oracle import UncachedSparseState
 
 
 class FakeProc:
@@ -188,8 +192,8 @@ def test_dense_sparse_and_cache_equivalence(graph_kind, ops, subsume, probe_widt
     write_locs, probe_locs, targets, p1, p2 = make_pool()
 
     dense = DenseState(entry)
-    cached = SparseState(entry, lookup_cache=True)
-    plain = SparseState(entry, lookup_cache=False)
+    cached = SparseState(entry)
+    plain = UncachedSparseState(entry)
     states = (dense, cached, plain)
 
     # Route each op to a *distinct* node (picked pseudo-randomly from the

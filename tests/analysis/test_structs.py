@@ -3,7 +3,9 @@ analysis (§3.1, §4.4)."""
 
 import pytest
 
-from repro import analyze_source, AnalyzerOptions
+from repro import analyze_source
+
+from ..memory.dense_oracle import both_kinds
 
 
 #: a whole-struct copy through pointers in a callee, and one in ``main``;
@@ -24,13 +26,6 @@ int main(void) {
     return 0;
 }
 """
-
-
-def both_kinds(src):
-    return [
-        analyze_source(src, options=AnalyzerOptions(state_kind=k))
-        for k in ("sparse", "dense")
-    ]
 
 
 class TestFieldSensitivity:

@@ -8,6 +8,8 @@ from repro.bench import PROGRAMS, analyze_benchmark, table2_rows, table2_text
 from repro.bench.harness import invocation_rows, table3_rows
 from repro.bench.programs import by_name, load_source, source_path
 
+from ..memory.dense_oracle import DenseState, use_state
+
 
 class TestRegistry:
     def test_thirteen_programs(self):
@@ -146,7 +148,6 @@ class TestSuiteAnalyzability:
 
     @pytest.mark.parametrize("name", ["allroots", "grep", "compress", "simulator"])
     def test_analyzes_dense(self, name):
-        from repro import AnalyzerOptions
-
-        result = analyze_benchmark(name, AnalyzerOptions(state_kind="dense"))
+        with use_state(DenseState):
+            result = analyze_benchmark(name)
         assert result.stats().procedures > 0

@@ -6,6 +6,9 @@ import pytest
 
 from repro.cli import main
 
+from ..memory.dense_oracle import use_state
+from ..memory.uncached_oracle import UncachedSparseState
+
 
 @pytest.fixture
 def prog_file(tmp_path):
@@ -41,8 +44,13 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert "PTF#" in out and "initial" in out
 
-    def test_dense_state_flag(self, prog_file, capsys):
-        assert main(["analyze", prog_file, "--state", "dense"]) == 0
+    @pytest.mark.parametrize("flags", [["--state", "dense"], ["--no-lookup-cache"]])
+    def test_retired_state_flags_are_usage_errors(self, prog_file, flags, capsys):
+        # the dense state and the uncached switch are test oracles now
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", prog_file, *flags])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_heap_context_flag(self, prog_file, capsys):
         assert main(["analyze", prog_file, "--heap-context", "2"]) == 0
@@ -57,8 +65,7 @@ class TestStatsJson:
         out = capsys.readouterr().out
         start = out.index("{")
         stats = json.loads(out[start : out.rindex("}") + 1])
-        assert stats["lookup_cache"] is True
-        assert stats["state_kind"] == "sparse"
+        assert "lookup_cache" not in stats and "state_kind" not in stats
         assert stats["counters"]["lookups"] > 0
         assert stats["counters"]["eval_passes"] > 0
         assert 0.0 <= stats["cache_hit_rate"] <= 1.0
@@ -83,28 +90,6 @@ class TestStatsJson:
         # the human-readable report still goes to stdout
         assert "procedures" in capsys.readouterr().out
 
-    def test_no_lookup_cache_flag(self, prog_file, tmp_path, capsys):
-        def stats_for(*flags):
-            dest = tmp_path / "stats.json"
-            argv = ["analyze", prog_file, *flags, "--stats-json", str(dest)]
-            assert main(argv) == 0
-            return json.loads(dest.read_text())
-
-        stats = stats_for("--no-lookup-cache")
-        assert stats["lookup_cache"] is False
-        assert stats["counters"]["cache_hits"] == 0
-        assert stats["counters"]["cache_misses"] == 0
-        assert stats["counters"]["dom_walk_steps"] > 0
-        # the flag turns off the memos: the interval scans the overlap
-        # memo would have skipped run, and (this program's one call never
-        # repeats with unchanged inputs, so the call-site memo skips
-        # nothing here) every lookup still happens
-        cached = stats_for()
-        assert cached["lookup_cache"] is True
-        assert cached["counters"]["cache_hits"] + cached["counters"]["cache_misses"] > 0
-        assert stats["counters"]["dom_walk_steps"] >= cached["counters"]["dom_walk_steps"]
-        assert stats["counters"]["lookups"] == cached["counters"]["lookups"]
-
     def test_cache_modes_agree_on_points_to(self, prog_file, capsys):
         def lines(out):
             # everything but the wall-clock line must agree exactly
@@ -112,10 +97,8 @@ class TestStatsJson:
 
         assert main(["analyze", prog_file, "--points-to", "q"]) == 0
         with_cache = capsys.readouterr().out
-        assert (
-            main(["analyze", prog_file, "--no-lookup-cache", "--points-to", "q"])
-            == 0
-        )
+        with use_state(UncachedSparseState):
+            assert main(["analyze", prog_file, "--points-to", "q"]) == 0
         without = capsys.readouterr().out
         assert lines(with_cache) == lines(without)
 

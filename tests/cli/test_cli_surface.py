@@ -3,9 +3,10 @@
 ``cli_surface.json`` holds the output of ``repro --help``, of every
 ``repro <command> --help``, of ``repro`` with no arguments and of a few
 usage errors, recorded with ``COLUMNS=80`` from the single-module CLI
-that preceded the command table.  The dispatcher adds arguments only for
-the command being run, so these pin that every help text, usage line
-and "invalid choice" error is still the same.
+that preceded the command table (and re-recorded when the analyzer flags
+lost ``--state`` and ``--no-lookup-cache``).  The dispatcher adds
+arguments only for the command being run, so these pin that every help
+text, usage line and "invalid choice" error is still the same.
 """
 
 import json

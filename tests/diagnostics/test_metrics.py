@@ -12,6 +12,9 @@ from repro.analysis.engine import AnalyzerOptions, analyze
 from repro.diagnostics.metrics import COUNTERS, Metrics
 from repro.frontend.parser import load_program
 
+from ..memory.dense_oracle import use_state
+from ..memory.uncached_oracle import UncachedSparseState
+
 
 class TestCounters:
     def test_starts_at_zero(self):
@@ -200,17 +203,16 @@ class TestEndToEndWiring:
         assert m.proc_self_seconds["main"] <= m.proc_seconds["main"] + 1e-9
         assert m.proc_seconds["set"] > 0
         stats = analyzer.stats_dict()
-        assert stats["lookup_cache"] is True
         assert stats["counters"]["lookups"] == m.lookups
         json.dumps(stats)  # must be serializable as-is
 
     def test_disabled_cache_counts_no_probes(self):
         program = load_program(SOURCE, "m.c", "m")
-        analyzer = analyze(program, AnalyzerOptions(lookup_cache=False))
+        with use_state(UncachedSparseState):
+            analyzer = analyze(program)
         m = analyzer.metrics
         assert m.cache_hits == 0 and m.cache_misses == 0
         assert m.dom_walk_steps > 0
-        assert analyzer.stats_dict()["lookup_cache"] is False
         # without the overlap memo every read runs its interval scans, so
         # at least as many index entries are examined as with it
         cached = analyze(load_program(SOURCE, "m.c", "m"), AnalyzerOptions())

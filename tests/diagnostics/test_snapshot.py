@@ -3,8 +3,9 @@
 The acceptance property of the regression observatory: the canonical
 half of a snapshot is a pure function of (program, semantics-affecting
 options).  Back-to-back runs must produce byte-identical canonical
-bytes; pure-memoization knobs (``lookup_cache``) must not move the
-digest; semantic knobs (``max_ptfs_total``) must.
+bytes; the memos must not move the digest (the uncached sparse state of
+:mod:`tests.memory.uncached_oracle` reproduces it); semantic knobs
+(``max_ptfs_total``) must.
 
 Same-process caveat (documented in the module): block uids seed
 set-iteration order inside the engine, so every re-analysis here calls
@@ -29,15 +30,19 @@ from repro.diagnostics.snapshot import (
     solution_of,
     write_snapshot,
 )
-from repro.memory.pointsto import reset_interning
+from repro.memory.pointsto import SparseState, reset_interning
+
+from ..memory.dense_oracle import use_state
+from ..memory.uncached_oracle import UncachedSparseState
 
 ALL_NAMES = [p.name for p in PROGRAMS]
 
 
-def snap_of(name, **option_kwargs):
+def snap_of(name, state=SparseState, **option_kwargs):
     reset_interning()
     options = AnalyzerOptions(**option_kwargs)
-    result = analyze_benchmark(name, options)
+    with use_state(state):
+        result = analyze_benchmark(name, options)
     return build_snapshot(result, options=options, program_name=name)
 
 
@@ -51,10 +56,10 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("name", ["allroots", "grep", "compress"])
     def test_lookup_cache_does_not_move_the_digest(self, name):
-        # pure memoization: the knob may change counters (volatile) but
+        # pure memoization: the memos change counters (volatile) but
         # provably not the canonical half
         cached = snap_of(name)
-        uncached = snap_of(name, lookup_cache=False)
+        uncached = snap_of(name, state=UncachedSparseState)
         assert cached["digest"]["program"] == uncached["digest"]["program"]
         assert canonical_bytes(cached) == canonical_bytes(uncached)
 
@@ -69,9 +74,9 @@ class TestDeterminism:
     def test_options_are_recorded_but_unhashed(self):
         # provenance: the option shows up in the (unhashed) options
         # record, and the digest is reproducible under it
-        snap = snap_of("allroots", lookup_cache=False)
-        assert snap["options"] == {"lookup_cache": False}
-        again = snap_of("allroots", lookup_cache=False)
+        snap = snap_of("allroots", max_passes=500)
+        assert snap["options"] == {"max_passes": 500}
+        again = snap_of("allroots", max_passes=500)
         assert snap["digest"]["program"] == again["digest"]["program"]
 
 
@@ -81,7 +86,7 @@ class TestCanonicalization:
         mutated = json.loads(json.dumps(snap))
         mutated["volatile"]["perf"]["elapsed_seconds"] = 999.0
         mutated["volatile"]["memory"]["tracemalloc_peak_kb"] = 12345.0
-        mutated["options"]["lookup_cache"] = False
+        mutated["options"]["max_passes"] = 1
         assert canonical_bytes(mutated) == canonical_bytes(snap)
 
     def test_digest_covers_solution_and_call_graph(self):

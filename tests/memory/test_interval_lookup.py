@@ -26,6 +26,7 @@ from repro.memory.blocks import ExtendedParameter, HeapBlock, LocalBlock
 from repro.memory.locset import LocationSet
 from repro.memory.pointsto import SparseState, normalize_loc, normalize_values
 
+from .uncached_oracle import UncachedSparseState
 from .walk_oracle import fence_walk, search_walk
 
 
@@ -121,8 +122,8 @@ def overlapping_walk(state, loc, node, width, before):
 def test_interval_answers_equal_walk_answers(graph, ops, subsume_at):
     entry, nodes = graph
     write_locs, targets, p1, p2 = make_pool()
-    cached = SparseState(entry, lookup_cache=True)
-    plain = SparseState(entry, lookup_cache=False)
+    cached = SparseState(entry)
+    plain = UncachedSparseState(entry)
     for i, (kind, node_pick, loc_pick, val_pick, want_strong, size) in enumerate(ops):
         if i == subsume_at:
             p1.subsumed_by = p2

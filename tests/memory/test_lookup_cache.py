@@ -2,15 +2,15 @@
 
 These pin down the invariants:
 
-* the ``lookup_overlapping`` memo is pure memoization — sparse states
-  with and without it give identical answers over identical operation
-  sequences,
+* the ``lookup_overlapping`` memo is pure memoization — the sparse state
+  and the uncached oracle (:mod:`tests.memory.uncached_oracle`) give
+  identical answers over identical operation sequences,
 * ``lookup_overlapping`` normalizes its result exactly like the dense
-  representation (values recorded before their base parameter was subsumed
-  must not leak through),
+  oracle (:mod:`tests.memory.dense_oracle`): values recorded before their
+  base parameter was subsumed must not leak through,
 * a wide read is *not* fenced by a narrower strong update (the kill-size
   fix), matching the dense per-key kill semantics,
-* ``DenseState.set_initial`` only bumps ``change_counter`` when the
+* the dense oracle's ``set_initial`` only bumps ``change_counter`` when the
   initial values actually change,
 * write invalidation is per base block — a def for one base must not
   disturb memoized answers for another base, while still invalidating its
@@ -25,16 +25,21 @@ import pytest
 from repro.diagnostics.metrics import Metrics
 from repro.memory.blocks import ExtendedParameter, LocalBlock
 from repro.memory.locset import LocationSet
-from repro.memory.pointsto import DenseState, SparseState
+from repro.memory.pointsto import SparseState
 
+from .dense_oracle import DenseState
 from .test_pointsto import diamond_graph, linear_graph, loc
+from .uncached_oracle import UncachedSparseState
 
 
 def _sparse_pair(entry):
-    """A cached and an uncached sparse state over the same graph."""
-    return SparseState(entry, lookup_cache=True), SparseState(
-        entry, lookup_cache=False
-    )
+    """A memoized and an uncached sparse state over the same graph."""
+    return SparseState(entry), UncachedSparseState(entry)
+
+
+def _sparse(entry, cache, metrics=None):
+    cls = SparseState if cache else UncachedSparseState
+    return cls(entry, metrics=metrics)
 
 
 class TestCachedEqualsUncached:
@@ -159,7 +164,7 @@ class TestWideReadPastNarrowStrongUpdate:
         """A 4-byte strong update must not hide the history of bytes 4..7
         from an 8-byte read at the same offset."""
         entry, nodes, exit_ = linear_graph(3)
-        st = SparseState(entry, lookup_cache=cache)
+        st = _sparse(entry, cache)
         block = LocalBlock("s", "fake", size=8)
         word0 = LocationSet(block, 0, 0)
         whole = LocationSet(block, 0, 1)
@@ -178,7 +183,7 @@ class TestWideReadPastNarrowStrongUpdate:
         *inclusive* read: the covering strong def at the node itself must
         fence the history of the other overlapping keys."""
         entry, nodes, exit_ = linear_graph(3)
-        st = SparseState(entry, lookup_cache=cache)
+        st = _sparse(entry, cache)
         block = LocalBlock("s", "fake", size=8)
         word0 = LocationSet(block, 0, 0)
         whole = LocationSet(block, 0, 1)
@@ -293,7 +298,7 @@ class TestMetricsCounting:
     def test_disabled_cache_counts_nothing(self):
         entry, nodes, exit_ = linear_graph(3)
         metrics = Metrics()
-        st = SparseState(entry, lookup_cache=False, metrics=metrics)
+        st = _sparse(entry, False, metrics)
         l = loc("p")
         st.assign(l, frozenset({loc("v")}), nodes[0], strong=True)
         st.lookup_overlapping(l, nodes[2], width=4)

@@ -1,12 +1,15 @@
-"""Unit tests for the points-to state representations (§3.3, §4.2)."""
+"""Unit tests for the points-to state (§3.3, §4.2), run over the sparse
+state and the dense oracle alike."""
 
 import pytest
 
 from repro.memory.blocks import ExtendedParameter, HeapBlock, LocalBlock
 from repro.memory.locset import LocationSet
-from repro.memory.pointsto import DenseState, SparseState, normalize_loc
+from repro.memory.pointsto import SparseState, normalize_loc
 from repro.ir.dominators import finalize_graph
 from repro.ir.nodes import BranchNode, EntryNode, ExitNode, MeetNode
+
+from .dense_oracle import DenseState
 
 
 class FakeProc:

@@ -9,13 +9,13 @@ import pytest
 from repro import AnalyzerOptions, analyze_source
 from repro.analysis.guards import AnalysisBudget, GuardTripped
 from repro.diagnostics import Tracer
-from repro.diagnostics.metrics import Metrics
 from repro.query import (
     QueryEngine,
     QueryError,
     build_store,
     parse_query_spec,
 )
+from repro.query.engine import QueryCounters
 
 SOURCE = """
 int g;
@@ -167,17 +167,17 @@ def test_unknown_proc_and_op(engine):
 
 
 def test_cache_hits_and_metrics(store):
-    metrics = Metrics()
+    counters = QueryCounters()
     tracer = Tracer()
-    engine = QueryEngine(store, metrics=metrics, tracer=tracer)
+    engine = QueryEngine(store, counters=counters, tracer=tracer)
     req = {"op": "points_to", "var": "p", "proc": "main"}
     first = engine.query(req)
     second = engine.query(dict(req))  # equal but distinct dict
     assert second is first  # shared cache entry
-    assert metrics.queries == 2
-    assert metrics.query_cache_hits == 1
-    assert metrics.query_cache_misses == 1
-    assert metrics.query_cache_hit_rate() == 0.5
+    assert counters.queries == 2
+    assert counters.cache_hits == 1
+    assert counters.cache_misses == 1
+    assert counters.hit_rate() == 0.5
     names = [e["name"] for e in tracer.events]
     assert names.count("query.miss") == 1
     assert names.count("query.hit") == 1
@@ -193,9 +193,9 @@ def test_cache_is_bounded_lru(store):
     engine.query(a)      # a is now most recent
     engine.query(c)      # evicts b
     engine.query(a)
-    assert engine.metrics.query_cache_hits == 2
+    assert engine.counters.cache_hits == 2
     engine.query(b)      # miss again: was evicted
-    assert engine.metrics.query_cache_misses == 4
+    assert engine.counters.cache_misses == 4
 
 
 def test_request_id_does_not_split_cache(store):

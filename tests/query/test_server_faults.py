@@ -180,10 +180,10 @@ def test_reload_carries_clean_cache_slice(tmp_path, store_v1, store_v2):
     assert_reload_report_sound(store_v1, store_v2)
     # the carried entry answers as a cache hit on the new engine (the
     # metrics are shared across the swap, so the counters are cumulative)
-    hits_before = server.engine.metrics.query_cache_hits
+    hits_before = server.engine.counters.cache_hits
     env = ask(server, R_ORPHAN)
     assert env["result"] == orphan_before
-    assert server.engine.metrics.query_cache_hits == hits_before + 1
+    assert server.engine.counters.cache_hits == hits_before + 1
 
 
 def test_reload_without_store_path_is_refused(store_v1):

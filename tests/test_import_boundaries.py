@@ -88,7 +88,7 @@ def _env():
 #: most repro source lines each entry point may load on unchanged
 #: sources; compile time follows lines (docs/QUERY.md §7)
 IMPORT_CLI_LINES = 400
-QUERY_LINES = 2_700
+QUERY_LINES = 2_400
 SERVE_LINES = 5_000
 
 
@@ -153,6 +153,7 @@ def test_query_on_fresh_store_skips_frontend_and_analyzer(tmp_path, indexed):
     assert analysis_modules(loaded) == []
     assert "repro.analysis.guards" not in loaded
     assert not any(m.startswith("repro.memory") for m in loaded), loaded
+    assert not any(m.startswith("repro.diagnostics") for m in loaded), loaded
     assert [m for m in loaded if m.startswith("repro.commands.")] == [
         "repro.commands.query"
     ]

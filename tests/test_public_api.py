@@ -52,7 +52,7 @@ PUBLIC = {
         "dump_snapshot", "load_snapshot", "parse_fail_on", "write_snapshot",
     ],
     "repro.memory": [
-        "DenseState", "ExtendedParameter", "GlobalBlock", "HeapBlock",
+        "ExtendedParameter", "GlobalBlock", "HeapBlock",
         "LocalBlock", "LocationSet", "MemoryBlock", "ProcedureBlock",
         "ReturnBlock", "SparseState", "StringBlock", "locations_overlap",
         "normalize_loc", "normalize_values", "ranges_overlap_mod",
