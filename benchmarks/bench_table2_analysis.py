@@ -18,6 +18,7 @@ which runs every benchmark in its own subprocess via
 import pytest
 
 from repro.bench import PROGRAMS, analyze_benchmark, table2_text
+from repro.ratio import safe_ratio
 
 NAMES = [p.name for p in PROGRAMS]
 
@@ -32,7 +33,9 @@ def test_analysis_time(benchmark, name):
     benchmark.extra_info["procedures"] = stats.procedures
     benchmark.extra_info["avg_ptfs"] = round(stats.avg_ptfs, 2)
     benchmark.extra_info["source_lines"] = stats.source_lines
-    benchmark.extra_info["cache_hit_rate"] = round(metrics.cache_hit_rate(), 4)
+    benchmark.extra_info["cache_hit_rate"] = safe_ratio(
+        metrics.cache_hits, metrics.cache_hits + metrics.cache_misses
+    )
     benchmark.extra_info["dom_walk_steps"] = metrics.dom_walk_steps
     # the paper's headline: a single PTF per procedure is usually enough
     assert stats.avg_ptfs < 2.0, f"{name}: avg PTFs {stats.avg_ptfs}"

@@ -59,6 +59,8 @@ __all__ = [
     "DegradationReport",
     "conservative_region",
     "Region",
+    "address_taken_procs",
+    "indirect_call_procs",
 ]
 
 
@@ -362,6 +364,47 @@ def _direct_targets(node) -> set[str]:
             and isinstance(term.loc.symbol, ProcSymbol)
         ):
             out.add(term.loc.symbol.name)
+    return out
+
+
+def address_taken_procs(program: "Program") -> set[str]:
+    """Internal procedures whose address escapes into data.
+
+    A procedure is address-taken when a reference to it appears in an
+    assignment source, a call argument, an indirect call target
+    expression or a static global initializer — anywhere other than as
+    the direct target of a call.  Call destinations are not walked: a
+    destination is a location written, not a value that carries an
+    address.  These are exactly the procedures an indirect call site may
+    reach.
+    """
+    from ..ir.nodes import AssignNode, CallNode
+
+    taken: set[str] = set()
+    ignored: set = set()
+    for proc in program.procedures.values():
+        for node in proc.nodes():
+            if isinstance(node, AssignNode):
+                _walk_value(node.src, ignored, taken, ignored)
+            elif isinstance(node, CallNode):
+                if not _direct_targets(node):
+                    _walk_value(node.target, ignored, taken, ignored)
+                for arg in node.args:
+                    _walk_value(arg, ignored, taken, ignored)
+    for init in program.global_inits:
+        _walk_value(init.src, ignored, taken, ignored)
+    return taken & set(program.procedures)
+
+
+def indirect_call_procs(program: "Program") -> set[str]:
+    """Procedures containing at least one indirect (function-pointer)
+    call site — the consumers a retargeted function pointer can affect."""
+    out: set[str] = set()
+    for name, proc in program.procedures.items():
+        for node in proc.call_nodes():
+            if not _direct_targets(node):
+                out.add(name)
+                break
     return out
 
 

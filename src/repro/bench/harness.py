@@ -42,6 +42,7 @@ from ..baselines.invocation import build_invocation_graph
 from ..clients.machine import MachineModel, ProgramTiming
 from ..clients.parallel import Parallelizer
 from ..frontend.parser import load_program
+from ..ratio import safe_ratio
 from .programs import PROGRAMS, BenchmarkProgram, by_name, load_source
 
 __all__ = [
@@ -63,8 +64,9 @@ class Table2Row:
     seconds: float
     avg_ptfs: float
     paper: BenchmarkProgram
-    #: fraction of memoized sparse lookups answered from cache
-    cache_hit_rate: float = 0.0
+    #: fraction of memoized sparse lookups answered from cache (None
+    #: when the memo was never probed, and on error rows)
+    cache_hit_rate: Optional[float] = None
     #: dominator-tree steps actually walked (cache misses only)
     dom_walk_steps: int = 0
     #: non-empty when the program crashed or timed out under the
@@ -88,12 +90,16 @@ class Table2Row:
     def display(self) -> str:
         if self.error:
             return f"{self.name:<12} ERROR: {self.error}"
+        hit = (
+            "-" if self.cache_hit_rate is None
+            else f"{self.cache_hit_rate * 100:.1f}%"
+        )
         # thousands separators keep the column readable (and aligned) once
         # dom_walk_steps crosses 999,999 on the larger benchmarks
         out = (
             f"{self.name:<12} {self.lines:>6,} {self.procedures:>6} "
             f"{self.seconds:>9.3f} {self.avg_ptfs:>6.2f} "
-            f"{self.cache_hit_rate * 100:>5.1f}% {self.dom_walk_steps:>11,}   "
+            f"{hit:>6} {self.dom_walk_steps:>11,}   "
             f"(paper: {self.paper.paper_lines:>5} lines, "
             f"{self.paper.paper_procedures:>3} procs, "
             f"{self.paper.paper_seconds:>6.2f}s, "
@@ -111,7 +117,7 @@ class Table2Row:
             "procedures": self.procedures,
             "seconds": round(self.seconds, 6),
             "avg_ptfs": round(self.avg_ptfs, 4),
-            "cache_hit_rate": round(self.cache_hit_rate, 4),
+            "cache_hit_rate": self.cache_hit_rate,
             "dom_walk_steps": self.dom_walk_steps,
             "status": self.status,
             "paper": {
@@ -159,7 +165,9 @@ def _row_from_result(prog: BenchmarkProgram, result: AnalysisResult) -> Table2Ro
         seconds=stats.analysis_seconds,
         avg_ptfs=stats.avg_ptfs,
         paper=prog,
-        cache_hit_rate=metrics.cache_hit_rate(),
+        cache_hit_rate=safe_ratio(
+            metrics.cache_hits, metrics.cache_hits + metrics.cache_misses
+        ),
         dom_walk_steps=metrics.dom_walk_steps,
         degraded=degraded,
         degradation=degradation,
@@ -258,19 +266,13 @@ def _parallel_rows(
     progs: list[BenchmarkProgram],
     options: Optional[AnalyzerOptions],
     jobs: int,
-    profile: bool = False,
-    tracer=None,
     batch_info: Optional[dict] = None,
 ) -> list[Table2Row]:
     """The whole batch through the parallel driver — one worker process
     per benchmark program, rows merged back in suite order.
 
-    ``profile=True`` runs the batch under the parallel observatory
-    (worker traces merged into ``tracer``, telemetry folded into the
-    batch stats).  ``batch_info``, when given, receives the batch stats
-    and — with profiling — the full ``repro-parprof/1`` document under
-    ``"parallel_profile"`` (the trajectory's utilization /
-    critical-path columns and the CI artifact both come from it).
+    ``batch_info``, when given, receives the batch stats (the
+    trajectory's utilization and critical-path columns come from it).
     """
     from ..analysis.parallel import AnalysisTask, run_batch
 
@@ -283,15 +285,9 @@ def _parallel_rows(
         )
         for prog in progs
     ]
-    batch = run_batch(tasks, jobs=jobs, tracer=tracer, profile=profile)
+    batch = run_batch(tasks, jobs=jobs)
     if batch_info is not None:
         batch_info.update(batch.stats())
-        if profile:
-            from ..diagnostics.parprof import build_parallel_profile
-
-            batch_info["parallel_profile"] = build_parallel_profile(batch)
-            if batch.telemetry is not None:
-                batch_info["telemetry"] = batch.telemetry.as_dict()
     rows = []
     for prog, bundle in zip(progs, batch.results):
         if bundle.get("error"):
@@ -320,18 +316,13 @@ def table2_rows(
     fault_tolerant: bool = True,
     per_program_timeout: Optional[float] = None,
     jobs: int = 1,
-    profile: bool = False,
-    tracer=None,
     batch_info: Optional[dict] = None,
 ) -> list[Table2Row]:
     progs = [p for p in PROGRAMS if names is None or p.name in names]
-    if jobs > 1 or profile:
+    if jobs > 1:
         # worker processes already give per-program fault isolation;
         # per_program_timeout applies to the sequential paths only
-        return _parallel_rows(
-            progs, options, jobs, profile=profile, tracer=tracer,
-            batch_info=batch_info,
-        )
+        return _parallel_rows(progs, options, jobs, batch_info=batch_info)
     rows = []
     for prog in progs:
         if per_program_timeout is not None:
@@ -495,18 +486,6 @@ def main(argv: Optional[list[str]] = None) -> int:
                         help="append this run to the benchmark trajectory "
                              "file (default BENCH_table2.json) and report "
                              "drift against the previous entry")
-    parser.add_argument("--profile-parallel", nargs="?",
-                        const="parallel-profile.json", metavar="PATH",
-                        help="run the batch under the parallel observatory "
-                             "and write the critical-path profile to PATH "
-                             "(default parallel-profile.json; render with "
-                             "'repro parallel-report'); with --record, the "
-                             "utilization and critical_path_seconds columns "
-                             "land in the trajectory totals")
-    parser.add_argument("--trace-json", metavar="PATH",
-                        help="with --profile-parallel: write the merged "
-                             "Chrome trace (one lane per worker, "
-                             "Perfetto-loadable) to PATH")
     args = parser.parse_args(argv)
     if args.row is not None:
         return _child_row(args.row)
@@ -521,38 +500,15 @@ def main(argv: Optional[list[str]] = None) -> int:
             tracemalloc.start()
         else:  # pragma: no cover - nested tracing
             tracemalloc.reset_peak()
-    profiling = args.profile_parallel is not None
-    tracer = None
-    if profiling and args.trace_json:
-        from ..diagnostics.trace import Tracer
-
-        tracer = Tracer()
     batch_info: dict = {}
     batch_start = time.perf_counter()
     rows = table2_rows(
         names=names,
         per_program_timeout=args.per_program_timeout,
         jobs=args.jobs,
-        profile=profiling,
-        tracer=tracer,
         batch_info=batch_info,
     )
     batch_seconds = time.perf_counter() - batch_start
-    profile_doc = batch_info.get("parallel_profile")
-    if profile_doc is not None:
-        from ..diagnostics.parprof import write_profile
-
-        write_profile(profile_doc, args.profile_parallel)
-        print(
-            f"repro-bench: parallel profile -> {args.profile_parallel} "
-            f"(measured {profile_doc['measured_speedup']}x, theoretical "
-            f"{profile_doc['theoretical_speedup']}x)",
-            file=sys.stderr,
-        )
-    if tracer is not None:
-        tracer.save_chrome(args.trace_json)
-        print(f"repro-bench: merged trace -> {args.trace_json}",
-              file=sys.stderr)
     if args.record:
         peak_kb = tracemalloc.get_traced_memory()[1] / 1024.0
         if not already:

@@ -115,10 +115,10 @@ def build_entry(
     ``jobs``/``batch_seconds`` record the parallel harness's worker
     count and whole-batch wall clock (``totals.seconds`` stays the sum
     of in-worker analysis times, comparable across jobs values);
-    ``utilization``/``critical_path_seconds`` are the parallel
-    observatory's batch columns (``--profile-parallel``): the fraction
-    of pool capacity spent inside workers, and the slowest task — the
-    wall-clock floor no worker count compresses below."""
+    ``utilization``/``critical_path_seconds`` are the batch columns of
+    a ``--jobs > 1`` run: the fraction of pool capacity spent inside
+    workers, and the slowest task — the wall-clock floor no worker count
+    compresses below."""
     good = [r for r in rows if not r.error]
     totals = {
         "seconds": round(sum(r.seconds for r in good), 6),

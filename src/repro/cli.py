@@ -53,12 +53,6 @@ COMMANDS = {
     "table3": ("reports", "regenerate the paper's Table 3"),
     "report": ("reports", "full paper-vs-measured report"),
     "parallelize": ("analysis", "run the §7 parallelizer client"),
-    "parallel-report": (
-        "reports",
-        "render a parallel profile (analyze --profile-parallel): "
-        "critical path, Brent speedup bound, wave utilization, and "
-        "the ranked pre-summarization candidates",
-    ),
     "snapshot": (
         "analysis",
         "analyze C files and write the canonical run snapshot "

@@ -63,18 +63,6 @@ def add_analyze_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trace-jsonl", metavar="PATH",
                    help="also/instead write the trace as one JSON event per "
                         "line ('-' for stdout)")
-    p.add_argument("--profile-parallel", nargs="?",
-                   const="parallel-profile.json", metavar="PATH",
-                   help="with --jobs: run the parallel observatory — "
-                        "per-worker traces merged onto one timeline (one "
-                        "lane per worker; write it with --trace-json), "
-                        "worker telemetry folded into the batch stats, and "
-                        "the shard-plan critical-path profile written to "
-                        "PATH (default parallel-profile.json; render with "
-                        "'repro parallel-report')")
-    p.add_argument("--worker-trace-dir", metavar="DIR",
-                   help="with --profile-parallel: each worker also writes "
-                        "its own JSONL trace to DIR/<name>.worker.jsonl")
     add_analysis_flags(p)
 
 
@@ -139,20 +127,7 @@ def _analyze_batch(args: argparse.Namespace) -> int:
 
     opts = options_from(args)
     tasks = batch_tasks(args, opts)
-    profile_dest = getattr(args, "profile_parallel", None)
-    if profile_dest is not None and opts.trace is None:
-        # the observatory always merges worker lanes; --trace-json[l]
-        # decides whether the merged trace is also written out
-        from ..diagnostics.trace import Tracer
-
-        opts.trace = Tracer()
-    batch = run_batch(
-        tasks,
-        jobs=args.jobs,
-        tracer=opts.trace,
-        profile=profile_dest is not None,
-        worker_trace_dir=getattr(args, "worker_trace_dir", None),
-    )
+    batch = run_batch(tasks, jobs=args.jobs, tracer=opts.trace)
     for bundle in batch.results:
         name = bundle["name"]
         if bundle.get("error"):
@@ -161,15 +136,11 @@ def _analyze_batch(args: argparse.Namespace) -> int:
                 print(f"repro: {name}: frontend fault: {fault}",
                       file=sys.stderr)
             continue
-        plan = bundle["shard_plan"]
         print(
             f"{name:<12} digest {bundle['digest'][:16]}…  "
             f"procs {bundle['procedures']:>3}  "
             f"ptfs {bundle['total_ptfs']:>4}  "
-            f"{bundle['analysis_seconds'] * 1000:>8.1f} ms  "
-            f"shards {plan['shards']:>3} "
-            f"(waves {plan['critical_path']}, width {plan['width']}, "
-            f"recursive {plan['recursive_shards']})"
+            f"{bundle['analysis_seconds'] * 1000:>8.1f} ms"
         )
         for line in bundle.get("degradation_lines", []):
             print(f"repro: {name}: {line}", file=sys.stderr)
@@ -189,18 +160,6 @@ def _analyze_batch(args: argparse.Namespace) -> int:
                 f"repro: snapshot {dest} digest {bundle['digest'][:16]}…",
                 file=sys.stderr,
             )
-    if profile_dest is not None:
-        from ..diagnostics.parprof import build_parallel_profile, write_profile
-
-        doc = build_parallel_profile(batch)
-        write_profile(doc, profile_dest)
-        print(
-            f"repro: parallel profile {profile_dest} "
-            f"(measured {doc['measured_speedup']}x, theoretical "
-            f"{doc['theoretical_speedup']}x, {len(batch.lanes)} worker "
-            f"lane(s)); render with: repro parallel-report {profile_dest}",
-            file=sys.stderr,
-        )
     dest = getattr(args, "stats_json", None)
     if dest is not None:
         per_program = {}
@@ -209,14 +168,12 @@ def _analyze_batch(args: argparse.Namespace) -> int:
                 k: bundle[k]
                 for k in (
                     "digest", "procedures", "total_ptfs", "avg_ptfs",
-                    "analysis_seconds", "seconds", "shard_plan", "error",
-                    "partial", "pid",
+                    "analysis_seconds", "seconds", "error", "partial",
+                    "pid",
                 )
                 if k in bundle
             }
         payload = {"batch": batch.stats(), "programs": per_program}
-        if batch.telemetry is not None:
-            payload["telemetry"] = batch.telemetry.as_dict()
         write_text(
             dest,
             json.dumps(payload, indent=2, sort_keys=True),

@@ -1,6 +1,5 @@
-"""``repro table2 | table3 | report | parallel-report | diff``: the
-paper's tables, the reproduction report, and readers of recorded
-profiles and snapshots."""
+"""``repro table2 | table3 | report | diff``: the paper's tables, the
+reproduction report, and the reader of recorded snapshots."""
 
 from __future__ import annotations
 
@@ -8,7 +7,6 @@ import argparse
 import json
 import sys
 
-from ..ioutil import out_stream, write_text
 from . import EXIT_ERROR, EXIT_OK
 
 
@@ -21,15 +19,6 @@ def add_table2_arguments(p: argparse.ArgumentParser) -> None:
                    help="append this run to the benchmark trajectory file "
                         "(default BENCH_table2.json) and report drift "
                         "against the previous entry")
-
-
-def add_parallel_report_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("profile", metavar="PROFILE",
-                   help="path to a parallel-profile.json document")
-    p.add_argument("--json", action="store_true",
-                   help="emit the raw profile document instead of text")
-    p.add_argument("-o", "--output", default="-", metavar="PATH",
-                   help="destination ('-' = stdout, the default)")
 
 
 def add_diff_arguments(p: argparse.ArgumentParser) -> None:
@@ -167,31 +156,9 @@ def cmd_diff(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_parallel_report(args: argparse.Namespace) -> int:
-    """``repro parallel-report``: render a ``--profile-parallel``
-    document (critical path, Brent bound, wave utilization, ranked
-    pre-summarization candidates)."""
-    from ..diagnostics.parprof import load_profile, render_report
-
-    try:
-        profile = load_profile(args.profile)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"repro: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    if args.json:
-        write_text(
-            args.output, json.dumps(profile, indent=2, sort_keys=True)
-        )
-    else:
-        with out_stream(args.output) as fh:
-            fh.write(render_report(profile))
-    return EXIT_OK
-
-
 COMMANDS = {
     "table2": (add_table2_arguments, cmd_table2),
     "table3": (None, cmd_table3),
     "report": (None, cmd_report),
-    "parallel-report": (add_parallel_report_arguments, cmd_parallel_report),
     "diff": (add_diff_arguments, cmd_diff),
 }

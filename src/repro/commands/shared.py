@@ -142,6 +142,5 @@ def print_batch_summary(batch) -> None:
     print(
         f"batch: {stats['programs']} program(s), jobs {stats['jobs']}, "
         f"{stats['elapsed_seconds']:.3f}s wall "
-        f"({stats['worker_seconds']:.3f}s in workers), "
-        f"{stats['shards']} shard(s), {stats['recursive_shards']} recursive"
+        f"({stats['worker_seconds']:.3f}s in workers)"
     )

@@ -9,7 +9,9 @@ Three cooperating layers, all pay-for-what-you-use:
 * :class:`Tracer` — hierarchical span/event tracing of the driver
   phases, per-procedure evaluations, fixpoint passes and the
   interprocedural events, exported as Chrome trace-event JSON
-  (Perfetto-loadable) or JSONL.  Off (``None``) by default; instrument
+  (Perfetto-loadable) or JSONL.  A ``--jobs`` batch traces only its
+  parent: one ``parallel`` span with a dispatch and a done instant per
+  program; workers run untraced.  Off (``None``) by default; instrument
   sites cost one ``is not None`` check when disabled.
 * :class:`ProvenanceLog` — derivation records for points-to entries
   ("why does ``p`` point to ``x``?"), walked by the ``repro explain``

@@ -177,24 +177,7 @@ class Metrics:
             self.proc_generalizations.get(proc_name, 0) + 1
         )
 
-    # -- derived ----------------------------------------------------------
-
-    def dom_steps_per_lookup(self) -> float:
-        """Average index entries scanned per public lookup (0.0 when no
-        lookup ran) — the per-operation cost of finding dominating defs,
-        comparable across program sizes where the raw ``dom_walk_steps``
-        total is not."""
-        if self.lookups == 0:
-            return 0.0
-        return self.dom_walk_steps / self.lookups
-
-    def cache_hit_rate(self) -> float:
-        """Fraction of sparse overlap-memo probes that hit (0.0 when the
-        memo was never probed)."""
-        probes = self.cache_hits + self.cache_misses
-        if probes == 0:
-            return 0.0
-        return self.cache_hits / probes
+    # -- export -----------------------------------------------------------
 
     def counters(self) -> dict[str, int]:
         return {name: getattr(self, name) for name in COUNTERS}

@@ -401,39 +401,6 @@ class LogHistogram:
             )
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
-    # -- cross-process transport -------------------------------------------
-
-    def to_payload(self) -> dict:
-        """The exact mergeable state as plain picklable/JSON data.
-
-        Histograms carry a :class:`threading.Lock` and deliberately do
-        not pickle; this is the transport form a worker process ships to
-        the parent (``repro analyze --jobs N --profile-parallel``).
-        ``from_payload(h.to_payload())`` reproduces ``h`` bucket-exactly
-        (equal :meth:`digest`)."""
-        with self._lock:
-            return {
-                "relative_error": self.relative_error,
-                "buckets": sorted(self._buckets.items()),
-                "zero_count": self._zero_count,
-                "count": self._count,
-                "sum": self._sum,
-                "min": self._min,
-                "max": self._max,
-            }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "LogHistogram":
-        """Rebuild a histogram from :meth:`to_payload` output."""
-        out = cls(relative_error=payload["relative_error"])
-        out._buckets = {int(i): int(n) for i, n in payload["buckets"]}
-        out._zero_count = int(payload["zero_count"])
-        out._count = int(payload["count"])
-        out._sum = float(payload["sum"])
-        out._min = payload["min"]
-        out._max = payload["max"]
-        return out
-
 
 class TelemetryRegistry:
     """Thread-safe namespace of counters, gauges, and histograms.
@@ -508,37 +475,6 @@ class TelemetryRegistry:
             self.gauge(name).add(g.value)
         for name, h in histograms.items():
             self.histogram(name).merge(h)
-        return self
-
-    # -- cross-process transport -------------------------------------------
-
-    def to_payload(self) -> dict:
-        """Plain picklable/JSON transport form of the whole registry —
-        what a profiled worker process ships back so the parent can fold
-        its instruments in with the exact bucket merge."""
-        with self._lock:
-            counters = dict(self._counters)
-            gauges = dict(self._gauges)
-            histograms = dict(self._histograms)
-        return {
-            "relative_error": self.relative_error,
-            "counters": {k: c.value for k, c in counters.items()},
-            "gauges": {k: g.value for k, g in gauges.items()},
-            "histograms": {
-                k: h.to_payload() for k, h in histograms.items()
-            },
-        }
-
-    def merge_payload(self, payload: dict) -> "TelemetryRegistry":
-        """Fold a :meth:`to_payload` transport block in: counters and
-        gauges add, histograms merge bucket-exactly (the associative/
-        commutative :meth:`LogHistogram.merge`)."""
-        for name, value in payload.get("counters", {}).items():
-            self.counter(name).inc(value)
-        for name, value in payload.get("gauges", {}).items():
-            self.gauge(name).add(value)
-        for name, hist in payload.get("histograms", {}).items():
-            self.histogram(name).merge(LogHistogram.from_payload(hist))
         return self
 
 

@@ -63,9 +63,9 @@ import json
 import os
 import time
 from contextlib import contextmanager
-from typing import IO, Iterator, Optional
+from typing import IO, Iterator
 
-__all__ = ["Tracer", "EVENT_VOCABULARY", "merge_worker_events"]
+__all__ = ["Tracer", "EVENT_VOCABULARY"]
 
 #: every event name the engine emits, with its phase type and meaning;
 #: this is the span/event vocabulary, the companion of the counter
@@ -122,27 +122,6 @@ EVENT_VOCABULARY: dict[str, str] = {
     "shard.done": "i a batch task's result bundle was merged (task "
                   "order, not completion order); args: task, index, "
                   "seconds, error",
-    # -- parallel observatory (docs/OBSERVABILITY.md §6) -----------------
-    "worker.task": "B/E one whole batch task inside a worker process "
-                   "(load + analyze + snapshot); the engine's analyze "
-                   "span nests inside; args: task, index, pid",
-    "worker.start": "i a worker process picked a task off the pool "
-                    "queue; args: task, index, pid, queue_wait_ms",
-    "clock.calibrate": "i the worker tracer's monotonic-clock offset "
-                       "calibration record — pairs the tracer's t0 with "
-                       "the wall clock so the parent can shift worker "
-                       "timestamps onto its own timeline; args: pid, "
-                       "wall_anchor_ns",
-    "merge": "X the parent merged one worker result bundle (trace "
-             "events re-timed onto the parent lane map, telemetry "
-             "folded in); args: task, index",
-    # Chrome metadata events (ph M) the cross-process merge emits so
-    # Perfetto names the per-worker lanes
-    "process_name": "M Chrome metadata: names the merged trace's "
-                    "process; args: name",
-    "thread_name": "M Chrome metadata: names one lane (tid) — 'driver' "
-                   "for the parent, 'worker pid=N' per worker; args: "
-                   "name",
     # -- query subsystem (repro.query; docs/QUERY.md) --------------------
     "query.hit": "i a demand query was answered from the engine's LRU "
                  "cache; args: op, key",
@@ -192,13 +171,6 @@ class Tracer:
 
     def __init__(self) -> None:
         self._t0 = time.perf_counter_ns()
-        #: wall clock captured adjacent to ``_t0`` — the cross-process
-        #: calibration anchor: two tracers (parent and worker) cannot
-        #: compare ``perf_counter`` origins portably, but each one's
-        #: ``(t0, wall_anchor_ns)`` pair lets a merger shift the other's
-        #: event timestamps onto its own timeline (docs/OBSERVABILITY.md
-        #: §6)
-        self.wall_anchor_ns = time.time_ns()
         self.events: list[dict] = []
         self.pid = os.getpid()
         self.tid = 1
@@ -211,13 +183,6 @@ class Tracer:
     def now_us(self) -> float:
         """Microseconds since tracer creation (monotonic)."""
         return (time.perf_counter_ns() - self._t0) / 1000.0
-
-    def calibration(self) -> dict:
-        """The clock-offset calibration record a worker ships to the
-        parent (also emitted as the ``clock.calibrate`` instant): enough
-        to place this tracer's relative microsecond timestamps on any
-        other tracer's timeline."""
-        return {"pid": self.pid, "wall_anchor_ns": self.wall_anchor_ns}
 
     # -- emitters ---------------------------------------------------------
 
@@ -334,73 +299,3 @@ class Tracer:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Tracer {len(self.events)} events, last_eid={self.last_eid}>"
 
-
-# ---------------------------------------------------------------------------
-# cross-process trace merge (the parallel observatory; OBSERVABILITY.md §6)
-# ---------------------------------------------------------------------------
-
-
-def merge_worker_events(parent: Tracer, payloads: list[dict]) -> dict[int, int]:
-    """Fold per-task worker trace payloads into ``parent``, one lane per
-    worker process.
-
-    Each payload is the pickle-clean block a profiled worker ships back:
-    ``{"index": task index, "calibration": Tracer.calibration(),
-    "events": [...]}``.  Merging is deterministic in the payloads alone
-    (input order is irrelevant):
-
-    * payloads are processed in task-index order;
-    * every distinct worker pid gets one lane — ``tid`` 2, 3, … in
-      first-appearance (task-index) order, the parent keeping lane 1;
-    * worker timestamps (microseconds since the *worker* tracer's t0)
-      are shifted by the wall-clock offset between the worker's and the
-      parent's calibration anchors, placing every event on the parent
-      timeline;
-    * event ids are re-stamped from the parent's counter so the merged
-      stream keeps the unique-monotone ``eid`` contract;
-    * one ``thread_name`` metadata event names each lane (plus the
-      parent's) so Perfetto renders one labelled track per worker.
-
-    Returns the lane map ``{worker pid: tid}``.
-    """
-    ordered = sorted(payloads, key=lambda p: (p.get("index", 0),
-                                              p["calibration"]["pid"]))
-    lanes: dict[int, int] = {}
-    for payload in ordered:
-        pid = payload["calibration"]["pid"]
-        if pid not in lanes:
-            lanes[pid] = 2 + len(lanes)
-    _emit_metadata(parent, "process_name", parent.tid, "repro")
-    _emit_metadata(parent, "thread_name", parent.tid, "driver")
-    for pid, tid in lanes.items():
-        _emit_metadata(parent, "thread_name", tid, f"worker pid={pid}")
-    for payload in ordered:
-        cal = payload["calibration"]
-        tid = lanes[cal["pid"]]
-        offset_us = (cal["wall_anchor_ns"] - parent.wall_anchor_ns) / 1000.0
-        for event in payload["events"]:
-            merged = dict(event)
-            merged["ts"] = event["ts"] + offset_us
-            merged["pid"] = parent.pid
-            merged["tid"] = tid
-            parent.last_eid += 1
-            merged["args"] = dict(event.get("args", {}), eid=parent.last_eid)
-            parent.events.append(merged)
-    return lanes
-
-
-def _emit_metadata(parent: Tracer, event: str, tid: int, label: str) -> None:
-    """One Chrome metadata event (``ph: "M"``); ``ts`` 0 so lane labels
-    sort ahead of every timed event in the exported file."""
-    parent.last_eid += 1
-    parent.events.append(
-        {
-            "name": event,
-            "cat": "__metadata",
-            "ph": "M",
-            "ts": 0.0,
-            "pid": parent.pid,
-            "tid": tid,
-            "args": {"name": label, "eid": parent.last_eid},
-        }
-    )

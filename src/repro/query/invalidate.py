@@ -264,8 +264,7 @@ def _program_call_graph(program: "Program") -> dict:
     """The lowered program's call edges: direct targets (externals
     included), and every address-taken procedure at indirect call
     sites and at calls to externals."""
-    from ..analysis.guards import _direct_targets
-    from ..analysis.scc import address_taken_procs
+    from ..analysis.guards import _direct_targets, address_taken_procs
 
     taken = address_taken_procs(program)
     graph: dict = {}
@@ -417,7 +416,7 @@ def _fnptr_widening(stored: dict, program: "Program", roots: set) -> set:
     """
     if not roots:
         return set()
-    from ..analysis.scc import address_taken_procs, indirect_call_procs
+    from ..analysis.guards import address_taken_procs, indirect_call_procs
 
     cur_taken = address_taken_procs(program)
     cur_indirect = indirect_call_procs(program)

@@ -292,7 +292,7 @@ def build_store(
     the store is the archival artifact, slimming it would break the
     agreement property tests and ``repro diff`` provability.
     """
-    from ..analysis.scc import address_taken_procs, indirect_call_procs
+    from ..analysis.guards import address_taken_procs, indirect_call_procs
     from ..diagnostics.snapshot import build_snapshot
     from .invalidate import program_ir_digests
 

@@ -23,7 +23,8 @@ def safe_ratio(
     denominator.
 
     The single guard behind every derived ratio (``Metrics.as_dict``'s
-    ``cache_hit_rate`` / ``dom_steps_per_lookup``, the query engine's
+    ``cache_hit_rate`` / ``dom_steps_per_lookup``, the same hit rate in
+    Table 2 rows and ``--jobs`` bundles, the query engine's
     ``cache_hit_rate``, histogram means).  ``None`` — not ``0.0`` —
     because a run that never probed a cache is not an all-miss run, and
     downstream consumers (the snapshot differ, the bench trajectory)

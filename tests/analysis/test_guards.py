@@ -25,7 +25,9 @@ from repro.analysis.guards import (
     AnalysisBudget,
     DegradationReport,
     GuardTripped,
+    address_taken_procs,
     conservative_region,
+    indirect_call_procs,
 )
 from repro.analysis.results import run_analysis
 from repro.diagnostics.faults import FaultPlan
@@ -302,6 +304,47 @@ class TestBudgetObject:
         expired = AnalysisBudget(deadline_seconds=0.0)
         expired.start()
         assert expired.deadline_exceeded()
+
+
+# -- address-taken procedures and indirect callers (the store's records) ---
+
+FNPTR_SOURCE = """
+int g;
+void f(int *p) { g = *p; }
+void h(int *p) { g = *p + 1; }
+void dispatch(void (*fp)(int *), int *p) { fp(p); }
+int main(void) {
+  int x;
+  dispatch(f, &x);
+  h(&x);
+  return 0;
+}
+"""
+
+
+def _fnptr_program():
+    return load_program(FNPTR_SOURCE, "fnptr.c", "fnptr")
+
+
+def test_address_taken_excludes_direct_call_targets():
+    taken = address_taken_procs(_fnptr_program())
+    # f escapes as a call argument; h and dispatch only ever appear as
+    # direct call targets
+    assert taken == {"f"}
+
+
+def test_indirect_call_procs():
+    assert indirect_call_procs(_fnptr_program()) == {"dispatch"}
+
+
+def test_global_initializer_takes_address():
+    src = """
+    void cb(void) { }
+    void (*table[1])(void) = { cb };
+    int main(void) { table[0](); return 0; }
+    """
+    program = load_program(src, "tbl.c", "tbl")
+    assert "cb" in address_taken_procs(program)
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,27 @@ class TestHarness:
         text = table2_text(rows)
         assert "allroots" in text and "paper" in text
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_never_probed_memo_reports_null_hit_rate(self, jobs):
+        """A run that never probed the lookup memo (here: a zero
+        deadline degrades every call) has no hit rate: its Table 2 row
+        says ``null`` in JSON and ``-`` in text, not an all-miss 0.0."""
+        import json
+
+        from repro import AnalyzerOptions
+
+        rows = table2_rows(
+            names=["allroots", "grep"],
+            options=AnalyzerOptions(deadline_seconds=0.0),
+            jobs=jobs,
+        )
+        for row in rows:
+            assert not row.error and row.degraded
+            assert row.cache_hit_rate is None
+            assert json.loads(json.dumps(row.as_dict()))["cache_hit_rate"] is None
+            cells = row.display().split()
+            assert cells[5] == "-", row.display()
+
     def test_invocation_rows_subset(self):
         rows = invocation_rows(names=["grep"])
         assert rows[0]["name"] == "grep"

@@ -44,9 +44,15 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert "PTF#" in out and "initial" in out
 
-    @pytest.mark.parametrize("flags", [["--state", "dense"], ["--no-lookup-cache"]])
+    @pytest.mark.parametrize("flags", [
+        ["--state", "dense"],
+        ["--no-lookup-cache"],
+        ["--profile-parallel"],
+        ["--worker-trace-dir", "d"],
+    ])
     def test_retired_state_flags_are_usage_errors(self, prog_file, flags, capsys):
-        # the dense state and the uncached switch are test oracles now
+        # the dense state and the uncached switch are test oracles now;
+        # the parallel profiler and its worker traces are gone
         with pytest.raises(SystemExit) as exc:
             main(["analyze", prog_file, *flags])
         assert exc.value.code == 2
@@ -264,96 +270,13 @@ class TestTraceJson:
         assert "traceEvents" not in out
 
 
-class TestProfileParallel:
-    @pytest.fixture
-    def two_files(self, tmp_path):
-        a = tmp_path / "a.c"
-        a.write_text("int g; int *id(int *p) { return p; }\n"
-                     "int main(void) { int x; g = *id(&x); return 0; }\n")
-        b = tmp_path / "b.c"
-        b.write_text("int h(int v) { return v + 1; }\n"
-                     "int main(void) { return h(2); }\n")
-        return [str(a), str(b)]
-
-    def test_profile_run_writes_profile_trace_and_stats(
-        self, two_files, tmp_path, capsys
-    ):
-        profile = tmp_path / "pp.json"
-        trace = tmp_path / "merged.json"
-        stats = tmp_path / "stats.json"
-        wdir = tmp_path / "wt"
-        assert main(
-            ["analyze", *two_files, "--jobs", "2",
-             "--profile-parallel", str(profile),
-             "--trace-json", str(trace),
-             "--worker-trace-dir", str(wdir),
-             "--stats-json", str(stats)]
-        ) == 0
-        doc = json.loads(profile.read_text())
-        assert doc["format"] == "repro-parprof/1"
-        assert doc["theoretical_speedup"] >= doc["measured_speedup"]
-        assert [p["name"] for p in doc["programs"]] == ["a", "b"]
-        for prog in doc["programs"]:
-            assert prog["critical_path"]
-            assert prog["candidates"]
-        # merged trace: one labeled lane per worker plus the driver
-        chrome = json.loads(trace.read_text())
-        meta = {
-            e["args"]["name"]
-            for e in chrome["traceEvents"]
-            if e["ph"] == "M" and e["name"] == "thread_name"
-        }
-        assert "driver" in meta
-        assert any(name.startswith("worker pid=") for name in meta)
-        ts = [e["ts"] for e in chrome["traceEvents"]]
-        assert ts == sorted(ts)
-        # each worker also wrote its own JSONL trace
-        assert sorted(p.name for p in wdir.iterdir()) == [
-            "a.worker.jsonl", "b.worker.jsonl",
-        ]
-        # batch stats carry the observatory columns + merged telemetry
-        payload = json.loads(stats.read_text())
-        assert payload["batch"]["utilization"] is not None
-        assert payload["batch"]["critical_path_seconds"] > 0
-        assert payload["telemetry"]["counters"]["parallel.tasks"] == 2
-
-    def test_profiled_digests_match_unprofiled(
-        self, two_files, tmp_path, capsys
-    ):
-        plain = tmp_path / "plain.json"
-        prof = tmp_path / "prof.json"
-        assert main(["analyze", *two_files, "--jobs", "2",
-                     "--stats-json", str(plain)]) == 0
-        assert main(["analyze", *two_files, "--jobs", "2",
-                     "--profile-parallel", str(tmp_path / "pp.json"),
-                     "--stats-json", str(prof)]) == 0
-        digests = lambda p: {  # noqa: E731
-            name: row["digest"]
-            for name, row in json.loads(p.read_text())["programs"].items()
-        }
-        assert digests(plain) == digests(prof)
-
-    def test_parallel_report_renders_text_and_json(
-        self, two_files, tmp_path, capsys
-    ):
-        profile = tmp_path / "pp.json"
-        assert main(["analyze", *two_files, "--jobs", "2",
-                     "--profile-parallel", str(profile)]) == 0
-        capsys.readouterr()
-        assert main(["parallel-report", str(profile)]) == 0
-        out = capsys.readouterr().out
-        assert "critical path" in out
-        assert "theoretical speedup" in out
-        assert "summarize these procedures first" in out
-        assert main(["parallel-report", str(profile), "--json"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["format"] == "repro-parprof/1"
-
-    def test_parallel_report_rejects_non_profile(self, tmp_path, capsys):
-        bogus = tmp_path / "bogus.json"
-        bogus.write_text('{"format": "other/1"}')
-        assert main(["parallel-report", str(bogus)]) == 2
-        assert "not a parallel profile" in capsys.readouterr().err
+def test_parallel_report_command_is_gone(tmp_path, capsys):
+    profile = tmp_path / "x.json"
+    profile.write_text("{}")
+    with pytest.raises(SystemExit) as exc:
+        main(["parallel-report", str(profile)])
+    assert exc.value.code == 2
+    assert "invalid choice: 'parallel-report'" in capsys.readouterr().err
 
 
 class TestExplain:

@@ -4,7 +4,9 @@
 ``repro <command> --help``, of ``repro`` with no arguments and of a few
 usage errors, recorded with ``COLUMNS=80`` from the single-module CLI
 that preceded the command table (and re-recorded when the analyzer flags
-lost ``--state`` and ``--no-lookup-cache``).  The dispatcher adds
+lost ``--state`` and ``--no-lookup-cache``, and again when ``analyze``
+lost ``--profile-parallel``/``--worker-trace-dir`` and the
+``parallel-report`` command went).  The dispatcher adds
 arguments only for the command being run, so these pin that every help
 text, usage line and "invalid choice" error is still the same.
 """

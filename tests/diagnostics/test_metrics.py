@@ -47,13 +47,16 @@ class TestCounters:
 
 
 class TestDerived:
-    def test_dom_steps_per_lookup_zero_without_lookups(self):
-        assert Metrics().dom_steps_per_lookup() == 0.0
+    """Derived ratios come only from ``as_dict``, through ``safe_ratio``:
+    an empty denominator reads ``null``, never a fabricated 0.0."""
+
+    def test_dom_steps_per_lookup_null_without_lookups(self):
+        assert Metrics().as_dict()["derived"]["dom_steps_per_lookup"] is None
 
     def test_dom_steps_per_lookup(self):
         m = Metrics()
         m.lookups, m.dom_walk_steps = 4, 10
-        assert m.dom_steps_per_lookup() == 2.5
+        assert m.as_dict()["derived"]["dom_steps_per_lookup"] == 2.5
 
     def test_as_dict_exposes_derived_block(self):
         m = Metrics()
@@ -65,13 +68,15 @@ class TestDerived:
 
 
 class TestHitRate:
-    def test_zero_probes_is_zero(self):
-        assert Metrics().cache_hit_rate() == 0.0
+    def test_zero_probes_is_null(self):
+        d = Metrics().as_dict()
+        assert d["cache_hit_rate"] is None
+        assert d["derived"]["cache_hit_rate"] is None
 
     def test_rate(self):
         m = Metrics()
         m.cache_hits, m.cache_misses = 3, 1
-        assert m.cache_hit_rate() == 0.75
+        assert m.as_dict()["cache_hit_rate"] == 0.75
 
 
 class TestTimers:

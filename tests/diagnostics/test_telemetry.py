@@ -10,7 +10,6 @@ merging is associative and commutative, so per-thread histograms fold
 to the same distribution in any order.
 """
 
-import json
 import math
 import threading
 
@@ -321,50 +320,6 @@ class TestTokenBucket:
         assert bucket.take()
         clock.now = 5.0  # a (hypothetically) misbehaving clock
         assert bucket.tokens == 0.0
-
-
-# -- cross-process transport (the parallel observatory, ISSUE 9) ------------
-
-
-@given(positive_samples)
-@settings(max_examples=50, deadline=None)
-def test_histogram_payload_round_trip_is_exact(values):
-    """to_payload/from_payload must transport the *exact* mergeable
-    state — a rebuilt histogram answers every quantile identically."""
-    h = LogHistogram()
-    h.record_many(values)
-    rebuilt = LogHistogram.from_payload(h.to_payload())
-    assert rebuilt.snapshot() == h.snapshot()
-    assert rebuilt.digest() == h.digest()
-
-
-def test_registry_payload_round_trip_and_merge():
-    worker = TelemetryRegistry()
-    worker.counter("parallel.tasks").inc(3)
-    worker.gauge("parallel.jobs").set(2)
-    worker.histogram("parallel.run_ms").record_many([1.0, 10.0, 100.0])
-    payload = worker.to_payload()
-    # payload is plain data: JSON round-trips it unchanged
-    payload = json.loads(json.dumps(payload))
-
-    parent = TelemetryRegistry()
-    parent.counter("parallel.tasks").inc(1)
-    parent.histogram("parallel.run_ms").record(5.0)
-    parent.merge_payload(payload)
-    snap = parent.as_dict()
-    assert snap["counters"]["parallel.tasks"] == 4
-    assert snap["gauges"]["parallel.jobs"] == 2
-    assert snap["histograms"]["parallel.run_ms"]["count"] == 4
-
-    # bucket-exact: payload merge == direct merge of the live registries
-    direct = TelemetryRegistry()
-    direct.counter("parallel.tasks").inc(1)
-    direct.histogram("parallel.run_ms").record(5.0)
-    direct.merge(worker)
-    assert (
-        direct.histogram("parallel.run_ms").digest()
-        == parent.histogram("parallel.run_ms").digest()
-    )
 
 
 # -- Prometheus text exposition (the `metrics` admin op) --------------------

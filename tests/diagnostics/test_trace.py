@@ -154,11 +154,13 @@ class TestChromeSchema:
 
     def test_every_emission_site_in_the_tree_is_registered(self):
         """Vocabulary closure over the whole source tree, not just the
-        sequential path a traced run happens to exercise: every literal
-        event name passed to ``.instant/.begin/.end/.complete/.span``
-        anywhere under ``src/repro`` must be in ``EVENT_VOCABULARY`` —
-        a new emission site (a parallel worker, a future daemon) cannot
-        ship an undocumented event."""
+        sequential path a traced run happens to exercise, both ways:
+        every literal event name passed to
+        ``.instant/.begin/.end/.complete/.span`` anywhere under
+        ``src/repro`` must be in ``EVENT_VOCABULARY`` — a new emission
+        site cannot ship an undocumented event — and every registered
+        name must have such a site, so the vocabulary cannot keep
+        documenting an event nothing emits."""
         import os
         import re
 
@@ -194,6 +196,10 @@ class TestChromeSchema:
         assert not unregistered, (
             f"events emitted but missing from EVENT_VOCABULARY: "
             f"{unregistered}"
+        )
+        unemitted = sorted(set(EVENT_VOCABULARY) - set(sites))
+        assert not unemitted, (
+            f"EVENT_VOCABULARY names with no emission site: {unemitted}"
         )
 
 

@@ -61,7 +61,6 @@ ANALYSIS_LAYERS = (
     "repro.analysis.context",
     "repro.analysis.results",
     "repro.analysis.ptf",
-    "repro.analysis.scc",
 )
 FRONTEND_PREFIXES = ("repro.frontend", "repro.ir", "pycparser")
 
