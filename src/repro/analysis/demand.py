@@ -32,10 +32,10 @@ from __future__ import annotations
 import os
 import threading
 import time
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from ..query.engine import QueryEngine
-from ..query.store import build_store, source_records
+if TYPE_CHECKING:  # pragma: no cover
+    from ..query.engine import QueryEngine
 
 __all__ = [
     "DemandTier",
@@ -78,6 +78,8 @@ def index_in_memory(
     one whole-program analysis and one store document.  The caller
     lowers ``program`` after :func:`fresh_analysis_state`."""
     from .results import run_analysis
+
+    from ..query.store import build_store
 
     return build_store(
         run_analysis(program, options), options=options,
@@ -181,6 +183,8 @@ class DemandTier:
                 return self._enter_error(f"cannot stat sources: {exc}")
             if sig == self._sig:
                 return self._verdict
+            from ..query.store import source_records
+
             try:
                 content = tuple(
                     rec["sha256"] for rec in source_records(self.files)
@@ -303,6 +307,8 @@ class DemandTier:
                     procs=len(self._program.procedures),
                     seconds=round(seconds, 6),
                 )
+            from ..query.engine import QueryEngine
+
             self._engine = QueryEngine(
                 store, tracer=self.trace, cache_size=self.cache_size
             )

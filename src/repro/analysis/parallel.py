@@ -93,7 +93,12 @@ def _worker_run(task: AnalysisTask) -> dict:
         from ..analysis.results import run_analysis
         from ..ratio import safe_ratio
         from .engine import options_from_payload
+        from .demand import fresh_analysis_state
 
+        # a pool worker takes several tasks: start each from the uid
+        # counters of a fresh process, so a store's PTF numbers do not
+        # depend on which worker ran it or what that worker ran before
+        fresh_analysis_state()
         program = _load_task_program(task)
         if "main" not in program.procedures:
             faults = [f.render() for f in program.frontend_failures]

@@ -2,7 +2,7 @@
 
 The serving story's measurement substrate: spawn N concurrent TCP
 clients, each replaying a deterministic mixed query workload against one
-:class:`~repro.query.server.QueryServer`, and report **throughput**
+running daemon (``repro serve --tcp``), and report **throughput**
 (queries per second over the whole run) and **latency quantiles**
 (p50/p90/p95/p99/max, measured client-side from request-write to
 response-read on the monotonic clock).
@@ -23,11 +23,13 @@ Design points:
   second half of every client's workload repeats its first half — the
   same discipline as the CI serve smoke — so the shared LRU must show
   hits and the report can carry a meaningful hit rate.
-* **In-process or external daemon.**  By default the generator starts a
-  :class:`QueryServer` over the store on an ephemeral TCP port in a
-  background thread (clients still speak real TCP through the loopback
-  stack) and shuts it down in-band afterwards; pass ``addr=`` to target
-  an already-running daemon instead.
+* **An external daemon.**  The generator never starts the daemon it
+  measures: the daemon runs in its own process with its own flags
+  (deadline, cache size, overload gates, injected faults), and the
+  clients reach it at ``addr``.  The report's cache figures are the
+  difference of the daemon's ``stats`` before and after the run, so
+  several runs against one daemon each report only their own hits and
+  misses.
 * **Chaos mode** (``repro loadtest --chaos`` — docs/ROBUSTNESS.md §8).
   Each client misbehaves deterministically
   (``random.Random(f"chaos:{seed}:{i}")``): ~8% of its sends are
@@ -234,7 +236,8 @@ class LoadReport:
         errors: int,
         seconds: float,
         ops: dict[str, int],
-        stats: Optional[dict] = None,
+        cache_hits: int = 0,
+        cache_misses: int = 0,
         chaos: Optional[dict] = None,
     ) -> None:
         self.program = program
@@ -243,8 +246,9 @@ class LoadReport:
         self.errors = errors
         self.seconds = seconds
         self.ops = ops
-        #: the daemon's final ``stats`` answer (cache hit rate source)
-        self.stats = stats or {}
+        #: the daemon's LRU hits and misses during this run
+        self.cache_hits = cache_hits
+        self.cache_misses = cache_misses
         #: chaos-mode accounting block (None on ordinary runs)
         self.chaos = chaos
 
@@ -267,14 +271,6 @@ class LoadReport:
         hi = self.histogram.max
         out["max_ms"] = None if hi is None else round(hi, 4)
         return out
-
-    @property
-    def cache_hits(self) -> int:
-        return int(self.stats.get("cache_hits") or 0)
-
-    @property
-    def cache_misses(self) -> int:
-        return int(self.stats.get("cache_misses") or 0)
 
     def as_dict(self) -> dict:
         out = {
@@ -444,7 +440,7 @@ def run_clients(
     workloads: list[list[dict]],
     program: str = "<store>",
     timeout: float = 60.0,
-    final_stats=None,
+    daemon_stats=None,
     chaos_seed: Optional[int] = None,
     expected: Optional[dict] = None,
 ) -> LoadReport:
@@ -453,14 +449,16 @@ def run_clients(
 
     All clients connect first, then release together through a barrier
     so the measured wall clock covers concurrent load, not connection
-    staggering.  ``final_stats``, when given, is called after the run to
-    fetch the daemon's ``stats`` answer (cache hit counters).
+    staggering.  ``daemon_stats``, when given, fetches the daemon's
+    ``stats`` answer; it is called before and after the run, and the
+    report's cache figures are the difference.
 
     ``chaos_seed`` switches every client into chaos mode (each gets its
     own deterministic ``random.Random(f"chaos:{seed}:{index}")``
     misbehavior stream); ``expected`` (see :func:`baseline_answers`)
     verifies each ``ok`` answer against the fault-free baseline.
     """
+    before = daemon_stats() if daemon_stats is not None else {}
     results = [_ClientResult() for _ in workloads]
     barrier = threading.Barrier(len(workloads) + 1)
     threads = [
@@ -493,7 +491,7 @@ def run_clients(
     for r in results:
         for op, n in r.ops.items():
             ops[op] = ops.get(op, 0) + n
-    stats = final_stats() if final_stats is not None else None
+    after = daemon_stats() if daemon_stats is not None else {}
     chaos = None
     if chaos_seed is not None:
         samples: list[str] = []
@@ -518,9 +516,15 @@ def run_clients(
         errors=sum(r.errors for r in results),
         seconds=seconds,
         ops=ops,
-        stats=stats,
+        cache_hits=_grown(before, after, "cache_hits"),
+        cache_misses=_grown(before, after, "cache_misses"),
         chaos=chaos,
     )
+
+
+def _grown(before: dict, after: dict, key: str) -> int:
+    """How much the cumulative ``stats`` counter ``key`` grew."""
+    return int(after.get(key) or 0) - int(before.get(key) or 0)
 
 
 def _query_once(addr: tuple[str, int], request: dict, timeout: float) -> dict:
@@ -533,45 +537,32 @@ def _query_once(addr: tuple[str, int], request: dict, timeout: float) -> dict:
 
 def run_loadtest(
     store_path: str,
+    addr: tuple[str, int],
     clients: int = 8,
     requests_per_client: int = 50,
     mix: Optional[dict[str, int]] = None,
     repeat_half: bool = True,
     seed: int = 0,
-    deadline_seconds: Optional[float] = None,
-    cache_size: int = 256,
-    addr: Optional[tuple[str, int]] = None,
     timeout: float = 60.0,
     chaos: bool = False,
-    serve_faults=None,
-    rate_limit: Optional[float] = None,
-    burst: Optional[float] = None,
-    max_in_flight: Optional[int] = None,
     expect_stores: Optional[list[str]] = None,
 ) -> LoadReport:
     """The full harness: load the store, build per-client workloads,
-    serve (in-process TCP unless ``addr`` targets a live daemon), replay
-    concurrently, and aggregate the report.
+    replay them concurrently against the daemon at ``addr``, and
+    aggregate the report.
 
     Each client gets a differently-seeded shuffle of the mix
     (``seed + index``) so concurrent requests interleave ops rather than
-    marching in lockstep.  The in-process daemon runs with telemetry
-    enabled — exactly the configuration the serve smoke measures — and
-    is shut down in-band (the clean-shutdown path, no orphan socket).
+    marching in lockstep.
 
     Chaos mode: clients misbehave deterministically and every ``ok``
     answer is verified against the fault-free baseline over the serving
     store plus any ``expect_stores`` (pass the post-reload store there
-    when a hot swap happens mid-run).  ``serve_faults`` (a
-    :class:`~repro.diagnostics.faults.FaultPlan`), ``rate_limit`` /
-    ``burst`` / ``max_in_flight`` configure the in-process daemon
-    (ignored with ``addr`` — an external daemon owns its own config).
+    when a hot swap happens mid-run).
     """
-    from ..query import QueryEngine, load_store
-    from ..query.server import QueryServer
+    from ..query import load_store
 
     store = load_store(store_path)
-    program = store.get("program", store_path)
     workloads = [
         build_workload(
             store,
@@ -582,82 +573,20 @@ def run_loadtest(
         )
         for i in range(clients)
     ]
-    chaos_seed = seed if chaos else None
     expected = None
     if chaos:
         baseline_stores = [store]
         for extra in expect_stores or []:
             baseline_stores.append(load_store(extra))
         expected = baseline_answers(baseline_stores, workloads)
-
-    if addr is not None:
-        return run_clients(
-            addr,
-            workloads,
-            program=program,
-            timeout=timeout,
-            final_stats=lambda: _query_once(
-                addr, {"op": "stats", "id": "loadgen"}, timeout
-            ).get("result"),
-            chaos_seed=chaos_seed,
-            expected=expected,
-        )
-
-    from ..diagnostics.telemetry import TelemetryRegistry
-
-    engine = QueryEngine(store, cache_size=cache_size)
-    server = QueryServer(
-        engine,
-        deadline_seconds=deadline_seconds,
-        telemetry=TelemetryRegistry(),
-        store_path=store_path,
-        max_in_flight=max_in_flight,
-        rate_limit=rate_limit,
-        burst=burst,
-        faults=serve_faults,
+    return run_clients(
+        addr,
+        workloads,
+        program=store.get("program", store_path),
+        timeout=timeout,
+        daemon_stats=lambda: _query_once(
+            addr, {"op": "stats", "id": "loadgen"}, timeout
+        ).get("result") or {},
+        chaos_seed=seed if chaos else None,
+        expected=expected,
     )
-    bound: dict = {}
-    ready = threading.Event()
-
-    def _ready(a) -> None:
-        bound["addr"] = a
-        ready.set()
-
-    thread = threading.Thread(
-        target=server.serve_tcp,
-        kwargs=dict(host="127.0.0.1", port=0, ready_cb=_ready,
-                    log=_NullWriter()),
-        daemon=True,
-    )
-    thread.start()
-    if not ready.wait(timeout):
-        raise OSError("in-process daemon never announced readiness")
-    local = bound["addr"]
-    try:
-        return run_clients(
-            local,
-            workloads,
-            program=program,
-            timeout=timeout,
-            final_stats=lambda: _query_once(
-                local, {"op": "stats", "id": "loadgen"}, timeout
-            ).get("result"),
-            chaos_seed=chaos_seed,
-            expected=expected,
-        )
-    finally:
-        try:
-            _query_once(local, {"op": "shutdown", "id": "loadgen"}, timeout)
-        except OSError:  # pragma: no cover - daemon already gone
-            pass
-        thread.join(timeout)
-
-
-class _NullWriter:
-    """A /dev/null text sink for the in-process daemon's announcements."""
-
-    def write(self, text: str) -> int:
-        return len(text)
-
-    def flush(self) -> None:
-        return None

@@ -18,7 +18,7 @@
     python -m repro query prog.store.json "points-to p@main" "alias a b"
     python -m repro serve prog.store.json --tcp 127.0.0.1:0   # ...ask many
     python -m repro serve prog.store.json --access-log access.jsonl
-    python -m repro loadtest prog.store.json --clients 64 --record
+    python -m repro loadtest prog.store.json --tcp 127.0.0.1:47117 --clients 64
 
 This module is only the dispatcher.  :data:`COMMANDS` maps each
 subcommand to the module under :mod:`repro.commands` that defines its

@@ -31,9 +31,6 @@ def add_serve_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--slow-ms", type=float, default=100.0, metavar="MS",
                    help="slow-request threshold for the 'slow' counter "
                         "and server.slow trace instant (default 100)")
-    p.add_argument("--no-telemetry", action="store_true",
-                   help="disable the per-request telemetry registry "
-                        "(answers are byte-identical either way)")
     p.add_argument("--max-in-flight", type=int, metavar="N",
                    help="overload gate: shed request lines (stable "
                         "'overloaded' error code + retry hint) when N "
@@ -83,13 +80,9 @@ def add_loadtest_arguments(p: argparse.ArgumentParser) -> None:
                         "repeat models cache-hit realism)")
     p.add_argument("--seed", type=int, default=0,
                    help="workload shuffle seed (default 0)")
-    p.add_argument("--deadline", type=float, metavar="SECONDS",
-                   help="per-request deadline armed in the daemon")
-    p.add_argument("--cache-size", type=int, default=256, metavar="N",
-                   help="daemon LRU capacity (default 256)")
-    p.add_argument("--tcp", metavar="HOST:PORT",
-                   help="target an already-running daemon instead of "
-                        "spawning an in-process one")
+    p.add_argument("--tcp", metavar="HOST:PORT", required=True,
+                   help="address of the running daemon to drive "
+                        "('repro serve STORE --tcp HOST:PORT')")
     p.add_argument("--json", action="store_true",
                    help="emit the report as JSON")
     p.add_argument("-o", "--output", default="-", metavar="PATH",
@@ -113,23 +106,21 @@ def add_loadtest_arguments(p: argparse.ArgumentParser) -> None:
                         "sheds/drops, and verify every ok answer "
                         "against a fault-free baseline (exit 1 on any "
                         "mismatch)")
-    p.add_argument("--serve-faults", metavar="SPEC",
-                   help="FaultPlan spec for the in-process daemon "
-                        "(same syntax as serve --inject-serve-faults; "
-                        "ignored with --tcp)")
-    p.add_argument("--rate-limit", type=float, metavar="QPS",
-                   help="rate-limit the in-process daemon (ignored "
-                        "with --tcp)")
-    p.add_argument("--burst", type=float, metavar="N",
-                   help="burst capacity for --rate-limit")
-    p.add_argument("--max-in-flight", type=int, metavar="N",
-                   help="in-flight admission gate for the in-process "
-                        "daemon (ignored with --tcp)")
     p.add_argument("--expect-store", action="append", metavar="PATH",
                    help="with --chaos: additional store(s) whose "
                         "answers are also acceptable (pass the "
                         "post-reload store when a hot swap happens "
                         "mid-run); repeatable")
+
+
+def _tcp_addr(spec: str):
+    """``HOST:PORT`` as a ``(host, port)`` pair, or None after printing
+    the usage error."""
+    host, _, port = spec.rpartition(":")
+    if not host or not port.isdigit() or int(port) > 65535:
+        print(f"error: --tcp takes HOST:PORT, got {spec!r}", file=sys.stderr)
+        return None
+    return host, int(port)
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -138,7 +129,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     an optional structured access log (docs/OBSERVABILITY.md §5)."""
     from contextlib import ExitStack
 
-    from ..diagnostics.telemetry import TelemetryRegistry
     from ..query import QueryEngine, load_store
     from ..query.server import QueryServer
 
@@ -149,12 +139,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
         # serve with one repro: line and exit 2, never a traceback
         print(f"repro: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    if args.tcp:
-        host, _, port = args.tcp.rpartition(":")
-        if not host or not port.isdigit():
-            print(f"error: --tcp takes HOST:PORT, got {args.tcp!r}",
-                  file=sys.stderr)
-            return EXIT_ERROR
+    addr = _tcp_addr(args.tcp) if args.tcp else None
+    if args.tcp and addr is None:
+        return EXIT_ERROR
     faults = None
     if args.inject_serve_faults:
         from ..diagnostics.faults import FaultPlan
@@ -175,7 +162,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             store, enabled=not args.no_demand, cache_size=args.cache_size
         )
     engine = QueryEngine(store, cache_size=args.cache_size, demand=demand)
-    telemetry = None if args.no_telemetry else TelemetryRegistry()
     with ExitStack() as stack:
         access_log = None
         if args.access_log is not None:
@@ -196,7 +182,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         server = QueryServer(
             engine,
             deadline_seconds=args.deadline,
-            telemetry=telemetry,
             access_log=access_log,
             slow_ms=args.slow_ms,
             store_path=args.store,
@@ -213,8 +198,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
             except ValueError as exc:
                 print(f"repro: {exc}", file=sys.stderr)
                 return EXIT_ERROR
-        if args.tcp:
-            return server.serve_tcp(host=host, port=int(port))
+        if addr is not None:
+            return server.serve_tcp(*addr)
         return server.serve_stdio()
 
 
@@ -249,8 +234,8 @@ def _render_loadtest_report(report: dict) -> list[str]:
 
 
 def cmd_loadtest(args: argparse.Namespace) -> int:
-    """Replay a mixed concurrent query workload against a store (or a
-    live daemon) and report/record throughput + latency quantiles."""
+    """Replay a mixed concurrent query workload against a running daemon
+    and report/record throughput + latency quantiles."""
     from ..bench.loadgen import parse_mix, run_loadtest
     from ..bench.trajectory import (
         parse_serve_fail_on,
@@ -267,39 +252,19 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    addr = None
-    if args.tcp:
-        host, _, port = args.tcp.rpartition(":")
-        if not host or not port.isdigit():
-            print(f"error: --tcp takes HOST:PORT, got {args.tcp!r}",
-                  file=sys.stderr)
-            return EXIT_ERROR
-        addr = (host, int(port))
-    serve_faults = None
-    if args.serve_faults:
-        from ..diagnostics.faults import FaultPlan
-
-        try:
-            serve_faults = FaultPlan.from_spec(args.serve_faults)
-        except ValueError as exc:
-            print(f"repro: {exc}", file=sys.stderr)
-            return EXIT_ERROR
+    addr = _tcp_addr(args.tcp)
+    if addr is None:
+        return EXIT_ERROR
     try:
         report = run_loadtest(
             args.store,
+            addr,
             clients=args.clients,
             requests_per_client=args.requests,
             mix=mix,
             repeat_half=not args.no_repeat_half,
             seed=args.seed,
-            deadline_seconds=args.deadline,
-            cache_size=args.cache_size,
-            addr=addr,
             chaos=args.chaos,
-            serve_faults=serve_faults,
-            rate_limit=args.rate_limit,
-            burst=args.burst,
-            max_in_flight=args.max_in_flight,
             expect_stores=args.expect_store,
         )
     except (OSError, ValueError, json.JSONDecodeError) as exc:

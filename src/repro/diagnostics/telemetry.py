@@ -505,7 +505,7 @@ def _prom_value(value) -> str:
 
 
 def prometheus_text(
-    registry: Optional["TelemetryRegistry"],
+    registry: TelemetryRegistry,
     prefix: str = "repro",
     extra_gauges: Optional[dict] = None,
 ) -> str:
@@ -517,13 +517,10 @@ def prometheus_text(
     ``extra_gauges`` lets a caller fold in scalar levels that live
     outside the registry (the daemon's uptime, generation, in-flight
     count) so one scrape answers everything.  Deterministic: metrics are
-    emitted in sorted-name order.  ``registry`` may be ``None``
-    (telemetry disabled) — the extra gauges still render.
+    emitted in sorted-name order.
     """
     lines: list[str] = []
-    snap = registry.as_dict() if registry is not None else {
-        "counters": {}, "gauges": {}, "histograms": {},
-    }
+    snap = registry.as_dict()
     for name in sorted(snap["counters"]):
         metric = _prom_name(prefix, name) + "_total"
         lines.append(f"# HELP {metric} Monotone event counter {name!r}.")

@@ -97,21 +97,28 @@ envelope with code ``deadline``.
 Telemetry (``docs/OBSERVABILITY.md`` §5)
 ----------------------------------------
 
-Pass a :class:`~repro.diagnostics.telemetry.TelemetryRegistry` and every
-request is measured **from line-read to envelope-write** on the
-monotonic clock: the transport stamps ``perf_counter_ns`` the moment a
-line arrives, writes and flushes the answer envelopes, and only then
-finalizes — so the recorded latency covers parse, compute, serialize
-*and* the write.  Requests in one batch line share the line's latency
+Every server counts through one
+:class:`~repro.diagnostics.telemetry.TelemetryRegistry` (its own, unless
+one is passed in), and every request is measured **from line-read to
+envelope-write** on the monotonic clock: the transport stamps
+``perf_counter_ns`` the moment a line arrives, writes and flushes the
+answer envelopes, and only then finalizes — so the recorded latency
+covers parse, compute, serialize *and* the write.  Requests in one batch line share the line's latency
 (the batch is one wire unit).  Per request the server maintains:
 
 * histograms ``latency`` and ``latency.<op>`` (log-bucketed, 1%
   relative error, p50/p90/p99 in every snapshot);
 * counters ``requests`` / ``errors`` / ``deadlines`` / ``slow`` /
   ``cache_hits`` / ``cache_misses`` (cache disposition comes from the
-  engine via :meth:`QueryEngine.query`'s ``info`` out-param — the
-  answer envelopes stay byte-identical to a telemetry-off server);
-* gauge ``in_flight`` (lines currently being answered);
+  engine via :meth:`QueryEngine.query`'s ``info`` out-param, so the
+  cached answers stay shared and byte-identical to the engine's own);
+* the fault-tolerance counters ``sheds`` (split into ``sheds.rate`` /
+  ``sheds.in_flight``), ``idle_timeouts``, ``reloads`` /
+  ``reload_failures``, ``fault_slow`` / ``fault_disconnects``,
+  ``client_disconnects`` and ``demand_fallbacks`` — the ``stats``,
+  ``health`` and ``metrics`` admin ops read them from the registry;
+* gauge ``in_flight`` (lines currently being answered; the level the
+  ``--max-in-flight`` gate judges);
 * a server-assigned monotone request id ``rid`` (distinct from the
   client's ``id``, which the server echoes but never interprets).
 
@@ -234,9 +241,8 @@ class QueryServer:
     ) -> None:
         self.engine = engine
         self.deadline_seconds = deadline_seconds
-        #: telemetry registry (None = telemetry off; answers are
-        #: byte-identical either way)
-        self.telemetry = telemetry
+        #: the registry every server counter and histogram lives in
+        self.telemetry = telemetry = telemetry or TelemetryRegistry()
         #: structured JSONL access log stream (None = no access log)
         self.access_log = access_log
         self.trace = tracer
@@ -270,32 +276,15 @@ class QueryServer:
         self.shutting_down = threading.Event()
         #: requests handled (all envelopes, including errors)
         self.requests_handled = 0
-        #: requests fully finalized (envelope written; the number the
-        #: ``stats``/``health`` admin ops report — exact even with
-        #: telemetry off)
-        self.requests_finalized = 0
         #: store generation: 1 for the store served at startup, +1 per
         #: successful hot swap
         self.generation = 1
-        #: fault-tolerance counters (exact even with telemetry off;
-        #: mirrored into the registry when telemetry is on)
-        self.sheds = 0
-        self.idle_timeouts = 0
-        self.reloads = 0
-        self.reload_failures = 0
-        self.fault_slow = 0
-        self.fault_disconnects = 0
-        self.client_disconnects = 0
-        #: answers recomputed by the demand tier because the store was
-        #: stale for the queried fact (exact even with telemetry off)
-        self.demand_fallbacks = 0
         self._count_lock = threading.Lock()
         self._access_lock = threading.Lock()
         self._reload_lock = threading.Lock()
         self._reload_attempts = 0
         self._watch_thread: Optional[threading.Thread] = None
         self._rid = itertools.count(1)
-        self._in_flight = 0
         self._started_mono = time.perf_counter()
         #: write end of the running TCP loop's wake-up socketpair
         self._wake: Optional[socket.socket] = None
@@ -304,36 +293,31 @@ class QueryServer:
         # instrument handles are resolved once here, not per request —
         # the registry lookup (a lock plus a dict probe per instrument)
         # would otherwise dominate the finalize path's cost
-        if telemetry is not None:
-            self._tel_in_flight = telemetry.gauge("in_flight")
-            self._tel_requests = telemetry.counter("requests")
-            self._tel_errors = telemetry.counter("errors")
-            self._tel_deadlines = telemetry.counter("deadlines")
-            self._tel_cache_hits = telemetry.counter("cache_hits")
-            self._tel_cache_misses = telemetry.counter("cache_misses")
-            self._tel_slow = telemetry.counter("slow")
-            self._tel_latency = telemetry.histogram("latency")
-            self._tel_sheds = telemetry.counter("sheds")
-            self._tel_sheds_rate = telemetry.counter("sheds.rate")
-            self._tel_sheds_in_flight = telemetry.counter("sheds.in_flight")
-            self._tel_idle_timeouts = telemetry.counter("idle_timeouts")
-            self._tel_reloads = telemetry.counter("reloads")
-            self._tel_reload_failures = telemetry.counter("reload_failures")
-            self._tel_fault_slow = telemetry.counter("fault_slow")
-            self._tel_fault_disconnects = telemetry.counter(
-                "fault_disconnects"
-            )
-            self._tel_client_disconnects = telemetry.counter(
-                "client_disconnects"
-            )
-            self._tel_demand_fallbacks = telemetry.counter(
-                "demand_fallbacks"
-            )
-            #: op -> per-op latency histogram, grown on first sighting.
-            #: Benign data race: two threads may both resolve the same
-            #: op, but the registry hands back one shared instance, so
-            #: the assignments are identical.
-            self._tel_latency_by_op: dict = {}
+        self._tel_in_flight = telemetry.gauge("in_flight")
+        self._tel_requests = telemetry.counter("requests")
+        self._tel_errors = telemetry.counter("errors")
+        self._tel_deadlines = telemetry.counter("deadlines")
+        self._tel_cache_hits = telemetry.counter("cache_hits")
+        self._tel_cache_misses = telemetry.counter("cache_misses")
+        self._tel_slow = telemetry.counter("slow")
+        self._tel_latency = telemetry.histogram("latency")
+        self._tel_sheds = telemetry.counter("sheds")
+        self._tel_sheds_rate = telemetry.counter("sheds.rate")
+        self._tel_sheds_in_flight = telemetry.counter("sheds.in_flight")
+        self._tel_idle_timeouts = telemetry.counter("idle_timeouts")
+        self._tel_reloads = telemetry.counter("reloads")
+        self._tel_reload_failures = telemetry.counter("reload_failures")
+        self._tel_fault_slow = telemetry.counter("fault_slow")
+        self._tel_fault_disconnects = telemetry.counter("fault_disconnects")
+        self._tel_client_disconnects = telemetry.counter(
+            "client_disconnects"
+        )
+        self._tel_demand_fallbacks = telemetry.counter("demand_fallbacks")
+        #: op -> per-op latency histogram, grown on first sighting.
+        #: Benign data race: two threads may both resolve the same op,
+        #: but the registry hands back one shared instance, so the
+        #: assignments are identical.
+        self._tel_latency_by_op: dict = {}
 
     # -- envelopes ---------------------------------------------------------
 
@@ -369,25 +353,22 @@ class QueryServer:
     def _stats_result(self, engine: Optional[QueryEngine] = None) -> dict:
         """The ``stats`` admin op: the engine's live counters (read
         directly — no LRU probe, no cache perturbation) plus the
-        server-side block and, when enabled, the full telemetry
-        snapshot."""
+        server-side block and the full telemetry snapshot."""
         engine = engine if engine is not None else self.engine
         result = engine.stats()
         result["server"] = {
-            "requests": self.requests_finalized,
-            "in_flight": self._in_flight,
+            "requests": self._tel_requests.value,
+            "in_flight": self._tel_in_flight.value,
             "uptime_seconds": round(self.uptime_seconds(), 3),
             "slow_ms": self.slow_ms,
             "access_log": self.access_log is not None,
             "generation": self.generation,
-            "reloads": self.reloads,
-            "reload_failures": self.reload_failures,
-            "sheds": self.sheds,
-            "idle_timeouts": self.idle_timeouts,
-            "demand_fallbacks": self.demand_fallbacks,
-            "telemetry": (
-                self.telemetry.as_dict() if self.telemetry is not None else None
-            ),
+            "reloads": self._tel_reloads.value,
+            "reload_failures": self._tel_reload_failures.value,
+            "sheds": self._tel_sheds.value,
+            "idle_timeouts": self._tel_idle_timeouts.value,
+            "demand_fallbacks": self._tel_demand_fallbacks.value,
+            "telemetry": self.telemetry.as_dict(),
         }
         return result
 
@@ -395,21 +376,20 @@ class QueryServer:
         """The ``metrics`` admin op (also ``stats`` with ``format:
         "prometheus"``): the live registry rendered in the Prometheus
         text exposition format, server-side levels folded in as extra
-        gauges — scrapeable with no JSON glue.  Works with telemetry
-        off (the server gauges still render)."""
+        gauges — scrapeable with no JSON glue."""
         from ..diagnostics.telemetry import prometheus_text
 
         engine = engine if engine is not None else self.engine
         extra = {
-            "server.requests": self.requests_finalized,
-            "server.in_flight": self._in_flight,
+            "server.requests": self._tel_requests.value,
+            "server.in_flight": self._tel_in_flight.value,
             "server.uptime_seconds": round(self.uptime_seconds(), 3),
             "server.generation": self.generation,
-            "server.reloads": self.reloads,
-            "server.reload_failures": self.reload_failures,
-            "server.sheds": self.sheds,
-            "server.idle_timeouts": self.idle_timeouts,
-            "server.demand_fallbacks": self.demand_fallbacks,
+            "server.reloads": self._tel_reloads.value,
+            "server.reload_failures": self._tel_reload_failures.value,
+            "server.sheds": self._tel_sheds.value,
+            "server.idle_timeouts": self._tel_idle_timeouts.value,
+            "server.demand_fallbacks": self._tel_demand_fallbacks.value,
             "server.degraded": engine.degraded,
         }
         return {
@@ -429,8 +409,8 @@ class QueryServer:
             "program": engine.program,
             "degraded": engine.degraded,
             "uptime_seconds": round(self.uptime_seconds(), 3),
-            "in_flight": self._in_flight,
-            "requests": self.requests_finalized,
+            "in_flight": self._tel_in_flight.value,
+            "requests": self._tel_requests.value,
             "generation": self.generation,
         }
 
@@ -520,10 +500,7 @@ class QueryServer:
                 envelope["mode"] = "demand"
                 if info.get("demand_degraded") and envelope["status"] == 0:
                     envelope["status"] = 4
-                with self._count_lock:
-                    self.demand_fallbacks += 1
-                if self.telemetry is not None:
-                    self._tel_demand_fallbacks.inc()
+                self._tel_demand_fallbacks.inc()
             if info.get("stale"):
                 envelope["stale"] = True
         return envelope
@@ -570,10 +547,7 @@ class QueryServer:
                         "(injected corrupt_reload fault)"
                     )
             except (OSError, ValueError) as exc:
-                with self._count_lock:
-                    self.reload_failures += 1
-                if self.telemetry is not None:
-                    self._tel_reload_failures.inc()
+                self._tel_reload_failures.inc()
                 if self.trace is not None:
                     self.trace.instant(
                         "server.reload", "server",
@@ -602,10 +576,8 @@ class QueryServer:
             self.engine = new_engine
             with self._count_lock:
                 self.generation += 1
-                self.reloads += 1
                 generation = self.generation
-            if self.telemetry is not None:
-                self._tel_reloads.inc()
+            self._tel_reloads.inc()
             if self.trace is not None:
                 self.trace.instant(
                     "server.reload", "server",
@@ -751,10 +723,7 @@ class QueryServer:
             and pending
             and self.faults.slow_serve(text)
         ):
-            with self._count_lock:
-                self.fault_slow += 1
-            if self.telemetry is not None:
-                self._tel_fault_slow.inc()
+            self._tel_fault_slow.inc()
             time.sleep(self.faults.slow_ms / 1000.0)
         return pending
 
@@ -789,8 +758,7 @@ class QueryServer:
             return None
         if self.max_in_flight is not None:
             if level is None:
-                with self._count_lock:
-                    level = self._in_flight
+                level = self._tel_in_flight.value
             if level > self.max_in_flight:
                 return ("in_flight", DEFAULT_RETRY_AFTER_MS)
         if self._bucket is not None and not self._bucket.take(len(requests)):
@@ -806,13 +774,11 @@ class QueryServer:
         with self._count_lock:
             rid = next(self._rid)
             self.requests_handled += 1
-            self.sheds += 1
-        if self.telemetry is not None:
-            self._tel_sheds.inc()
-            if why == "rate":
-                self._tel_sheds_rate.inc()
-            else:
-                self._tel_sheds_in_flight.inc()
+        self._tel_sheds.inc()
+        if why == "rate":
+            self._tel_sheds_rate.inc()
+        else:
+            self._tel_sheds_in_flight.inc()
         request_id = request.get("id") if isinstance(request, dict) else None
         op = request.get("op") if isinstance(request, dict) else None
         envelope = {
@@ -865,10 +831,7 @@ class QueryServer:
     # -- telemetry / access log --------------------------------------------
 
     def _note_begin(self) -> None:
-        with self._count_lock:
-            self._in_flight += 1
-        if self.telemetry is not None:
-            self._tel_in_flight.add(1)
+        self._tel_in_flight.add(1)
 
     def _finalize(
         self,
@@ -888,10 +851,9 @@ class QueryServer:
         record — a tail ``-f`` may lag, a crash loses at most a buffer).
         """
         elapsed_ms = (time.perf_counter_ns() - received_ns) / 1e6
-        telemetry = self.telemetry
         tracer = self.trace
         slow = elapsed_ms > self.slow_ms
-        if telemetry is not None and pending:
+        if pending:
             n = len(pending)
             self._tel_requests.inc(n)
             self._tel_latency.record_n(elapsed_ms, n)
@@ -900,7 +862,7 @@ class QueryServer:
             for p in pending:
                 hist = by_op.get(p.op)
                 if hist is None:
-                    hist = by_op[p.op] = telemetry.histogram(
+                    hist = by_op[p.op] = self.telemetry.histogram(
                         f"latency.{p.op}"
                     )
                 hist.record(elapsed_ms)
@@ -922,8 +884,6 @@ class QueryServer:
                 self._tel_cache_misses.inc(misses)
             if slow:
                 self._tel_slow.inc(n)
-        if telemetry is not None:
-            self._tel_in_flight.add(-1)
         if tracer is not None:
             ms = round(elapsed_ms, 3)
             for p in pending:
@@ -948,9 +908,7 @@ class QueryServer:
                 )
             with self._access_lock:
                 self.access_log.write(chunk)
-        with self._count_lock:
-            self._in_flight -= 1
-            self.requests_finalized += len(pending)
+        self._tel_in_flight.add(-1)
 
     #: encoded-op memo for the access log (ops form a tiny vocabulary;
     #: the fallback encodes adversarial op strings safely)
@@ -1048,12 +1006,11 @@ class QueryServer:
         via = self._signal_received or "request"
         log.write(
             f"repro: shutdown ({via}) after "
-            f"{self.requests_finalized} request(s), "
+            f"{self._tel_requests.value} request(s), "
             f"{self.uptime_seconds():.3f}s uptime\n"
         )
-        if self.telemetry is not None:
-            snapshot = json.dumps(self.telemetry.as_dict(), sort_keys=True)
-            log.write(f"repro: telemetry {snapshot}\n")
+        snapshot = json.dumps(self.telemetry.as_dict(), sort_keys=True)
+        log.write(f"repro: telemetry {snapshot}\n")
         log.flush()
 
     # -- stdio transport ---------------------------------------------------
@@ -1233,7 +1190,9 @@ class _TcpLoop:
                 if mask & selectors.EVENT_READ and not conn.closed:
                     for raw in self._read(conn, now):
                         server._note_begin()
-                        lines.append((conn, raw, server._in_flight))
+                        lines.append(
+                            (conn, raw, server._tel_in_flight.value)
+                        )
             for conn, raw, level in lines:
                 if conn.closed:
                     # dropped mid-round: its later lines go unanswered
@@ -1305,12 +1264,12 @@ class _TcpLoop:
                 # injected mid-request disconnect: the line was fully
                 # processed (and is finalized below — the accounting
                 # invariant holds), but the answer never reaches the peer
-                self._count("fault_disconnects")
+                server._tel_fault_disconnects.inc()
                 dropped = True
             elif pending and not self._send(conn, pending):
                 # peer went away mid-write; the full pending list still
                 # finalizes so the counters account for every read line
-                self._count("client_disconnects")
+                server._tel_client_disconnects.inc()
                 dropped = True
         finally:
             server._finalize(pending, received_ns, peer=conn.peer)
@@ -1341,7 +1300,7 @@ class _TcpLoop:
         except BlockingIOError:
             return
         except OSError:
-            self._count("client_disconnects")
+            self.server._tel_client_disconnects.inc()
             self._close(conn)
             return
         del conn.outbuf[:sent]
@@ -1372,7 +1331,7 @@ class _TcpLoop:
         for conn in list(self.conns):
             deadline = conn.last_active + idle
             if deadline <= now:
-                self._count("idle_timeouts")
+                self.server._tel_idle_timeouts.inc()
                 if self.server.trace is not None:
                     self.server.trace.instant(
                         "server.idle_timeout", "server", peer=conn.peer,
@@ -1381,15 +1340,6 @@ class _TcpLoop:
             elif next_sweep is None or deadline < next_sweep:
                 next_sweep = deadline
         return next_sweep
-
-    def _count(self, name: str) -> None:
-        """Bump one of the server's fault counters and its telemetry
-        mirror (``_tel_<name>``)."""
-        server = self.server
-        with server._count_lock:
-            setattr(server, name, getattr(server, name) + 1)
-        if server.telemetry is not None:
-            getattr(server, "_tel_" + name).inc()
 
     def _close(self, conn: _Connection) -> None:
         if conn.closed:

@@ -133,3 +133,56 @@ def test_tracer_records_batch_span_and_shard_events():
     assert "shard.done" in names
     for name in ("parallel", "shard.dispatch", "shard.done"):
         assert name in EVENT_VOCABULARY
+
+
+#: small benchmarks whose stores carry PTF uids in their alias tables
+INDEXED = ("allroots", "grep", "diff", "alvinn", "ear")
+
+
+def _store_facts(path) -> dict:
+    """A store minus what differs between two runs of one source: the
+    creation time, the integrity seal over it, the checkout path and
+    the snapshot's wall-clock section."""
+    import json
+
+    with open(path, encoding="utf-8") as fh:
+        store = json.load(fh)
+    store.pop("created")
+    store.pop("integrity")
+    for record in store["sources"]:
+        record.pop("abspath", None)
+    store["snapshot"].pop("volatile")
+    return store
+
+
+def test_index_jobs_stores_equal_single_file_stores(tmp_path):
+    """A store from ``repro index --jobs 2`` equals the store of a
+    single-file ``repro index`` of the same program in a fresh process,
+    whichever worker ran it and whatever that worker ran before."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+    from repro.bench.programs import program_dir
+    from repro.cli import main
+
+    paths = [os.path.join(program_dir(), f"{name}.c") for name in INDEXED]
+    batch_dir = tmp_path / "batch"
+    assert main(["index", *paths, "--jobs", "2", "-o", str(batch_dir)]) == 0
+    env = dict(os.environ)
+    src_root = os.path.dirname(
+        os.path.dirname(os.path.abspath(repro.__file__))
+    )
+    env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
+    for name, path in zip(INDEXED, paths):
+        single = tmp_path / f"{name}.store.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "index", path, "--name", name,
+             "-o", str(single)],
+            capture_output=True, text=True, timeout=300, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert _store_facts(batch_dir / f"{name}.store.json") == (
+            _store_facts(single)
+        ), name

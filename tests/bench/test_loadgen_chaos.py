@@ -1,6 +1,7 @@
 """Chaos mode of the load generator (docs/ROBUSTNESS.md §8).
 
-The chaos gate's two properties, pinned in-process: under misbehaving
+The chaos gate's two properties, pinned against a daemon on a
+background thread (the ``daemon`` fixture): under misbehaving
 clients and injected serve faults the daemon (1) never crashes and its
 counters exactly account for every line it read, and (2) every non-shed
 ``ok`` answer is byte-identical to a fault-free baseline — across a
@@ -22,10 +23,8 @@ from repro.bench.loadgen import (
     run_loadtest,
 )
 from repro.diagnostics.faults import FaultPlan
-from repro.diagnostics.telemetry import TelemetryRegistry
 from repro.memory.pointsto import reset_interning
-from repro.query import QueryEngine, build_store, write_store
-from repro.query.server import QueryServer
+from repro.query import build_store, write_store
 
 SOURCE_V1 = """
 int g;
@@ -68,31 +67,6 @@ def store_file(tmp_path, store_v1):
     return str(path)
 
 
-def start_tcp(server):
-    bound = {}
-    ready = threading.Event()
-
-    def cb(a):
-        bound["addr"] = a
-        ready.set()
-
-    class _Null:
-        def write(self, text):
-            return len(text)
-
-        def flush(self):
-            pass
-
-    thread = threading.Thread(
-        target=server.serve_tcp,
-        kwargs=dict(host="127.0.0.1", port=0, ready_cb=cb, log=_Null()),
-        daemon=True,
-    )
-    thread.start()
-    assert ready.wait(10)
-    return thread, bound["addr"]
-
-
 def query_once(addr, request):
     import socket
 
@@ -112,50 +86,46 @@ def _wait_for(predicate, timeout=10.0):
     return predicate()
 
 
-def test_accounting_invariant_under_chaos_and_disconnect_faults(store_v1):
+def test_accounting_invariant_under_chaos_and_disconnect_faults(
+    store_v1, daemon
+):
     """Every line the daemon read is finalized exactly once, whether the
     answer was read, deliberately abandoned by the client, or dropped by
     the daemon's own injected disconnect fault."""
-    server = QueryServer(
-        QueryEngine(store_v1),
-        telemetry=TelemetryRegistry(),
-        faults=FaultPlan(seed=3, disconnect_rate=0.05),
+    server, addr = daemon(
+        store_v1, faults=FaultPlan(seed=3, disconnect_rate=0.05)
     )
-    thread, addr = start_tcp(server)
-    try:
-        workloads = [
-            build_workload(store_v1, 40, seed=i) for i in range(6)
-        ]
-        report = run_clients(addr, workloads, chaos_seed=11)
-        chaos = report.chaos
-        sent = (
-            chaos["answers_read"]
-            + chaos["client_disconnects"]
-            + chaos["server_drops"]
-        )
-        assert sent > 0
-        # chaos actually happened: both misbehavior kinds fired
-        assert chaos["garbage"] > 0
-        assert chaos["client_disconnects"] > 0
-        assert chaos["server_drops"] > 0  # the injected fault fired
-        assert _wait_for(lambda: server.requests_finalized == sent)
-        assert server.requests_finalized == sent
-        assert server.fault_disconnects == chaos["server_drops"]
-        # the daemon survived it all
-        assert query_once(addr, {"op": "ping"})["ok"]
-    finally:
-        query_once(addr, {"op": "shutdown"})
-        thread.join(10)
-    assert not thread.is_alive()
+    requests = server.telemetry.counter("requests")
+    workloads = [build_workload(store_v1, 40, seed=i) for i in range(6)]
+    report = run_clients(addr, workloads, chaos_seed=11)
+    chaos = report.chaos
+    sent = (
+        chaos["answers_read"]
+        + chaos["client_disconnects"]
+        + chaos["server_drops"]
+    )
+    assert sent > 0
+    # chaos actually happened: both misbehavior kinds fired
+    assert chaos["garbage"] > 0
+    assert chaos["client_disconnects"] > 0
+    assert chaos["server_drops"] > 0  # the injected fault fired
+    assert _wait_for(lambda: requests.value == sent)
+    assert requests.value == sent
+    assert server.telemetry.counter("fault_disconnects").value == (
+        chaos["server_drops"]
+    )
+    # the daemon survived it all
+    assert query_once(addr, {"op": "ping"})["ok"]
 
 
-def test_chaos_runs_are_deterministic(store_file):
+def test_chaos_runs_are_deterministic(store_v1, store_file, daemon):
     """Same seed, same store, no timing-dependent shedding: the chaos
     accounting block is identical across runs."""
+    _, addr = daemon(store_v1)
 
     def run():
         return run_loadtest(
-            store_file, clients=4, requests_per_client=30, seed=5,
+            store_file, addr, clients=4, requests_per_client=30, seed=5,
             chaos=True,
         )
 
@@ -164,9 +134,12 @@ def test_chaos_runs_are_deterministic(store_file):
     assert a.chaos["garbage"] > 0 or a.chaos["client_disconnects"] > 0
 
 
-def test_chaos_on_a_clean_store_matches_baseline(store_file):
+def test_chaos_on_a_clean_store_matches_baseline(store_v1, store_file,
+                                                 daemon):
+    _, addr = daemon(store_v1)
     report = run_loadtest(
-        store_file, clients=4, requests_per_client=40, seed=1, chaos=True,
+        store_file, addr, clients=4, requests_per_client=40, seed=1,
+        chaos=True,
     )
     assert report.chaos["mismatches"] == 0
     assert report.chaos["mismatch_samples"] == []
@@ -176,10 +149,12 @@ def test_chaos_on_a_clean_store_matches_baseline(store_file):
     assert out["chaos"]["seed"] == 1
 
 
-def test_chaos_with_rate_limit_counts_sheds_not_errors(store_file):
+def test_chaos_with_rate_limit_counts_sheds_not_errors(store_v1, store_file,
+                                                      daemon):
+    _, addr = daemon(store_v1, rate_limit=50.0, burst=10.0)
     report = run_loadtest(
-        store_file, clients=4, requests_per_client=30, seed=2, chaos=True,
-        rate_limit=50.0, burst=10.0,
+        store_file, addr, clients=4, requests_per_client=30, seed=2,
+        chaos=True,
     )
     assert report.chaos["sheds"] > 0
     # sheds are not engine errors, and shed answers skip verification
@@ -196,43 +171,29 @@ def test_chaos_with_rate_limit_counts_sheds_not_errors(store_file):
 
 
 def test_midrun_hot_swap_answers_old_or_new_never_torn(
-    tmp_path, store_v1, store_v3
+    tmp_path, store_v1, store_v3, daemon
 ):
     path = str(tmp_path / "hot.store.json")
     write_store(store_v1, path)
-    server = QueryServer(
-        QueryEngine(store_v1),
-        telemetry=TelemetryRegistry(),
-        store_path=path,
-    )
-    thread, addr = start_tcp(server)
-    try:
-        workloads = [
-            build_workload(store_v1, 60, seed=i) for i in range(4)
-        ]
-        expected = baseline_answers([store_v1, store_v3], workloads)
+    server, addr = daemon(store_v1, store_path=path)
+    workloads = [build_workload(store_v1, 60, seed=i) for i in range(4)]
+    expected = baseline_answers([store_v1, store_v3], workloads)
 
-        swap_result = {}
+    swap_result = {}
 
-        def swap():
-            time.sleep(0.02)
-            write_store(store_v3, path)
-            swap_result["env"] = query_once(addr, {"op": "reload"})
+    def swap():
+        time.sleep(0.02)
+        write_store(store_v3, path)
+        swap_result["env"] = query_once(addr, {"op": "reload"})
 
-        swapper = threading.Thread(target=swap)
-        swapper.start()
-        report = run_clients(
-            addr, workloads, chaos_seed=7, expected=expected
-        )
-        swapper.join(10)
-        assert swap_result["env"]["ok"]
-        assert server.generation == 2
-        # every non-shed ok answer matched the old store or the new
-        # store — the never-torn contract, end to end
-        assert report.chaos["mismatches"] == 0
-        assert report.chaos["mismatch_samples"] == []
-        assert report.errors == 0
-    finally:
-        query_once(addr, {"op": "shutdown"})
-        thread.join(10)
-    assert not thread.is_alive()
+    swapper = threading.Thread(target=swap)
+    swapper.start()
+    report = run_clients(addr, workloads, chaos_seed=7, expected=expected)
+    swapper.join(10)
+    assert swap_result["env"]["ok"]
+    assert server.generation == 2
+    # every non-shed ok answer matched the old store or the new store —
+    # the never-torn contract, end to end
+    assert report.chaos["mismatches"] == 0
+    assert report.chaos["mismatch_samples"] == []
+    assert report.errors == 0

@@ -149,6 +149,20 @@ def test_serve_bad_tcp_spec_is_exit_2(store_file, capsys):
     assert main(["serve", store_file, "--tcp", "nonsense"]) == 2
 
 
+def test_serve_out_of_range_port_is_exit_2(store_file, capsys):
+    # a usage error, not an OverflowError traceback from bind()
+    assert main(["serve", store_file, "--tcp", "127.0.0.1:70000"]) == 2
+    assert "--tcp takes HOST:PORT" in capsys.readouterr().err
+
+
+def test_serve_no_telemetry_is_a_usage_error(store_file, capsys):
+    # the daemon always counts through its telemetry registry
+    with pytest.raises(SystemExit) as exc:
+        main(["serve", store_file, "--no-telemetry"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --no-telemetry" in capsys.readouterr().err
+
+
 def test_serve_metrics_op_over_stdio(store_file, capsys, monkeypatch):
     import io
 

@@ -6,7 +6,9 @@ usage errors, recorded with ``COLUMNS=80`` from the single-module CLI
 that preceded the command table (and re-recorded when the analyzer flags
 lost ``--state`` and ``--no-lookup-cache``, and again when ``analyze``
 lost ``--profile-parallel``/``--worker-trace-dir`` and the
-``parallel-report`` command went).  The dispatcher adds
+``parallel-report`` command went, and again when ``serve`` lost
+``--no-telemetry`` and ``loadtest`` lost its six daemon flags and made
+``--tcp`` required).  The dispatcher adds
 arguments only for the command being run, so these pin that every help
 text, usage line and "invalid choice" error is still the same.
 """

@@ -355,15 +355,6 @@ def test_prometheus_text_shape():
             assert metric.match(line), line
 
 
-def test_prometheus_text_without_registry():
-    """Telemetry off: the extra server gauges still render (scraping a
-    --no-telemetry daemon yields levels, not an error)."""
-    from repro.diagnostics.telemetry import prometheus_text
-
-    text = prometheus_text(None, extra_gauges={"server.requests": 4})
-    assert "repro_server_requests 4" in text.splitlines()
-
-
 def test_prometheus_text_is_deterministic():
     from repro.diagnostics.telemetry import prometheus_text
 

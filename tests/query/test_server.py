@@ -357,20 +357,6 @@ def test_stats_prometheus_format_matches_metrics_op(store):
     assert "server" in out[0]["result"]
 
 
-def test_metrics_op_works_with_telemetry_off(store):
-    """--no-telemetry daemons still answer scrapes with the server-level
-    gauges (and nothing else)."""
-    code, out = run_stdio(
-        make_server(store), [json.dumps({"op": "metrics", "id": 1})]
-    )
-    assert code == 0
-    [env] = out
-    assert env["ok"]
-    text = env["result"]["text"]
-    assert "repro_server_uptime_seconds" in text
-    assert "_total" not in text  # no registry, no counters
-
-
 def test_metrics_is_a_control_op():
     from repro.query.server import CONTROL_OPS
 
@@ -412,11 +398,11 @@ def test_stats_counts_exactly_match_requests_sent(store):
         # to the peer, so a client can see its last answer a beat before
         # the daemon's own accounting catches up; convergence (not the
         # instant of the last flush) is the invariant — wait for the
-        # in-process finalize count (telemetry records before it), then
-        # assert exactness over the wire
+        # in-process finalize count, then assert exactness over the
+        # wire
         deadline = time.monotonic() + 5.0
         while (
-            server.requests_finalized < sent
+            server.telemetry.counter("requests").value < sent
             and time.monotonic() < deadline
         ):
             time.sleep(0.02)
@@ -461,27 +447,28 @@ def test_health_op_answers_without_touching_cache(store):
     assert server.engine.query({"op": "stats"})["cache_hits"] == 0
 
 
-def test_telemetry_enabled_answers_byte_identical(store):
-    """Acceptance: telemetry + access log on never changes a single
-    answer byte (the info out-param keeps cached answers shared)."""
-    from repro.diagnostics.telemetry import TelemetryRegistry
-
+@pytest.mark.parametrize("access_log", [False, True])
+def test_served_results_equal_engine_answers(store, access_log):
+    """Every served ``result`` is byte for byte what
+    ``QueryEngine.query`` answers for the same request, with or without
+    an access log, on the first (miss) and the repeated (hit) pass: the
+    telemetry the daemon always keeps never reaches an answer."""
     lines = [json.dumps(dict(req, id=i)) for i, req in enumerate(REQUESTS)]
     lines += lines  # repeats: the second half answers from the LRU
-
-    def run(server):
-        stdin = io.StringIO("\n".join(lines) + "\n")
-        stdout = io.StringIO()
-        assert server.serve_stdio(stdin, stdout) == 0
-        return stdout.getvalue()
-
-    plain = run(make_server(store))
-    instrumented = run(
-        make_server(
-            store, telemetry=TelemetryRegistry(), access_log=io.StringIO()
-        )
+    server = make_server(
+        store, access_log=io.StringIO() if access_log else None
     )
-    assert instrumented == plain
+    code, out = run_stdio(server, lines)
+    assert code == 0
+    engine = QueryEngine(store, cache_size=0)
+    expected = [
+        json.dumps(engine.query(dict(req)), sort_keys=True)
+        for req in REQUESTS
+    ]
+    served = [json.dumps(env["result"], sort_keys=True) for env in out]
+    assert served == expected + expected
+    assert [env["id"] for env in out] == list(range(len(REQUESTS))) * 2
+    assert all(env["ok"] and env["status"] == 0 for env in out)
 
 
 def test_access_log_schema(store):

@@ -62,6 +62,11 @@ SOURCE_V2 = SOURCE_V1.replace(
 SOURCE_V3 = SOURCE_V1.replace("int *p = &x;", "int *p = &y;")
 
 
+def count(server: QueryServer, name: str) -> int:
+    """One of the daemon's registry counters."""
+    return server.telemetry.counter(name).value
+
+
 def build(source: str) -> dict:
     fresh_analysis_state()
     result = analyze_source(source, options=AnalyzerOptions())
@@ -126,7 +131,7 @@ def test_reload_promotes_new_store(tmp_path, store_v1, store_v3):
     result = env["result"]
     assert result["generation"] == 2
     assert result["store"] == path
-    assert server.generation == 2 and server.reloads == 1
+    assert server.generation == 2 and count(server, "reloads") == 1
     # the promoted store answers
     assert ask(server, P_MAIN)["result"]["targets"] == ["y"]
     assert_reload_report_sound(store_v1, store_v3)
@@ -217,7 +222,7 @@ def test_reload_rejects_truncated_target_and_keeps_serving(
     env = ask(server, {"op": "reload"})
     assert not env["ok"] and env["error"]["code"] == "reload-failed"
     assert "still serving generation 1" in env["error"]["message"]
-    assert server.generation == 1 and server.reload_failures == 1
+    assert server.generation == 1 and count(server, "reload_failures") == 1
     # the old store keeps answering
     assert ask(server, P_MAIN)["result"]["targets"] == ["x"]
 
@@ -247,7 +252,7 @@ def test_injected_corrupt_reload_fault(tmp_path, store_v1, store_v3):
     env = ask(server, {"op": "reload"})
     assert not env["ok"] and env["error"]["code"] == "reload-failed"
     assert "injected corrupt_reload fault" in env["error"]["message"]
-    assert server.generation == 1 and server.reload_failures == 1
+    assert server.generation == 1 and count(server, "reload_failures") == 1
     assert ask(server, P_MAIN)["result"]["targets"] == ["x"]
 
 
@@ -330,7 +335,7 @@ def test_in_flight_gate_sheds_the_excess_of_a_pipelined_burst(store_v1):
         env = json.loads(text)
         assert env["error"]["code"] == "overloaded"
         assert env["error"]["retry_after_ms"] > 0
-    assert server.sheds == burst - n
+    assert count(server, "sheds") == burst - n
 
 
 def test_token_bucket_sheds_after_burst(store_v1):
@@ -344,7 +349,7 @@ def test_token_bucket_sheds_after_burst(store_v1):
     for env in out[2:4]:
         assert env["error"]["code"] == "overloaded"
         assert env["error"]["retry_after_ms"] > 0
-    assert server.sheds == 2
+    assert count(server, "sheds") == 2
 
 
 def test_batch_line_pays_its_whole_weight(store_v1):
@@ -379,7 +384,7 @@ def test_slow_fault_stalls_the_line(store_v1):
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
     assert env["ok"] and env["result"]["targets"] == ["x"]
     assert elapsed_ms >= 40.0
-    assert server.fault_slow == 1
+    assert count(server, "fault_slow") == 1
 
 
 def test_fault_verdicts_are_per_line_deterministic(store_v1):
@@ -440,7 +445,7 @@ def test_idle_timeout_releases_connection(store_v1):
             assert json.loads(fh.readline())["ok"]
             # now sit silent: the daemon must hang up, not hang on
             assert fh.readline() == ""
-        assert _wait_for(lambda: server.idle_timeouts == 1)
+        assert _wait_for(lambda: count(server, "idle_timeouts") == 1)
     finally:
         shutdown_tcp(addr)
         thread.join(10)
@@ -486,7 +491,7 @@ def test_unread_pipeline_stalls_nobody(store_v1, monkeypatch):
     sender = threading.Thread(target=slow.sendall, args=(payload,))
     try:
         sender.start()
-        assert _wait_for(lambda: server.requests_finalized > 0)
+        assert _wait_for(lambda: count(server, "requests") > 0)
         t0 = time.monotonic()
         with socket.create_connection(addr, timeout=10) as sock:
             fh = sock.makefile("rw", encoding="utf-8")
@@ -496,7 +501,7 @@ def test_unread_pipeline_stalls_nobody(store_v1, monkeypatch):
         assert time.monotonic() - t0 < 5.0
         # the unread answers stopped the daemon reading from `slow`: the
         # count of answered lines settles short of 500
-        assert _settled(lambda: server.requests_finalized) < 500
+        assert _settled(lambda: count(server, "requests")) < 500
         fh = slow.makefile("r", encoding="utf-8")
         ids = [json.loads(fh.readline())["id"] for _ in range(500)]
         assert ids == [f"{pad}{i}" for i in range(500)]
@@ -523,8 +528,8 @@ def test_injected_disconnect_drops_answer_but_finalizes(store_v1):
             assert fh.readline() == ""  # dropped mid-request
         # the request was processed and finalized regardless — the
         # accounting invariant the chaos gate asserts on
-        assert _wait_for(lambda: server.requests_finalized == 1)
-        assert server.fault_disconnects == 1
+        assert _wait_for(lambda: count(server, "requests") == 1)
+        assert count(server, "fault_disconnects") == 1
         # the daemon is fine; a fresh connection is answered (the fault
         # is keyed by the exact line text, and this one differs)
         with socket.create_connection(addr, timeout=10) as sock:
@@ -555,7 +560,7 @@ def test_client_vanishing_mid_request_never_crashes(store_v1):
         sock.close()
         # every sent line is eventually read and finalized (5 queries
         # + 1 garbage line), and the daemon still answers
-        assert _wait_for(lambda: server.requests_finalized == 6)
+        assert _wait_for(lambda: count(server, "requests") == 6)
         with socket.create_connection(addr, timeout=10) as sock:
             fh = sock.makefile("rw", encoding="utf-8")
             fh.write(json.dumps({"op": "health", "id": "z"}) + "\n")
