@@ -8,8 +8,6 @@ edit ``main``, and answer from the demand tier over the pre-edit store
 analysis and the in-memory store build; warm answers hit the tier's
 engine).  The answers must be byte-identical to a fresh index of the
 edited copy (also timed: lower, analyze, build the store).
-``--record`` appends the rows to ``BENCH_demand.json`` via the
-demand-trajectory recorder.
 
 **CI gate** (``--ci-gate compiler``): the end-to-end freshness contract —
 index the compiler benchmark with a subprocess ``repro index``, serve the
@@ -24,8 +22,8 @@ attached, edit one procedure, and assert that
 
 Usage::
 
-    python benchmarks/bench_demand.py [--record [PATH]]
-    python benchmarks/bench_demand.py --ci-gate compiler --record
+    python benchmarks/bench_demand.py [--programs NAME...]
+    python benchmarks/bench_demand.py --ci-gate compiler
 
 Exit 0 on success; an equality mismatch or a missed speedup gate exits
 non-zero (CI treats both as a failed gate).
@@ -54,10 +52,6 @@ from repro.analysis.demand import (  # noqa: E402
     index_in_memory,
 )
 from repro.bench.programs import PROGRAMS, source_path  # noqa: E402
-from repro.bench.trajectory import (  # noqa: E402
-    DEMAND_TRAJECTORY_PATH,
-    record_demand_trajectory,
-)
 from repro.frontend.parser import load_project_files  # noqa: E402
 from repro.query.engine import QueryEngine  # noqa: E402
 from repro.query.server import QueryServer  # noqa: E402
@@ -154,8 +148,7 @@ def sweep_row(name: str) -> dict:
     return row
 
 
-def run_sweep(names: list[str]) -> tuple[list[dict], bool]:
-    rows = []
+def run_sweep(names: list[str]) -> bool:
     ok = True
     print(
         f"{'program':<12} {'procs':>5} {'exhaustive':>10} "
@@ -163,7 +156,6 @@ def run_sweep(names: list[str]) -> tuple[list[dict], bool]:
     )
     for name in names:
         row = sweep_row(name)
-        rows.append(row)
         if row.get("error"):
             ok = False
             print(f"{name:<12} ERROR: {row['error']}")
@@ -176,7 +168,7 @@ def run_sweep(names: list[str]) -> tuple[list[dict], bool]:
             f"{row['warm_query_ms']:>8.3f} {row.get('speedup', 0.0):>7.1f}x  "
             f"{row.get('equal')}"
         )
-    return rows, ok
+    return ok
 
 
 def _inject_edit(source: str) -> str:
@@ -192,7 +184,7 @@ def _inject_edit(source: str) -> str:
     )
 
 
-def ci_gate(name: str, min_speedup: float, record: str | None) -> int:
+def ci_gate(name: str, min_speedup: float) -> int:
     """The CI freshness contract on benchmark ``name`` (see module doc)."""
     if name not in {p.name for p in PROGRAMS}:
         print(f"bench_demand: unknown benchmark {name!r}", file=sys.stderr)
@@ -289,22 +281,6 @@ def ci_gate(name: str, min_speedup: float, record: str | None) -> int:
                 f"speedup {speedup:.1f}x below the {min_speedup:.0f}x gate"
             )
 
-        if record is not None:
-            row = {
-                "name": f"{name}(ci-gate)",
-                "procedures": len(store["index"]["procedures"]),
-                "demand_seconds": round(first_seconds, 6),
-                "warm_query_ms": round(warm_seconds * 1000, 4),
-                "reindex_seconds": round(reindex_seconds, 6),
-                "speedup": round(speedup, 2),
-                "equal": identical,
-                "error": None,
-            }
-            entry, drift = record_demand_trajectory([row], path=record)
-            print(f"recorded demand trajectory entry at {record}")
-            for line in drift:
-                print(f"  drift: {line}")
-
         if failures:
             for line in failures:
                 print(f"bench_demand: GATE FAILED: {line}", file=sys.stderr)
@@ -330,14 +306,6 @@ def main(argv: list[str] | None = None) -> int:
         help="warm-demand-vs-reindex speedup the gate requires (default 10)",
     )
     parser.add_argument(
-        "--record",
-        nargs="?",
-        const=DEMAND_TRAJECTORY_PATH,
-        default=None,
-        metavar="PATH",
-        help=f"append results to the demand trajectory (default {DEMAND_TRAJECTORY_PATH})",
-    )
-    parser.add_argument(
         "--programs",
         nargs="+",
         metavar="NAME",
@@ -346,20 +314,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.ci_gate:
-        return ci_gate(args.ci_gate, args.min_speedup, args.record)
+        return ci_gate(args.ci_gate, args.min_speedup)
 
     names = args.programs or [p.name for p in PROGRAMS]
     unknown = sorted(set(names) - {p.name for p in PROGRAMS})
     if unknown:
         print(f"bench_demand: unknown benchmarks: {', '.join(unknown)}", file=sys.stderr)
         return 2
-    rows, ok = run_sweep(names)
-    if args.record is not None:
-        entry, drift = record_demand_trajectory(rows, path=args.record)
-        print(f"recorded demand trajectory entry at {args.record}")
-        for line in drift:
-            print(f"  drift: {line}")
-    return 0 if ok else 1
+    return 0 if run_sweep(names) else 1
 
 
 if __name__ == "__main__":

@@ -177,7 +177,7 @@ class BatchResult:
         return any(r.get("partial") for r in self.results)
 
     def stats(self) -> dict:
-        """The batch-level measurement record (metrics + trajectory)."""
+        """The batch-level measurement record (the ``--jobs`` summary)."""
         worker_seconds = sum(r.get("seconds", 0.0) for r in self.results)
         denom = self.jobs * self.elapsed_seconds
         return {

@@ -13,20 +13,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "invocation_rows",
         "analyze_benchmark",
     ),
-    ".trajectory": (
-        "TRAJECTORY_PATH",
-        "build_entry",
-        "compare_entries",
-        "load_trajectory",
-        "record_trajectory",
-        "SERVE_TRAJECTORY_PATH",
-        "build_serve_entry",
-        "compare_serve_entries",
-        "load_serve_trajectory",
-        "parse_serve_fail_on",
-        "record_serve_trajectory",
-        "serve_gate",
-    ),
     ".loadgen": (
         "DEFAULT_MIX",
         "LoadReport",

@@ -271,8 +271,8 @@ def _parallel_rows(
     """The whole batch through the parallel driver — one worker process
     per benchmark program, rows merged back in suite order.
 
-    ``batch_info``, when given, receives the batch stats (the
-    trajectory's utilization and critical-path columns come from it).
+    ``batch_info``, when given, receives the batch stats (pool
+    utilization and the critical path, the slowest program).
     """
     from ..analysis.parallel import AnalysisTask, run_batch
 
@@ -481,65 +481,23 @@ def main(argv: Optional[list[str]] = None) -> int:
                              "(deterministic merge; 1 = sequential)")
     parser.add_argument("--json", action="store_true",
                         help="emit rows as JSON instead of the text table")
-    parser.add_argument("--record", nargs="?", const="BENCH_table2.json",
-                        metavar="PATH",
-                        help="append this run to the benchmark trajectory "
-                             "file (default BENCH_table2.json) and report "
-                             "drift against the previous entry")
     args = parser.parse_args(argv)
     if args.row is not None:
         return _child_row(args.row)
     names = args.names.split(",") if args.names else None
-    peak_kb = None
-    if args.record:
-        # sample the whole batch's heap peak for the trajectory record
-        import tracemalloc
-
-        already = tracemalloc.is_tracing()
-        if not already:
-            tracemalloc.start()
-        else:  # pragma: no cover - nested tracing
-            tracemalloc.reset_peak()
-    batch_info: dict = {}
     batch_start = time.perf_counter()
     rows = table2_rows(
         names=names,
         per_program_timeout=args.per_program_timeout,
         jobs=args.jobs,
-        batch_info=batch_info,
     )
     batch_seconds = time.perf_counter() - batch_start
-    if args.record:
-        peak_kb = tracemalloc.get_traced_memory()[1] / 1024.0
-        if not already:
-            tracemalloc.stop()
     if args.json:
         print(json.dumps([r.as_dict() for r in rows], indent=2, sort_keys=True))
     else:
         print(table2_text(rows))
         if args.jobs > 1:
             print(f"(batch: {batch_seconds:.3f}s wall with --jobs {args.jobs})")
-    if args.record:
-        from .trajectory import record_trajectory
-
-        entry, drift = record_trajectory(
-            rows,
-            path=args.record,
-            peak_kb=peak_kb,
-            jobs=args.jobs,
-            batch_seconds=batch_seconds,
-            utilization=batch_info.get("utilization"),
-            critical_path_seconds=batch_info.get("critical_path_seconds"),
-        )
-        print(
-            f"repro-bench: recorded entry rev={entry['revision']} "
-            f"-> {args.record}",
-            file=sys.stderr,
-        )
-        for line in drift:
-            print(f"repro-bench: drift: {line}", file=sys.stderr)
-        if not drift:
-            print("repro-bench: no drift vs previous entry", file=sys.stderr)
     return 1 if any(r.error for r in rows) else 0
 
 

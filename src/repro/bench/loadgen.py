@@ -44,10 +44,10 @@ Design points:
   request the daemon finalized is an answer read, a deliberate client
   disconnect, or a server drop**.
 
-The report feeds the append-only ``BENCH_serve.json`` trajectory
-(:func:`repro.bench.trajectory.record_serve_trajectory`), where p99/qps
-regressions gate CI the same way the snapshot differ gates precision
-drift.
+The report is a one-run gate (``--max-p99-ms``, the chaos accounting),
+not a performance record: throughput and latency are recorded and
+compared run over run by the repo benchmark (``benchmarks/perf/README.md``),
+whose serve workloads reuse :func:`build_workload`.
 """
 
 from __future__ import annotations

@@ -14,11 +14,6 @@ def add_table2_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--names", help="comma-separated subset of benchmarks")
     p.add_argument("--json", action="store_true",
                    help="emit the rows as JSON instead of the text table")
-    p.add_argument("--record", nargs="?", const="BENCH_table2.json",
-                   metavar="PATH",
-                   help="append this run to the benchmark trajectory file "
-                        "(default BENCH_table2.json) and report drift "
-                        "against the previous entry")
 
 
 def add_diff_arguments(p: argparse.ArgumentParser) -> None:
@@ -49,14 +44,6 @@ def cmd_table2(args: argparse.Namespace) -> int:
         print(json.dumps([r.as_dict() for r in rows], indent=2, sort_keys=True))
     else:
         print(table2_text(rows))
-    if getattr(args, "record", None):
-        from ..bench import record_trajectory
-
-        entry, drift = record_trajectory(rows, path=args.record)
-        print(f"repro: recorded entry rev={entry['revision']} -> {args.record}",
-              file=sys.stderr)
-        for line in drift:
-            print(f"repro: drift: {line}", file=sys.stderr)
     return 0
 
 

@@ -87,16 +87,6 @@ def add_loadtest_arguments(p: argparse.ArgumentParser) -> None:
                    help="emit the report as JSON")
     p.add_argument("-o", "--output", default="-", metavar="PATH",
                    help="report destination ('-' = stdout, the default)")
-    p.add_argument("--record", nargs="?", const="BENCH_serve.json",
-                   metavar="PATH",
-                   help="append this run to the serve trajectory file "
-                        "(default BENCH_serve.json) and report drift "
-                        "against the previous entry")
-    p.add_argument("--fail-on", metavar="SPEC",
-                   help="with --record: exit 1 on regression vs the "
-                        "previous entry, e.g. 'p99:100%%,qps:30%%' "
-                        "(p99 latency grew >100%% / throughput fell "
-                        ">30%%)")
     p.add_argument("--max-p99-ms", type=float, metavar="MS",
                    help="absolute gate: exit 1 when p99 latency exceeds "
                         "MS milliseconds")
@@ -235,18 +225,16 @@ def _render_loadtest_report(report: dict) -> list[str]:
 
 def cmd_loadtest(args: argparse.Namespace) -> int:
     """Replay a mixed concurrent query workload against a running daemon
-    and report/record throughput + latency quantiles."""
+    and report throughput + latency quantiles."""
     from ..bench.loadgen import parse_mix, run_loadtest
-    from ..bench.trajectory import (
-        parse_serve_fail_on,
-        record_serve_trajectory,
-    )
 
-    try:
-        fail_on = parse_serve_fail_on(args.fail_on)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    for flag, value in (("--clients", args.clients),
+                        ("--requests", args.requests)):
+        if value < 1:
+            # an empty run would report 0 requests and pass every gate
+            print(f"error: {flag} must be at least 1, got {value}",
+                  file=sys.stderr)
+            return EXIT_ERROR
     try:
         mix = parse_mix(args.mix)
     except ValueError as exc:
@@ -296,25 +284,6 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             status = 1
-    if getattr(args, "record", None):
-        entry, drift, failures = record_serve_trajectory(
-            payload, path=args.record, fail_on=fail_on
-        )
-        print(
-            f"repro: recorded serve entry rev={entry['revision']} -> "
-            f"{args.record}",
-            file=sys.stderr,
-        )
-        for line in drift:
-            print(f"repro: drift: {line}", file=sys.stderr)
-        if failures:
-            for line in failures:
-                print(f"repro: serve gate failed: {line}", file=sys.stderr)
-            status = 1
-    elif fail_on is not None:
-        print("error: --fail-on requires --record (the gate compares "
-              "against the previous trajectory entry)", file=sys.stderr)
-        return EXIT_ERROR
     return status
 
 

@@ -1,13 +1,11 @@
 """Concurrency-safe file I/O shared by every layer that persists JSON.
 
-The repo's persistence points (``repro index`` stores, the benchmark
-trajectory, snapshot files) all follow the same discipline: serialize to
-a temporary sibling, then ``os.replace`` so readers never observe a
-truncated document.  The original spelling used a *fixed* ``<path>.tmp``
-sibling — two concurrent writers (two ``repro index`` runs against one
-store, two ``--record`` batches appending to one trajectory) would then
-write into the *same* temporary file and rename each other's half-written
-bytes into place.
+A ``repro index`` store is written the way every persisted document
+should be: serialize to a temporary sibling, then ``os.replace`` so
+readers never observe a truncated document.  The original spelling used a
+*fixed* ``<path>.tmp`` sibling — two concurrent writers (two ``repro
+index`` runs against one store) would then write into the *same*
+temporary file and rename each other's half-written bytes into place.
 
 ``atomic_write_text`` closes that race: the temporary name is unique per
 process (``<path>.tmp.<pid>``) and created with ``O_EXCL`` so even a pid

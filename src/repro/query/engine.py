@@ -51,6 +51,7 @@ module nor the memory model.
 
 from __future__ import annotations
 
+import os
 import threading
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Optional
@@ -207,7 +208,14 @@ class QueryEngine:
         self._index = store["index"]
         self._procs: dict = self._index["procedures"]
         self._call_graph: dict = store["call_graph"]
-        self._sources = [rec["path"] for rec in store.get("sources", [])]
+        #: the sources the ``repro explain`` hint names: each as typed at
+        #: ``repro index``, or its recorded absolute form when the typed
+        #: path does not resolve from this working directory
+        self._sources = [
+            rec["path"] if os.path.exists(rec["path"])
+            else rec.get("abspath", rec["path"])
+            for rec in store.get("sources", [])
+        ]
 
     # -- store facts -------------------------------------------------------
 

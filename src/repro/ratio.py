@@ -27,8 +27,8 @@ def safe_ratio(
     Table 2 rows and ``--jobs`` bundles, the query engine's
     ``cache_hit_rate``, histogram means).  ``None`` — not ``0.0`` —
     because a run that never probed a cache is not an all-miss run, and
-    downstream consumers (the snapshot differ, the bench trajectory)
-    must not be fed a fabricated number.
+    downstream consumers (the snapshot differ, the Table 2 rows) must
+    not be fed a fabricated number.
     """
     if not denominator:
         return None

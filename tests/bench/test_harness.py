@@ -5,7 +5,8 @@ import os
 import pytest
 
 from repro.bench import PROGRAMS, analyze_benchmark, table2_rows, table2_text
-from repro.bench.harness import invocation_rows, table3_rows
+from repro.bench.harness import Table2Row, invocation_rows, table3_rows
+from repro.bench.harness import main as harness_main
 from repro.bench.programs import by_name, load_source, source_path
 
 from ..memory.dense_oracle import DenseState, use_state
@@ -88,6 +89,41 @@ class TestHarness:
         rows = invocation_rows(names=["grep"])
         assert rows[0]["name"] == "grep"
         assert rows[0]["invocation_nodes"] >= rows[0]["procedures"] - 1
+
+    def test_retired_record_flag_is_a_usage_error(self, capsys):
+        # performance history is the benchmark ledger (benchmarks/perf)
+        with pytest.raises(SystemExit) as exc:
+            harness_main(["--record"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def fake_row(name="allroots", **kwargs):
+    defaults = dict(
+        name=name, lines=100, procedures=5, seconds=0.5,
+        avg_ptfs=1.0, paper=by_name(name),
+        cache_hit_rate=0.5, dom_walk_steps=1000,
+    )
+    defaults.update(kwargs)
+    return Table2Row(**defaults)
+
+
+class TestRowStatus:
+    def test_status_property(self):
+        assert fake_row().status == "ok"
+        assert fake_row(error="boom").status == "error"
+        assert fake_row(degraded=2).status == "degraded"
+
+    def test_as_dict_includes_status_and_degradation(self):
+        row = fake_row(degraded=1,
+                       degradation={"quarantined": ["f"], "reasons": {"x": 1}})
+        d = row.as_dict()
+        assert d["status"] == "degraded"
+        assert d["degraded"] == 1
+        assert d["degradation"]["quarantined"] == ["f"]
+        clean = fake_row().as_dict()
+        assert clean["status"] == "ok"
+        assert "error" not in clean and "degradation" not in clean
 
 
 class TestFaultIsolation:

@@ -36,8 +36,8 @@ def test_jobs_rows_match_sequential_columns():
 
 
 def test_jobs_batch_fills_batch_info():
-    """The trajectory's batch columns come from bundle wall times: the
-    share of pool capacity spent in workers, and the slowest program."""
+    """The batch stats come from bundle wall times: the share of pool
+    capacity spent in workers, and the slowest program."""
     info = {}
     rows = table2_rows(names=["allroots", "diff"], jobs=2, batch_info=info)
     assert [r.name for r in rows] == ["allroots", "diff"]

@@ -368,16 +368,12 @@ class TestTable2Status:
         rows = json.loads(capsys.readouterr().out)
         assert rows[0]["status"] == "ok"
 
-    def test_record_appends_trajectory(self, tmp_path, capsys, monkeypatch):
-        dest = tmp_path / "BENCH_table2.json"
-        assert main(["table2", "--names", "allroots", "--record", str(dest)]) == 0
-        capsys.readouterr()
-        assert main(["table2", "--names", "allroots", "--record", str(dest)]) == 0
-        err = capsys.readouterr().err
-        assert "recorded entry" in err
-        data = json.loads(dest.read_text())
-        assert len(data["entries"]) == 2
-        assert data["entries"][-1]["rows"][0]["name"] == "allroots"
+    def test_retired_record_flag_is_a_usage_error(self, capsys):
+        # performance history is the benchmark ledger (benchmarks/perf)
+        with pytest.raises(SystemExit) as exc:
+            main(["table2", "--record"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestSnapshot:

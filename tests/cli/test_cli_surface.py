@@ -8,7 +8,8 @@ lost ``--state`` and ``--no-lookup-cache``, and again when ``analyze``
 lost ``--profile-parallel``/``--worker-trace-dir`` and the
 ``parallel-report`` command went, and again when ``serve`` lost
 ``--no-telemetry`` and ``loadtest`` lost its six daemon flags and made
-``--tcp`` required).  The dispatcher adds
+``--tcp`` required, and again when ``table2`` lost ``--record`` and
+``loadtest`` lost ``--record``/``--fail-on``).  The dispatcher adds
 arguments only for the command being run, so these pin that every help
 text, usage line and "invalid choice" error is still the same.
 """

@@ -12,6 +12,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -393,6 +394,13 @@ class TestOtherWorkingDirectory:
         captured = capsys.readouterr()
         return rc, json.loads(captured.out), captured.err
 
+    def hinted_file(self, answer):
+        # the explain hint must name a file that exists from here
+        cmd = answer["explain"].split()
+        assert cmd[:2] == ["repro", "explain"]
+        assert cmd[3:] == ["--query", "a@main"]
+        return Path(cmd[2])
+
     def serve(self, store, cwd):
         requests = [
             {"op": "points_to", "var": "a", "proc": "main", "id": 1},
@@ -416,13 +424,13 @@ class TestOtherWorkingDirectory:
         assert rc == 0 and err == ""
         assert all("stale" not in a and "mode" not in a for a in answers)
         assert answers[0]["targets"] == ["g"]
-        assert answers[0]["explain"] == "repro explain prog.c --query a@main"
+        assert self.hinted_file(answers[0]).exists()
         src.write_text(EDITED)
         rc, answers, err = self.query(store, capsys)
         assert rc == 0 and "warning" not in err
         assert answers[0]["mode"] == "demand"
         assert answers[0]["targets"] == ["h"]
-        assert answers[0]["explain"] == "repro explain prog.c --query a@main"
+        assert self.hinted_file(answers[0]).exists()
 
     def test_serve_from_another_directory(self, tmp_path, monkeypatch):
         src, store = self.index_relative(tmp_path, monkeypatch)
@@ -430,6 +438,7 @@ class TestOtherWorkingDirectory:
         envelope = self.serve(store, elsewhere)
         assert "stale" not in envelope and "mode" not in envelope
         assert envelope["result"]["targets"] == ["g"]
+        assert self.hinted_file(envelope["result"]).exists()
         src.write_text(EDITED)
         envelope = self.serve(store, elsewhere)
         assert envelope["mode"] == "demand"

@@ -91,10 +91,9 @@ def _process_writer(dest, i):
 
 
 def test_concurrent_processes_last_replace_wins(tmp_path):
-    """The regression scenario from the ISSUE: concurrent ``repro
-    index``/``--record`` runs against one path.  With unique
-    temporaries, readers only ever observe one writer's complete
-    document."""
+    """The regression scenario: concurrent ``repro index`` runs against
+    one store path.  With unique temporaries, readers only ever observe
+    one writer's complete document."""
     dest = str(tmp_path / "store.json")
     ctx = multiprocessing.get_context("fork")
     procs = [

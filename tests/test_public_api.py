@@ -78,14 +78,10 @@ PUBLIC = {
     ],
     "repro.bench": [
         "BenchmarkProgram", "DEFAULT_MIX", "LoadReport", "PROGRAMS",
-        "SERVE_TRAJECTORY_PATH", "TRAJECTORY_PATH", "Table2Row",
-        "analyze_benchmark", "build_entry", "build_serve_entry",
-        "build_workload", "compare_entries", "compare_serve_entries",
-        "invocation_rows", "load_serve_trajectory", "load_source",
-        "load_trajectory", "parse_mix", "parse_serve_fail_on",
-        "record_serve_trajectory", "record_trajectory", "run_loadtest",
-        "serve_gate", "source_path", "table2_rows", "table2_text",
-        "table3_rows", "table3_text",
+        "Table2Row", "analyze_benchmark", "build_workload",
+        "invocation_rows", "load_source", "parse_mix", "run_loadtest",
+        "source_path", "table2_rows", "table2_text", "table3_rows",
+        "table3_text",
     ],
 }
 
