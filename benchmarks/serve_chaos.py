@@ -144,7 +144,7 @@ def main(argv: list[str] | None = None) -> int:
         # 3a. corrupt the serving store: the watcher must refuse it
         time.sleep(0.5)
         with open(serving, "w", encoding="utf-8") as fh:
-            fh.write('{"format": "repro-store/1", "truncated')
+            fh.write('{"format": "repro-store/2", "truncated')
         wait_for(lambda: "repro: reload failed" in stderr_text(stderr_path),
                  30, "the watcher's reload refusal")
         health = query_once(port, {"op": "health", "id": "gate"})

@@ -152,6 +152,7 @@ def _worker_run(task: AnalysisTask) -> dict:
                 options=options,
                 program_name=task.name,
                 sources=list(task.files) or None,
+                snapshot=snapshot,
             )
     except Exception as exc:  # noqa: BLE001 - fault isolation by design
         out["error"] = f"{type(exc).__name__}: {exc}"

@@ -266,14 +266,9 @@ def _parallel_rows(
     progs: list[BenchmarkProgram],
     options: Optional[AnalyzerOptions],
     jobs: int,
-    batch_info: Optional[dict] = None,
 ) -> list[Table2Row]:
     """The whole batch through the parallel driver — one worker process
-    per benchmark program, rows merged back in suite order.
-
-    ``batch_info``, when given, receives the batch stats (pool
-    utilization and the critical path, the slowest program).
-    """
+    per benchmark program, rows merged back in suite order."""
     from ..analysis.parallel import AnalysisTask, run_batch
 
     tasks = [
@@ -286,8 +281,6 @@ def _parallel_rows(
         for prog in progs
     ]
     batch = run_batch(tasks, jobs=jobs)
-    if batch_info is not None:
-        batch_info.update(batch.stats())
     rows = []
     for prog, bundle in zip(progs, batch.results):
         if bundle.get("error"):
@@ -316,13 +309,12 @@ def table2_rows(
     fault_tolerant: bool = True,
     per_program_timeout: Optional[float] = None,
     jobs: int = 1,
-    batch_info: Optional[dict] = None,
 ) -> list[Table2Row]:
     progs = [p for p in PROGRAMS if names is None or p.name in names]
     if jobs > 1:
         # worker processes already give per-program fault isolation;
         # per_program_timeout applies to the sequential paths only
-        return _parallel_rows(progs, options, jobs, batch_info=batch_info)
+        return _parallel_rows(progs, options, jobs)
     rows = []
     for prog in progs:
         if per_program_timeout is not None:

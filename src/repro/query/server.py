@@ -274,8 +274,6 @@ class QueryServer:
         #: set once a ``shutdown`` request (in-band or signal) is
         #: handled; both transports check it to unwind cleanly
         self.shutting_down = threading.Event()
-        #: requests handled (all envelopes, including errors)
-        self.requests_handled = 0
         #: store generation: 1 for the store served at startup, +1 per
         #: successful hot swap
         self.generation = 1
@@ -439,8 +437,6 @@ class QueryServer:
         a new one mid-flight).
         """
         engine = engine if engine is not None else self.engine
-        with self._count_lock:
-            self.requests_handled += 1
         if not isinstance(request, dict):
             return self._envelope_error(
                 None, "bad-request", "request must be a JSON object"
@@ -773,7 +769,6 @@ class QueryServer:
         why, retry_after_ms = reason
         with self._count_lock:
             rid = next(self._rid)
-            self.requests_handled += 1
         self._tel_sheds.inc()
         if why == "rate":
             self._tel_sheds_rate.inc()

@@ -10,22 +10,29 @@ serve`` read it): a single JSON document from which the demand engine
 pointed-by and call-graph reachability queries **without re-running the
 analysis**.
 
-Document layout (format tag ``repro-store/1``)::
+Document layout (format tag ``repro-store/2``)::
 
     {
-      "format":   "repro-store/1",
+      "format":   "repro-store/2",
       "program":  name,
-      "created":  ISO-8601 UTC,
       "sources":  [{"path": ..., "sha256": ..., ["abspath": ...]}, ...],
-      "options":  non-default AnalyzerOptions (unhashed, provenance),
-      "snapshot": the full canonical run snapshot (repro-snapshot/1 —
-                  byte-for-byte what ``repro snapshot`` would have
-                  written, digests included),
+      "options":  non-default AnalyzerOptions (provenance; the demand
+                  tier re-analyzes under them),
+      "snapshot": {"digest": ..., "degradation": ...} — the run's
+                  snapshot digests and sanitized degradation account,
+                  equal to what ``repro snapshot`` computes,
       "ir":       per-procedure lowered-IR digests + the global
                   environment digest (repro.query.invalidate),
       "call_graph": caller -> sorted callees (the analysis-resolved one),
-      "index":    the merged per-procedure fact tables below
+      "index":    the merged per-procedure fact tables below,
+      "integrity": {"algorithm": "sha256", "digest": ...}
     }
+
+Each fact is kept once, and nothing in the document depends on the
+clock or the process: no creation time, no timers, no second layout of
+the solution.  :func:`write_store` emits sorted-key compact JSON, so two
+``repro index`` runs of the same sources from the same working
+directory write the same bytes.
 
 The ``index`` is where the demand API's speed comes from — every fact a
 query needs, merged over all PTFs/contexts and pre-translated at build
@@ -55,22 +62,21 @@ behind and two concurrent indexers against the same path serialize to
 last-replace-wins instead of corrupting each other's temporary file.
 
 Readers are defensive (:func:`load_store`): the format tag, the
-document shape, and — since the ``integrity`` record was added — a
-whole-store SHA-256 are all validated before a single query is
-answered.  The digest is computed at build time over the canonical
-compact serialization of every section *except* ``integrity`` itself
-(:func:`store_integrity_digest`), so any post-write corruption — a
-truncated replace, a flipped byte, a hand edit — turns into a
-:class:`StoreError` with a stable ``repro:``-friendly message instead
-of a wrong answer or a traceback deep inside the engine.  Stores
-written before the record existed load without the check (there is
-nothing to verify); ``verify=False`` skips it explicitly (the serve
-daemon never does).
-Consistency with the run it was built from is *provable*: the embedded
-snapshot diffs bit-identical against a fresh ``repro snapshot`` of the
-same sources (``repro diff`` reports ``bit-identical``), and the
-query/snapshot agreement property tests pin the index to the snapshot's
-merged facts.
+document shape, and a whole-store SHA-256 are all validated before a
+single query is answered; a store of an older format is refused with a
+hint to re-run ``repro index``.  The digest is computed at build time
+over the canonical compact serialization of every section *except*
+``integrity`` itself (:func:`store_integrity_digest`), so any
+post-write corruption — a truncated replace, a flipped byte, a hand
+edit — turns into a :class:`StoreError` with a stable
+``repro:``-friendly message instead of a wrong answer or a traceback
+deep inside the engine.  A document without the record loads without
+the check (there is nothing to verify); ``verify=False`` skips it
+explicitly (the serve daemon never does).
+Consistency with the run it was built from is *provable*: the store's
+``snapshot.digest`` equals the digest of a fresh ``repro snapshot`` of
+the same sources, and the query/snapshot agreement property tests pin
+the index to the snapshot's merged facts.
 """
 
 from __future__ import annotations
@@ -78,7 +84,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import time
 from typing import IO, TYPE_CHECKING, Optional, Union
 
 from ..ioutil import atomic_write_text
@@ -103,7 +108,7 @@ __all__ = [
 
 #: bumped whenever the index layout changes incompatibly; the engine
 #: refuses to query stores of a different format
-STORE_FORMAT = "repro-store/1"
+STORE_FORMAT = "repro-store/2"
 
 #: top-level sections a loadable store must carry as JSON objects (the
 #: engine indexes into all of them unconditionally)
@@ -166,8 +171,8 @@ def _loc_record(result: "AnalysisResult", loc) -> list:
 def _var_table(result: "AnalysisResult", proc_name: str) -> dict:
     """Caller-space points-to facts for every queryable variable of one
     procedure (empty answers are omitted — the engine distinguishes
-    "no pointer values" from "unknown variable" via the program's name
-    tables, which travel in the snapshot's solution)."""
+    "no pointer values" from "unknown variable" via the ``queryable``
+    list of :func:`procedure_record`)."""
     out: dict[str, dict] = {}
     for var in result.queryable_vars(proc_name):
         locs = result.points_to(proc_name, var)
@@ -282,23 +287,26 @@ def build_store(
     program_name: Optional[str] = None,
     sources: Optional[list] = None,
     source_files: Optional[list] = None,
+    snapshot: Optional[dict] = None,
 ) -> dict:
     """Assemble the persistent store for a finished analysis.
 
     ``sources`` is the list of indexed file paths (recorded with content
     hashes, read from ``source_files`` when given — see
     :func:`source_records`); omit it for in-memory programs (tests).
-    The embedded snapshot always includes the full canonical solution —
-    the store is the archival artifact, slimming it would break the
-    agreement property tests and ``repro diff`` provability.
+    ``snapshot`` is this run's snapshot when the caller already built
+    one (the parallel worker ships it in its bundle); the store keeps
+    only its digest and degradation account.
     """
     from ..analysis.guards import address_taken_procs, indirect_call_procs
     from ..diagnostics.snapshot import build_snapshot
     from .invalidate import program_ir_digests
 
-    snapshot = build_snapshot(
-        result, options=options, program_name=program_name, include_solution=True
-    )
+    if snapshot is None:
+        snapshot = build_snapshot(
+            result, options=options, program_name=program_name,
+            include_solution=False,
+        )
     ir = program_ir_digests(result.program)
     # recorded so staleness checks can widen across function-pointer
     # retargeting edits: an edit that makes a changed procedure
@@ -309,12 +317,14 @@ def build_store(
     return seal_store({
         "format": STORE_FORMAT,
         "program": snapshot["program"],
-        "created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "sources": (
             source_records(list(sources), source_files) if sources else []
         ),
         "options": snapshot["options"],
-        "snapshot": snapshot,
+        "snapshot": {
+            "digest": snapshot["digest"],
+            "degradation": snapshot["degradation"],
+        },
         "ir": ir,
         "call_graph": snapshot["call_graph"],
         "index": _build_index(result),
@@ -368,9 +378,10 @@ def verify_store_integrity(store: dict, label: str = "store") -> bool:
 
 
 def write_store(store: dict, path: Union[str, IO]) -> None:
-    """Serialize ``store`` to ``path`` atomically (unique per-process
-    tmp + ``os.replace``); ``-`` or an open file object writes directly."""
-    payload = json.dumps(store, indent=2, sort_keys=True) + "\n"
+    """Serialize ``store`` to ``path`` as canonical bytes (sorted keys,
+    compact separators), atomically (unique per-process tmp +
+    ``os.replace``); ``-`` or an open file object writes directly."""
+    payload = json.dumps(store, sort_keys=True, separators=(",", ":")) + "\n"
     if path == "-":
         import sys
 
@@ -418,7 +429,7 @@ def load_store(source: Union[str, IO], verify: bool = True) -> dict:
     if fmt != STORE_FORMAT:
         raise StoreError(
             f"{label}: unsupported store format {fmt!r} "
-            f"(expected {STORE_FORMAT!r})"
+            f"(expected {STORE_FORMAT!r}); re-run `repro index` to rebuild it"
         )
     for section in _REQUIRED_SECTIONS:
         if not isinstance(store.get(section), dict):

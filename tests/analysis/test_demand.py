@@ -166,7 +166,6 @@ class TestOptionsFromStore:
         store = index_in_memory(program, program_name="chain", sources=[str(src)])
         retired = {"state_kind": "dense", "lookup_cache": False}
         store["options"] = dict(retired)
-        store["snapshot"]["options"] = dict(retired)
         path = tmp_path / "chain.store.json"
         write_store(seal_store(store), str(path))
         store = load_store(str(path))

@@ -35,22 +35,6 @@ def test_jobs_rows_match_sequential_columns():
         assert p.status == s.status
 
 
-def test_jobs_batch_fills_batch_info():
-    """The batch stats come from bundle wall times: the share of pool
-    capacity spent in workers, and the slowest program."""
-    info = {}
-    rows = table2_rows(names=["allroots", "diff"], jobs=2, batch_info=info)
-    assert [r.name for r in rows] == ["allroots", "diff"]
-    assert all(r.error == "" for r in rows)
-    assert info["jobs"] == 2 and info["programs"] == 2
-    assert 0 < info["utilization"] <= 1.0
-    assert info["critical_path_seconds"] > 0
-    assert set(info) == {
-        "jobs", "workers", "programs", "errors", "elapsed_seconds",
-        "worker_seconds", "utilization", "critical_path_seconds",
-    }
-
-
 def test_jobs_error_isolation():
     """A bad name filter still yields deterministic suite ordering; and
     a worker crash shows up as an ERROR row, not a dead batch (exercised

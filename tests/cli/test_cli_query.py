@@ -70,10 +70,62 @@ def test_index_rebuilds_after_edit(prog_file, store_file, tmp_path, capsys):
     assert "indexed" in err
 
 
+def _as_format_1(store_file):
+    """Rewrite a store as a ``repro-store/1`` document, sealed so only
+    its format tag can be refused."""
+    from repro.query import load_store, seal_store, write_store
+
+    store = load_store(store_file)
+    store["format"] = "repro-store/1"
+    write_store(seal_store(store), store_file)
+
+
+def test_index_rewrites_format_1_store(prog_file, store_file, capsys):
+    """An old-format store is rebuilt, never reported up to date."""
+    from repro.query import STORE_FORMAT, load_store
+
+    _as_format_1(store_file)
+    capsys.readouterr()
+    assert main(["index", prog_file, "-o", store_file]) == 0
+    err = capsys.readouterr().err
+    assert "up to date" not in err
+    assert "indexed" in err
+    assert load_store(store_file)["format"] == STORE_FORMAT == "repro-store/2"
+
+
+def test_index_runs_write_identical_bytes(tmp_path):
+    """Two ``repro index`` runs of one source, in fresh processes under
+    different hash seeds, write the same bytes: nothing in the store
+    depends on the clock or on set iteration order."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+    from repro.bench.programs import program_dir
+
+    src = os.path.join(program_dir(), "grep.c")
+    src_root = os.path.dirname(
+        os.path.dirname(os.path.abspath(repro.__file__))
+    )
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
+        out = tmp_path / f"seed{seed}.store.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "index", src, "-o", str(out)],
+            capture_output=True, text=True, timeout=300, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_index_to_stdout(prog_file, capsys):
     assert main(["index", prog_file, "-o", "-"]) == 0
     store = json.loads(capsys.readouterr().out)
-    assert store["format"] == "repro-store/1"
+    assert store["format"] == "repro-store/2"
 
 
 # -- repro query ------------------------------------------------------------
@@ -113,6 +165,14 @@ def test_query_bad_store_is_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"format": "nope"}))
     assert main(["query", str(bad), "stats"]) == 2
+
+
+def test_query_format_1_store_is_exit_2(store_file, capsys):
+    _as_format_1(store_file)
+    assert main(["query", store_file, "stats"]) == 2
+    err = capsys.readouterr().err
+    assert "repro-store/1" in err
+    assert "repro index" in err
 
 
 def test_query_answers_match_fresh_analysis(prog_file, store_file, capsys):

@@ -1,7 +1,7 @@
 """Property: store answers are derivable from — and never exceed — the
 snapshot they were built from, across the benchmark suite.
 
-The store is a *reorganization* of the run the embedded snapshot pins
+The store is a *reorganization* of the run its snapshot digest pins
 down, not a second analysis; so for every benchmark program:
 
 * a ``points_to`` answer equals the live merged answer
@@ -31,6 +31,7 @@ from hypothesis import strategies as st
 from repro.analysis.engine import AnalyzerOptions
 from repro.bench.harness import analyze_benchmark
 from repro.bench.programs import PROGRAMS
+from repro.diagnostics.snapshot import build_snapshot
 from repro.memory.pointsto import reset_interning
 from repro.query import QueryEngine, build_store
 
@@ -50,9 +51,12 @@ def corpus(name: str):
         reset_interning()
         result = analyze_benchmark(name, AnalyzerOptions())
         store = build_store(result, program_name=name)
+        snapshot = build_snapshot(result, program_name=name)
+        # the store pins the same run the universe is drawn from
+        assert store["snapshot"]["digest"] == snapshot["digest"]
         universe = {
             proc: _value_universe(payloads)
-            for proc, payloads in store["snapshot"]["solution"].items()
+            for proc, payloads in snapshot["solution"].items()
         }
         _cache[name] = (result, store, QueryEngine(store), universe)
     return _cache[name]

@@ -271,18 +271,6 @@ def test_concurrent_clients_match_sequential_answers(store):
     assert not _probe_tcp(*addr)
 
 
-def test_requests_handled_counter(store):
-    server = make_server(store)
-    run_stdio(server, [
-        json.dumps({"op": "ping"}),
-        json.dumps([{"op": "stats"}, {"op": "stats"}]),
-        "garbage",
-    ])
-    # ping + 2 batched + garbage line is not counted as a request (it
-    # never became one), so: 3
-    assert server.requests_handled == 3
-
-
 # -- telemetry / access log / admin ops -------------------------------------
 
 

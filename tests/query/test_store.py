@@ -51,8 +51,13 @@ def store(result):
 def test_store_document_shape(store):
     assert store["format"] == STORE_FORMAT
     assert store["program"] == "unit"
-    for key in ("snapshot", "ir", "call_graph", "index", "created"):
-        assert key in store
+    assert set(store) == {
+        "format", "program", "sources", "options", "snapshot", "ir",
+        "call_graph", "index", "integrity",
+    }
+    # one copy of each fact: the snapshot section keeps only what the
+    # top level does not already carry
+    assert set(store["snapshot"]) == {"digest", "degradation"}
     index = store["index"]
     assert set(index) == {"procedures", "pointed_by", "callsites"}
     assert set(index["procedures"]) == {"main", "set", "use"}
@@ -101,18 +106,30 @@ def test_pointed_by_inverts_vars(store):
             assert target in index["procedures"][proc]["vars"][var]["targets"]
 
 
-def test_embedded_snapshot_is_bit_identical_to_fresh(store, result):
-    """The store's snapshot is the archival artifact: byte-for-byte what
-    ``repro snapshot`` would have written for the same run."""
+def test_snapshot_section_matches_fresh_snapshot(store, result):
+    """The store pins the run it was built from: its digests and
+    degradation account equal a fresh ``repro snapshot``'s, and its
+    call graph, program name and options are the snapshot's."""
     from repro.diagnostics.snapshot import build_snapshot
 
-    fresh = build_snapshot(result, program_name="unit", include_solution=True)
-    embedded = dict(store["snapshot"])
-    # wall-clock/memory profiles are volatile by design; the hashed half
-    # must match exactly
-    embedded.pop("volatile", None)
-    fresh.pop("volatile", None)
-    assert embedded == fresh
+    fresh = build_snapshot(result, program_name="unit")
+    assert store["snapshot"] == {
+        "digest": fresh["digest"],
+        "degradation": fresh["degradation"],
+    }
+    assert store["call_graph"] == fresh["call_graph"]
+    assert store["program"] == fresh["program"]
+    assert store["options"] == fresh["options"]
+
+
+def test_write_emits_canonical_bytes(tmp_path, store):
+    """The file is sorted-key compact JSON: the same bytes the integrity
+    digest hashes, plus the record itself."""
+    path = tmp_path / "x.store.json"
+    write_store(store, str(path))
+    assert path.read_text() == (
+        json.dumps(store, sort_keys=True, separators=(",", ":")) + "\n"
+    )
 
 
 def test_write_is_atomic(tmp_path, store):
