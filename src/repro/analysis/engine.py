@@ -97,12 +97,6 @@ class AnalyzerOptions:
     #: (:class:`repro.diagnostics.faults.FaultPlan`) exercising the
     #: degradation paths; None (the default) injects nothing
     faults: Optional[FaultPlan] = None
-    #: when True, ``run`` samples the interpreter's allocation peak with
-    #: :mod:`tracemalloc` for the duration of the analysis (expensive —
-    #: tracemalloc hooks every allocation; a factor of 2-4x on wall time)
-    #: and records it in ``Analyzer.peak_memory_kb``.  The cheap live
-    #: gauges of :meth:`Analyzer.memory_profile` are collected regardless
-    track_memory: bool = False
 
 
 def options_payload(options: Optional[AnalyzerOptions]) -> dict:
@@ -188,9 +182,6 @@ class Analyzer(InterproceduralMixin):
             "locsets": _locset_mod.locsets_interned(),
             "values_intern": _pointsto_mod.values_intern_size(),
         }
-        #: tracemalloc-sampled allocation peak of ``run`` in KiB, or None
-        #: when ``AnalyzerOptions.track_memory`` was off
-        self.peak_memory_kb: Optional[float] = None
         # frontend faults travel with the program: quarantine the affected
         # procedures before the first dispatch can reach them
         for fault in getattr(program, "frontend_failures", ()):
@@ -240,7 +231,6 @@ class Analyzer(InterproceduralMixin):
 
     def run(self) -> "Analyzer":
         tr = self.trace
-        mem_owner = self._start_memory_tracking()
         start = time.perf_counter()
         self.budget.start()
         # the explicit call-depth guard must fire before CPython's own
@@ -322,51 +312,21 @@ class Analyzer(InterproceduralMixin):
             if tr is not None:
                 tr.end("analyze", "driver")
         self.elapsed_seconds = time.perf_counter() - start
-        self._stop_memory_tracking(mem_owner)
         # surface the hot-path counters next to the interprocedural ones
         self.stats.update(self.metrics.counters())
         return self
 
     # -- memory accounting ------------------------------------------------
 
-    def _start_memory_tracking(self) -> Optional[bool]:
-        """Arm tracemalloc when ``track_memory`` asked for it.
-
-        Returns None when tracking is off, else whether this run *owns*
-        the tracer (a surrounding harness may already be tracing — then we
-        only reset the peak and leave the tracer running on exit).
-        """
-        if not self.options.track_memory:
-            return None
-        import tracemalloc
-
-        owner = not tracemalloc.is_tracing()
-        if owner:
-            tracemalloc.start()
-        else:
-            tracemalloc.reset_peak()
-        return owner
-
-    def _stop_memory_tracking(self, owner: Optional[bool]) -> None:
-        if owner is None:
-            return
-        import tracemalloc
-
-        _current, peak = tracemalloc.get_traced_memory()
-        self.peak_memory_kb = round(peak / 1024.0, 1)
-        if owner:
-            tracemalloc.stop()
-
     def memory_profile(self) -> dict:
-        """Live memory gauges of this run (the snapshot's memory profile).
+        """Live memory gauges of this run (``stats_dict()["memory"]``,
+        which ``--stats-json`` writes).
 
-        Always available and cheap — sums of live container sizes plus
-        per-run deltas of the process-global interning counters
+        Cheap — sums of live container sizes plus per-run deltas of the
+        process-global interning counters
         (:func:`repro.memory.blocks.blocks_created`,
         :func:`repro.memory.locset.locsets_interned`,
         :func:`repro.memory.pointsto.values_intern_size`).
-        ``tracemalloc_peak_kb`` is non-None only under
-        ``AnalyzerOptions.track_memory``.
         """
         from ..memory import blocks as _blocks_mod
         from ..memory import locset as _locset_mod
@@ -398,7 +358,6 @@ class Analyzer(InterproceduralMixin):
                 "initial_entries": initial_count,
             },
             "heap_blocks": len(self._heap_blocks),
-            "tracemalloc_peak_kb": self.peak_memory_kb,
         }
 
     def _main_param_map(self, main: Procedure) -> ParamMap:

@@ -2,8 +2,10 @@
 
 The unit of parallel work is one *program*: each task parses, lowers and
 analyzes one translation-unit group in its own worker process and ships
-back a pickle-clean result bundle — the canonical snapshot (digest
-included), the Table-2 measurement columns and the degradation summary.
+back a pickle-clean result bundle — the canonical snapshot digest, the
+Table-2 measurement columns and the degradation summary, plus the query
+store (``repro index --jobs``) or the whole snapshot (``repro analyze
+--snapshot-dir``) when the task asks for it.
 The parent merges bundles **in task order**, so the batch output and the
 recorded digests are deterministic regardless of which worker finishes
 first.
@@ -64,6 +66,10 @@ class AnalysisTask:
     options: dict = field(default_factory=dict)
     #: also build the persistent query store (``repro index --jobs``)
     build_store: bool = False
+    #: ship the whole canonical snapshot back in the bundle (``repro
+    #: analyze --snapshot-dir`` writes it); otherwise only its digest
+    #: crosses the process boundary
+    keep_snapshot: bool = False
 
 
 def _load_task_program(task: AnalysisTask):
@@ -109,15 +115,13 @@ def _worker_run(task: AnalysisTask) -> dict:
         options = options_from_payload(task.options) if task.options else None
         result = run_analysis(program, options)
         snapshot = build_snapshot(
-            result, options=options, program_name=task.name,
-            include_solution=True,
+            result, options=options, program_name=task.name
         )
         stats = result.stats()
         metrics = result.analyzer.metrics
         report = result.degradation
         out.update(
             {
-                "snapshot": snapshot,
                 "digest": snapshot["digest"]["program"],
                 "lines": stats.source_lines,
                 "procedures": stats.procedures,
@@ -144,6 +148,8 @@ def _worker_run(task: AnalysisTask) -> dict:
                 "partial": not report.ok,
             }
         )
+        if task.keep_snapshot:
+            out["snapshot"] = snapshot
         if task.build_store:
             from ..query.store import build_store
 

@@ -11,7 +11,7 @@
     python -m repro table3
     python -m repro parallelize prog.c
     python -m repro snapshot prog.c -o run.json      # canonical run snapshot
-    python -m repro diff old.json new.json --fail-on precision-loss,perf:5%
+    python -m repro diff old.json new.json --fail-on precision-loss
     python -m repro analyze --jobs 4 a.c b.c c.c --snapshot-dir snaps/
     python -m repro index prog.c -o prog.store.json  # analyze once...
     python -m repro index --jobs 4 a.c b.c -o stores/  # one store per file
@@ -56,7 +56,7 @@ COMMANDS = {
     "snapshot": (
         "analysis",
         "analyze C files and write the canonical run snapshot "
-        "(deterministic digest + precision/perf/memory profiles)",
+        "(solution, deterministic digest, precision profile)",
     ),
     "diff": (
         "reports",

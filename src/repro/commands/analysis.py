@@ -107,13 +107,6 @@ def add_snapshot_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--name", metavar="NAME",
                    help="program name recorded in the snapshot (defaults "
                         "to the program's own name)")
-    p.add_argument("--no-solution", action="store_true",
-                   help="omit the full canonical solution (the digest is "
-                        "still computed from it; diffs fall back to "
-                        "profile-level attribution)")
-    p.add_argument("--memory", action="store_true",
-                   help="sample the tracemalloc heap peak (adds overhead; "
-                        "the live gauges are always recorded)")
     add_analysis_flags(p)
 
 
@@ -345,8 +338,6 @@ def cmd_snapshot(args: argparse.Namespace) -> int:
     from ..frontend.parser import load_project_files
 
     opts = options_from(args)
-    if args.memory:
-        opts.track_memory = True
     program = load_project_files(
         args.files, tolerant=not opts.strict, faults=opts.faults
     )
@@ -356,12 +347,7 @@ def cmd_snapshot(args: argparse.Namespace) -> int:
         print("error: no analyzable main procedure", file=sys.stderr)
         return EXIT_ERROR
     result = run_analysis(program, opts)
-    snap = build_snapshot(
-        result,
-        options=opts,
-        program_name=args.name,
-        include_solution=not args.no_solution,
-    )
+    snap = build_snapshot(result, options=opts, program_name=args.name)
     write_snapshot(snap, args.output)
     if args.output != "-":
         digest = snap["digest"]["program"]

@@ -21,16 +21,7 @@ def add_diff_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("new", help="candidate snapshot path ('-' = stdin)")
     p.add_argument("--fail-on", metavar="SPEC",
                    help="comma-separated drift classes that make the exit "
-                        "code 1, e.g. 'precision-loss,perf:5%%,mem:20%%' "
-                        "(perf:N%%/mem:N%% also tighten the thresholds)")
-    p.add_argument("--perf-threshold", type=float, default=10.0,
-                   metavar="PCT",
-                   help="relative elapsed-time change classified as perf "
-                        "drift (default 10%%; 5 ms absolute noise floor)")
-    p.add_argument("--mem-threshold", type=float, default=10.0,
-                   metavar="PCT",
-                   help="relative memory-gauge change classified as mem "
-                        "drift (default 10%%)")
+                        "code 1, e.g. 'precision-loss,shape-change'")
     p.add_argument("--json", action="store_true",
                    help="emit the classified drift report as JSON")
 
@@ -110,20 +101,7 @@ def cmd_diff(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     try:
-        report = diff_snapshots(
-            old,
-            new,
-            perf_threshold=(
-                fail_on.perf_threshold
-                if fail_on.perf_threshold is not None
-                else args.perf_threshold / 100.0
-            ),
-            mem_threshold=(
-                fail_on.mem_threshold
-                if fail_on.mem_threshold is not None
-                else args.mem_threshold / 100.0
-            ),
-        )
+        report = diff_snapshots(old, new)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -111,6 +111,7 @@ def batch_tasks(args: argparse.Namespace, opts, build_store: bool = False):
     from ..analysis.parallel import AnalysisTask
 
     payload = options_payload(opts)
+    keep_snapshot = bool(getattr(args, "snapshot_dir", None))
     seen: dict[str, int] = {}
     tasks = []
     for path in args.files:
@@ -124,6 +125,7 @@ def batch_tasks(args: argparse.Namespace, opts, build_store: bool = False):
                 files=(path,),
                 options=payload,
                 build_store=build_store,
+                keep_snapshot=keep_snapshot,
             )
         )
     return tasks

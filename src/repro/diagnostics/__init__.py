@@ -28,8 +28,8 @@ that exercises the degradation ladder (``--inject-faults``; see
 
 On top of the per-run layers sits the **regression observatory**
 (:mod:`~repro.diagnostics.snapshot` / :mod:`~repro.diagnostics.diff`):
-canonical, deterministic snapshots of what a run computed — points-to
-digest, precision profile, perf profile, memory profile — and a semantic
+canonical, deterministic snapshots of what a run computed — the
+points-to solution, its digest and the precision profile — and a semantic
 differ that classifies drift between two snapshots into the closed
 :data:`DRIFT_KINDS` vocabulary (``repro snapshot`` / ``repro diff``).
 

@@ -1,38 +1,36 @@
 """Semantic diffing of analysis snapshots: the drift taxonomy.
 
 Given two snapshots (:mod:`repro.diagnostics.snapshot`) of the *same*
-program — two revisions, two option sets, two hosts — classify what
-moved between them into a small, stable vocabulary:
+program — two revisions, two option sets, two hosts — classify what the
+analysis computed differently into a small, stable vocabulary:
 
 ==================  =====================================================
 ``bit-identical``    the whole-program digests match (the canonical
                      solutions are byte-identical)
-``precision-loss``   a pointer gained possible targets, a procedure's
-                     average pointees grew, or new degradation records
+``precision-loss``   a pointer gained possible targets, a procedure was
+                     newly quarantined, or new degradation records
                      appeared — the new run knows *less*
-``precision-gain``   the reverse: targets vanished, pointees shrank,
+``precision-gain``   the reverse: targets vanished, quarantines and
                      degradations cleared
-``shape-change``     procedures/PTFs appeared or disappeared, or the call
-                     graph changed — the two runs are not comparing the
-                     same program shape (classified, never failed on by
-                     default)
-``perf-regression``  elapsed seconds grew beyond the threshold (default
-                     10%, floor 5 ms), with per-procedure attribution
-                     from the exclusive self-time profile
-``perf-improvement`` the reverse
-``mem-regression``   the tracemalloc peak or the live state/interning
-                     gauges grew beyond the threshold
+``shape-change``     procedures/PTFs appeared or disappeared, PTF domains
+                     moved, or the call graph changed — the two runs are
+                     not comparing the same program shape (classified,
+                     never failed on by default)
 ==================  =====================================================
 
 Every precision record carries **per-procedure attribution** and, for
 fact-level drift, the exact ``(location, target)`` fact that appeared or
 vanished plus a ready-made ``repro explain VAR@PROC`` query — the bridge
 into the provenance layer, which can then answer *why* the surviving run
-derives that fact.
+derives that fact.  Facts come from each snapshot's ``solution``
+section, so both snapshots must carry one.
 
-``--fail-on`` specs (CLI) look like ``precision-loss,perf:5%,mem:20%``:
-bare kind names select classes that make ``repro diff`` exit non-zero;
-``perf:N%`` / ``mem:N%`` additionally tighten the respective thresholds.
+Speed and memory are not compared here: they are host properties, which
+``benchmarks/perf`` measures.
+
+``--fail-on`` specs (CLI) are comma-separated kind names, e.g.
+``precision-loss,shape-change``: the selected classes make ``repro
+diff`` exit non-zero.
 """
 
 from __future__ import annotations
@@ -53,17 +51,10 @@ __all__ = [
 DRIFT_KINDS = (
     "precision-loss",
     "precision-gain",
-    "perf-regression",
-    "perf-improvement",
-    "mem-regression",
     "shape-change",
     "bit-identical",
 )
 
-#: perf deltas below this many seconds are noise, never drift
-_PERF_FLOOR_SECONDS = 0.005
-#: per-procedure self-time attribution floor
-_PROC_PERF_FLOOR_SECONDS = 0.002
 #: at most this many fact-level records per procedure per direction
 _MAX_FACTS_PER_PROC = 8
 
@@ -158,20 +149,16 @@ class DiffReport:
 
 @dataclass
 class FailOn:
-    """Parsed ``--fail-on`` spec: failing classes + tightened thresholds."""
+    """Parsed ``--fail-on`` spec: the drift classes that fail."""
 
     kinds: set = field(default_factory=set)
-    perf_threshold: Optional[float] = None
-    mem_threshold: Optional[float] = None
 
 
 def parse_fail_on(spec: Optional[str]) -> FailOn:
-    """``precision-loss,perf:5%,mem:20%`` → :class:`FailOn`.
+    """``precision-loss,shape-change`` → :class:`FailOn`.
 
-    ``perf:N%`` selects ``perf-regression`` *and* sets its threshold;
-    ``mem:N%`` likewise for ``mem-regression``.  Unknown kinds raise
-    ``ValueError`` (catching typos like ``precison-loss`` beats silently
-    never failing)."""
+    Unknown kinds raise ``ValueError`` (catching typos like
+    ``precison-loss`` beats silently never failing)."""
     out = FailOn()
     if not spec:
         return out
@@ -179,34 +166,12 @@ def parse_fail_on(spec: Optional[str]) -> FailOn:
         part = part.strip()
         if not part:
             continue
-        if ":" in part:
-            name, _, pct = part.partition(":")
-            name = name.strip()
-            pct = pct.strip().rstrip("%")
-            try:
-                value = float(pct) / 100.0
-            except ValueError:
-                raise ValueError(f"bad --fail-on threshold: {part!r}")
-            if name == "perf":
-                out.kinds.add("perf-regression")
-                out.perf_threshold = value
-            elif name == "mem":
-                out.kinds.add("mem-regression")
-                out.mem_threshold = value
-            else:
-                raise ValueError(f"unknown --fail-on threshold kind: {name!r}")
-            continue
-        if part == "perf":
-            out.kinds.add("perf-regression")
-        elif part == "mem":
-            out.kinds.add("mem-regression")
-        elif part in DRIFT_KINDS:
-            out.kinds.add(part)
-        else:
+        if part not in DRIFT_KINDS:
             raise ValueError(
                 f"unknown --fail-on class: {part!r} "
                 f"(expected one of {', '.join(DRIFT_KINDS)})"
             )
+        out.kinds.add(part)
     return out
 
 
@@ -277,17 +242,17 @@ def _fact_records(
 # ---------------------------------------------------------------------------
 
 
-def diff_snapshots(
-    old: dict,
-    new: dict,
-    perf_threshold: float = 0.10,
-    mem_threshold: float = 0.10,
-) -> DiffReport:
+def diff_snapshots(old: dict, new: dict) -> DiffReport:
     """Classify the drift between two snapshots of the same program."""
     report = DiffReport(old.get("program", "?"), new.get("program", "?"))
     for snap, which in ((old, "old"), (new, "new")):
         if snap.get("format") != old.get("format") or "digest" not in snap:
             raise ValueError(f"{which} snapshot is not a valid repro snapshot")
+        if "solution" not in snap:
+            raise ValueError(
+                f"{which} snapshot carries no solution; "
+                "re-run `repro snapshot` to record one"
+            )
 
     identical = old["digest"]["program"] == new["digest"]["program"]
     if identical:
@@ -298,16 +263,14 @@ def diff_snapshots(
     else:
         _diff_precision(report, old, new)
     _diff_degradation(report, old, new)
-    _diff_perf(report, old, new, perf_threshold)
-    _diff_memory(report, old, new, mem_threshold)
     return report
 
 
 def _diff_precision(report: DiffReport, old: dict, new: dict) -> None:
     old_digests = old["digest"]["procedures"]
     new_digests = new["digest"]["procedures"]
-    old_sol = old.get("solution")
-    new_sol = new.get("solution")
+    old_sol = old["solution"]
+    new_sol = new["solution"]
     old_prec = old.get("precision", {}).get("procedures", {})
     new_prec = new.get("precision", {}).get("procedures", {})
 
@@ -333,42 +296,22 @@ def _diff_precision(report: DiffReport, old: dict, new: dict) -> None:
                 old=o.get("ptfs"),
                 new=n.get("ptfs"),
             )
-        # fact-level attribution when both snapshots carry the solution
-        if old_sol is not None and new_sol is not None:
-            old_facts = _facts_of(old_sol.get(proc, []))
-            new_facts = _facts_of(new_sol.get(proc, []))
-            gained = new_facts - old_facts
-            lost = old_facts - new_facts
-            if gained:
-                _fact_records(report, "precision-loss", proc, gained, "appeared")
-            if lost:
-                _fact_records(report, "precision-gain", proc, lost, "vanished")
-            if not gained and not lost:
-                # digest moved but the merged fact relation did not:
-                # initial domains / fnptr domains / PTF packaging shifted
-                report.add(
-                    "shape-change",
-                    proc=proc,
-                    detail="PTF domains changed (merged facts identical)",
-                )
-        else:
-            # digest-only comparison: classify by the precision profile
-            o_avg, n_avg = o.get("avg_pointees"), n.get("avg_pointees")
-            if o_avg is not None and n_avg is not None and o_avg != n_avg:
-                kind = "precision-loss" if n_avg > o_avg else "precision-gain"
-                report.add(
-                    kind,
-                    proc=proc,
-                    detail=f"avg pointees {o_avg} -> {n_avg} (no solution on record)",
-                    old=o_avg,
-                    new=n_avg,
-                )
-            else:
-                report.add(
-                    "shape-change",
-                    proc=proc,
-                    detail="digest changed (no solution on record to attribute)",
-                )
+        old_facts = _facts_of(old_sol.get(proc, []))
+        new_facts = _facts_of(new_sol.get(proc, []))
+        gained = new_facts - old_facts
+        lost = old_facts - new_facts
+        if gained:
+            _fact_records(report, "precision-loss", proc, gained, "appeared")
+        if lost:
+            _fact_records(report, "precision-gain", proc, lost, "vanished")
+        if not gained and not lost:
+            # digest moved but the merged fact relation did not:
+            # initial domains / fnptr domains / PTF packaging shifted
+            report.add(
+                "shape-change",
+                proc=proc,
+                detail="PTF domains changed (merged facts identical)",
+            )
     if old.get("call_graph") != new.get("call_graph"):
         changed = [
             caller
@@ -416,99 +359,4 @@ def _diff_degradation(report: DiffReport, old: dict, new: dict) -> None:
             detail=f"degradation records {o_count} -> {n_count}",
             old=o_count,
             new=n_count,
-        )
-
-
-def _perf_of(snap: dict) -> dict:
-    return snap.get("volatile", {}).get("perf", {})
-
-
-def _diff_perf(
-    report: DiffReport, old: dict, new: dict, threshold: float
-) -> None:
-    o_sec = _perf_of(old).get("elapsed_seconds")
-    n_sec = _perf_of(new).get("elapsed_seconds")
-    if o_sec is None or n_sec is None:
-        return
-    delta = n_sec - o_sec
-    if abs(delta) < _PERF_FLOOR_SECONDS or o_sec <= 0:
-        return
-    ratio = delta / o_sec
-    if abs(ratio) < threshold:
-        return
-    kind = "perf-regression" if delta > 0 else "perf-improvement"
-    rec = report.add(
-        kind,
-        detail=f"elapsed {o_sec:.3f}s -> {n_sec:.3f}s ({ratio:+.1%})",
-        old=o_sec,
-        new=n_sec,
-    )
-    # per-procedure attribution from the exclusive self-time profile
-    o_self = _perf_of(old).get("procedures_self", {})
-    n_self = _perf_of(new).get("procedures_self", {})
-    offenders = []
-    for proc in set(o_self) | set(n_self):
-        d = n_self.get(proc, 0.0) - o_self.get(proc, 0.0)
-        if (d > 0) == (delta > 0) and abs(d) >= _PROC_PERF_FLOOR_SECONDS:
-            offenders.append((abs(d), proc, d))
-    offenders.sort(reverse=True)
-    for _mag, proc, d in offenders[:5]:
-        report.add(
-            kind,
-            proc=proc,
-            detail=(
-                f"self time {o_self.get(proc, 0.0):.3f}s -> "
-                f"{n_self.get(proc, 0.0):.3f}s ({d:+.3f}s)"
-            ),
-            old=o_self.get(proc, 0.0),
-            new=n_self.get(proc, 0.0),
-        )
-    del rec
-
-
-def _mem_of(snap: dict) -> dict:
-    return snap.get("volatile", {}).get("memory", {})
-
-
-def _diff_memory(
-    report: DiffReport, old: dict, new: dict, threshold: float
-) -> None:
-    o_mem = _mem_of(old)
-    n_mem = _mem_of(new)
-    checks = [
-        ("tracemalloc_peak_kb", "tracemalloc peak", "KiB", 64.0),
-        ("blocks_created", "memory blocks created", "", 256),
-        ("locsets_interned", "location sets interned", "", 256),
-    ]
-    for key, label, unit, floor in checks:
-        o_v = o_mem.get(key)
-        n_v = n_mem.get(key)
-        if o_v is None or n_v is None or o_v <= 0:
-            continue
-        delta = n_v - o_v
-        if delta < floor or delta / o_v < threshold:
-            continue
-        suffix = f" {unit}" if unit else ""
-        report.add(
-            "mem-regression",
-            detail=f"{label} {o_v}{suffix} -> {n_v}{suffix} (+{delta / o_v:.1%})",
-            old=o_v,
-            new=n_v,
-        )
-    o_entries = (o_mem.get("state") or {}).get("entries")
-    n_entries = (n_mem.get("state") or {}).get("entries")
-    if (
-        o_entries
-        and n_entries
-        and n_entries - o_entries >= 64
-        and (n_entries - o_entries) / o_entries >= threshold
-    ):
-        report.add(
-            "mem-regression",
-            detail=(
-                f"live points-to state entries {o_entries} -> {n_entries} "
-                f"(+{(n_entries - o_entries) / o_entries:.1%})"
-            ),
-            old=o_entries,
-            new=n_entries,
         )

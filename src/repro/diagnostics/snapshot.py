@@ -7,11 +7,9 @@ the missing comparison unit: a JSON document that pins down *what the
 analysis computed* in a form two runs, two revisions, or two option sets
 can be diffed against (:mod:`repro.diagnostics.diff`).
 
-A snapshot has two strictly separated halves:
-
-**Canonical (hashed, deterministic).**  Same program + same
-semantics-affecting options ⇒ byte-identical canonical half, regardless
-of host speed, wall time, or pure-memoization knobs:
+A snapshot is a pure function of the program and the options: two
+runs of the same program under the same options write the same bytes,
+regardless of host speed or wall time.  Its sections:
 
 * ``solution`` — the name-space-normalized points-to solution: per
   procedure, the list of PTF payloads (normalized initial entries, the
@@ -23,22 +21,22 @@ of host speed, wall time, or pure-memoization knobs:
 * ``digest`` — one SHA-256 per procedure over its canonical PTF payload
   list, plus a whole-program hash folding the per-procedure digests and
   the resolved call graph;
-* ``precision`` — the profile the differ classifies drift with: per
-  procedure the PTF count, the number of points-to facts, the average
-  pointees per pointer (Table 2/3's precision proxy) and the §8
-  generalization count; totals including the degradation record count;
+* ``precision`` — per procedure the PTF count, the number of points-to
+  facts, the average pointees per pointer (Table 2/3's precision proxy)
+  and the §8 generalization count; totals including the degradation
+  record count;
 * ``call_graph`` and the sanitized ``degradation`` account (records,
   quarantines, reasons — *not* the budget's elapsed seconds);
 * ``options`` — the non-default scalar :class:`AnalyzerOptions` fields
   (:func:`repro.analysis.engine.options_payload`), recorded for
-  provenance but **not hashed**.
+  provenance but left out of :func:`canonical_bytes`, so
+  semantics-equivalent option sets compare equal.
 
-**Volatile (unhashed).**  Everything host- and run-dependent: the perf
-profile (phase/procedure timers, elapsed seconds, the raw counters)
-and the memory profile
-(:meth:`repro.analysis.engine.Analyzer.memory_profile`: interning-table
-and sparse-state gauges, PTF-store sizes, and the optional
-tracemalloc-sampled peak).
+Timers, counters and memory gauges are not part of a snapshot: they
+describe the host, not the result (``--stats-json`` reports them for one
+run, ``benchmarks/perf`` records and compares them).  Snapshots written
+by older versions carry a ``volatile`` section of such numbers;
+:func:`load_snapshot` drops it.
 
 Determinism caveat: block uids seed set-iteration order inside the
 engine, so two analyses in the *same process* only produce identical
@@ -132,7 +130,7 @@ def _digest(solution: dict, call_graph: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# profiles
+# precision profile + degradation account
 # ---------------------------------------------------------------------------
 
 
@@ -187,8 +185,7 @@ def _precision_profile(result: "AnalysisResult", solution: dict) -> dict:
 
 def _sanitized_degradation(report) -> dict:
     """The degradation account without the budget's wall-clock fields —
-    everything here must be deterministic so it can live in the hashed
-    half of the snapshot."""
+    everything in a snapshot must be deterministic."""
     return {
         "ok": report.ok,
         "partial": report.partial,
@@ -196,20 +193,6 @@ def _sanitized_degradation(report) -> dict:
         "records": [r.as_dict() for r in report.records],
         "frontend": [f.as_dict() for f in report.frontend],
         "reasons": report.reasons(),
-    }
-
-
-def _perf_profile(result: "AnalysisResult") -> dict:
-    analyzer = result.analyzer
-    metrics = analyzer.metrics.as_dict()
-    return {
-        "elapsed_seconds": round(analyzer.elapsed_seconds, 6),
-        "phases": metrics["timers"]["phases"],
-        "procedures": metrics["timers"]["procedures"],
-        "procedures_self": metrics["timers"]["procedures_self"],
-        "procedure_passes": metrics["timers"]["procedure_passes"],
-        "counters": metrics["counters"],
-        "derived": metrics["derived"],
     }
 
 
@@ -222,15 +205,10 @@ def build_snapshot(
     result: "AnalysisResult",
     options: Optional["AnalyzerOptions"] = None,
     program_name: Optional[str] = None,
-    include_solution: bool = True,
 ) -> dict:
     """Assemble the snapshot document for a finished analysis.
 
-    ``options`` defaults to the analyzer's own options.  With
-    ``include_solution=False`` the (potentially large) solution section is
-    dropped — the digest is always computed from it first, so a slim
-    snapshot still supports digest-level and profile-level diffing.
-    """
+    ``options`` defaults to the analyzer's own options."""
     from ..analysis.engine import options_payload
 
     if options is None:
@@ -240,7 +218,7 @@ def build_snapshot(
         caller: sorted(callees)
         for caller, callees in sorted(result.call_graph().items())
     }
-    snap = {
+    return {
         "format": SNAPSHOT_FORMAT,
         "program": program_name or result.program.name,
         "options": options_payload(options),
@@ -248,27 +226,16 @@ def build_snapshot(
         "precision": _precision_profile(result, solution),
         "call_graph": call_graph,
         "degradation": _sanitized_degradation(result.degradation),
-        "volatile": {
-            "perf": _perf_profile(result),
-            "memory": result.analyzer.memory_profile(),
-        },
+        "solution": solution,
     }
-    if include_solution:
-        snap["solution"] = solution
-    return snap
 
 
 def canonical_bytes(snap: dict) -> bytes:
-    """The deterministic half of a snapshot, serialized canonically.
-
-    Drops the ``volatile`` section *and* the unhashed ``options`` record,
-    then emits sorted-key compact JSON — two runs of the same program
-    under semantics-equivalent options produce byte-identical output
-    (this is what the determinism tests compare, and the property the
-    acceptance criteria pin)."""
-    stable = {
-        k: v for k, v in snap.items() if k not in ("volatile", "options")
-    }
+    """A snapshot without its ``options`` record, serialized as
+    sorted-key compact JSON — two runs of the same program under
+    semantics-equivalent options produce byte-identical output (this is
+    what the determinism tests compare)."""
+    stable = {k: v for k, v in snap.items() if k != "options"}
     return json.dumps(stable, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
@@ -291,7 +258,8 @@ def write_snapshot(snap: dict, dest: Union[str, IO] = "-") -> None:
 
 def load_snapshot(source: Union[str, IO]) -> dict:
     """Read a snapshot from a path, ``-`` (stdin), or an open file object;
-    validates the format tag."""
+    validates the format tag and drops the ``volatile`` section that
+    older versions wrote."""
     if source == "-":
         snap = json.load(sys.stdin)
     elif hasattr(source, "read"):
@@ -304,4 +272,5 @@ def load_snapshot(source: Union[str, IO]) -> dict:
         raise ValueError(
             f"unsupported snapshot format {fmt!r} (expected {SNAPSHOT_FORMAT!r})"
         )
+    snap.pop("volatile", None)
     return snap

@@ -37,7 +37,7 @@ __all__ = [
 ]
 
 #: monotone count of canonical location-set instances created in this
-#: process; the snapshot layer's memory profile reads per-run deltas of it
+#: process; ``Analyzer.memory_profile`` reads per-run deltas of it
 #: (the per-block tables die with their blocks, so a live sum would need a
 #: global block registry)
 _locsets_interned = 0

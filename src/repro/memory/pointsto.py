@@ -681,7 +681,7 @@ class SparseState:
         return len(self.assigned_keys) + len(self._initial)
 
     def footprint(self) -> dict[str, int]:
-        """Live size gauges (snapshot memory profile): the guard proxy,
+        """Live size gauges (``Analyzer.memory_profile``): the guard proxy,
         initial entries, defs, φ locations and memo entries."""
         out = {"entries": self.entry_count(), "initial": len(self._initial)}
         out["defs"] = sum(len(d) for d in self._defs.values())

@@ -68,10 +68,9 @@ hint to re-run ``repro index``.  The digest is computed at build time
 over the canonical compact serialization of every section *except*
 ``integrity`` itself (:func:`store_integrity_digest`), so any
 post-write corruption — a truncated replace, a flipped byte, a hand
-edit — turns into a :class:`StoreError` with a stable
-``repro:``-friendly message instead of a wrong answer or a traceback
-deep inside the engine.  A document without the record loads without
-the check (there is nothing to verify); ``verify=False`` skips it
+edit, a deleted record — turns into a :class:`StoreError` with a
+stable ``repro:``-friendly message instead of a wrong answer or a
+traceback deep inside the engine.  ``verify=False`` skips the check
 explicitly (the serve daemon never does).
 Consistency with the run it was built from is *provable*: the store's
 ``snapshot.digest`` equals the digest of a fresh ``repro snapshot`` of
@@ -295,8 +294,8 @@ def build_store(
     hashes, read from ``source_files`` when given — see
     :func:`source_records`); omit it for in-memory programs (tests).
     ``snapshot`` is this run's snapshot when the caller already built
-    one (the parallel worker ships it in its bundle); the store keeps
-    only its digest and degradation account.
+    one (the parallel worker does, for the digest); the store keeps only
+    its digest and degradation account.
     """
     from ..analysis.guards import address_taken_procs, indirect_call_procs
     from ..diagnostics.snapshot import build_snapshot
@@ -304,8 +303,7 @@ def build_store(
 
     if snapshot is None:
         snapshot = build_snapshot(
-            result, options=options, program_name=program_name,
-            include_solution=False,
+            result, options=options, program_name=program_name
         )
     ir = program_ir_digests(result.program)
     # recorded so staleness checks can widen across function-pointer
@@ -314,7 +312,7 @@ def build_store(
     # cannot know about (see query/invalidate.py)
     ir["address_taken"] = sorted(address_taken_procs(result.program))
     ir["indirect_callers"] = sorted(indirect_call_procs(result.program))
-    return seal_store({
+    store = {
         "format": STORE_FORMAT,
         "program": snapshot["program"],
         "sources": (
@@ -327,8 +325,11 @@ def build_store(
         },
         "ir": ir,
         "call_graph": snapshot["call_graph"],
-        "index": _build_index(result),
-    })
+    }
+    # the store keeps no solution: let it go before the index is built
+    del snapshot
+    store["index"] = _build_index(result)
+    return seal_store(store)
 
 
 def store_integrity_digest(store: dict) -> str:
@@ -353,16 +354,19 @@ def seal_store(store: dict) -> dict:
     return store
 
 
-def verify_store_integrity(store: dict, label: str = "store") -> bool:
+def verify_store_integrity(store: dict, label: str = "store") -> None:
     """Recompute and check the whole-store digest.
 
-    Returns True when the record was present and matched, False for
-    pre-integrity stores (nothing to verify); raises :class:`StoreError`
-    on a malformed record or a mismatch.
+    Raises :class:`StoreError` when the record is missing (``build_store``
+    seals every store, so a store without one was edited)
+    or malformed, or when the digest does not match.
     """
     record = store.get("integrity")
     if record is None:
-        return False
+        raise StoreError(
+            f"{label}: no integrity record; refusing to serve an unsealed "
+            f"store (re-run `repro index` to rebuild it)"
+        )
     if not isinstance(record, dict) or record.get("algorithm") != "sha256" \
             or not record.get("digest"):
         raise StoreError(f"{label}: malformed integrity record {record!r}")
@@ -374,7 +378,6 @@ def verify_store_integrity(store: dict, label: str = "store") -> bool:
             f"{recorded[:12]}... does not match the document "
             f"({actual[:12]}...); refusing to serve a corrupted store"
         )
-    return True
 
 
 def write_store(store: dict, path: Union[str, IO]) -> None:

@@ -21,6 +21,7 @@ def _suite_tasks():
             name=prog.name,
             source=load_source(prog.name),
             filename=f"{prog.name}.c",
+            keep_snapshot=True,
         )
         for prog in PROGRAMS
     ]
@@ -98,6 +99,35 @@ def test_options_cross_the_process_boundary():
     ignore = run_batch([task_i], jobs=2).results[0]
     assert not havoc.get("error") and not ignore.get("error")
     assert havoc["digest"] != ignore["digest"]
+
+
+def test_bundle_carries_the_snapshot_only_when_asked():
+    """``repro index --jobs`` bundles ship the store and the digest; only
+    ``repro analyze --snapshot-dir`` asks for the whole snapshot."""
+    src = "int g; int main(void) { int *p = &g; return *p; }"
+    index_task = AnalysisTask(name="m", source=src, filename="m.c",
+                              build_store=True)
+    snap_task = AnalysisTask(name="m", source=src, filename="m.c",
+                             keep_snapshot=True)
+    indexed, snapped = run_batch([index_task, snap_task], jobs=1).results
+    assert "snapshot" not in indexed
+    assert indexed["store"]["snapshot"]["digest"]["program"] == indexed["digest"]
+    assert "store" not in snapped
+    assert snapped["snapshot"]["digest"]["program"] == snapped["digest"]
+    assert indexed["digest"] == snapped["digest"]
+
+
+def test_batch_tasks_keep_snapshots_only_for_snapshot_dir():
+    import argparse
+
+    from repro.commands.shared import batch_tasks
+
+    def tasks(**kw):
+        return batch_tasks(argparse.Namespace(files=["a.c", "b.c"], **kw), None)
+
+    assert not any(t.keep_snapshot for t in tasks())  # repro index
+    assert all(t.keep_snapshot for t in tasks(snapshot_dir="snaps"))
+    assert not any(t.keep_snapshot for t in tasks(snapshot_dir=None))
 
 
 def test_batch_stats_shape():

@@ -1,10 +1,11 @@
 """The committed baseline snapshots must match a fresh analysis.
 
-CI's ``regression-gate`` job diffs fresh snapshots of three benchmarks
-against ``tests/baselines/snapshots/*.json``; this test runs the same
-comparison in-process, so a change that moves a gated digest fails the
-ordinary test suite *before* it reaches the CI gate — with the semantic
-differ's attribution in the failure message.
+A snapshot is a pure function of the program and the options, so a
+fresh snapshot of each gated benchmark must equal its committed file
+``tests/baselines/snapshots/<name>.json`` byte for byte.  The semantic
+differ runs first, so a change that moves a gated digest fails with its
+attribution in the failure message: any ``precision-loss``,
+``precision-gain`` or ``shape-change`` fails.
 
 If the change is an intended precision improvement, regenerate the
 baselines (and review the diff!)::
@@ -22,16 +23,24 @@ import pytest
 
 from repro.bench.harness import analyze_benchmark
 from repro.diagnostics.diff import diff_snapshots
-from repro.diagnostics.snapshot import SNAPSHOT_FORMAT, build_snapshot
+from repro.diagnostics.snapshot import (
+    SNAPSHOT_FORMAT,
+    build_snapshot,
+    dump_snapshot,
+)
 from repro.memory.pointsto import reset_interning
 
 BASELINE_DIR = os.path.join(os.path.dirname(__file__), "snapshots")
 GATED = ("allroots", "grep", "diff")
 
 
-def load_baseline(name):
+def baseline_text(name):
     with open(os.path.join(BASELINE_DIR, f"{name}.json")) as fh:
-        return json.load(fh)
+        return fh.read()
+
+
+def load_baseline(name):
+    return json.loads(baseline_text(name))
 
 
 @pytest.mark.parametrize("name", GATED)
@@ -41,18 +50,18 @@ def test_fresh_snapshot_matches_committed_baseline(name):
     reset_interning()
     fresh = build_snapshot(analyze_benchmark(name), program_name=name)
     report = diff_snapshots(baseline, fresh)
-    # precision must not move; perf/mem records are host noise here
     drift = report.classes() & {"precision-loss", "precision-gain", "shape-change"}
     assert not drift, (
         f"{name}: gated digest moved — intended? regenerate the baseline "
         f"(see module docstring).\n" + "\n".join(report.summary_lines())
     )
     assert fresh["digest"]["program"] == baseline["digest"]["program"]
+    assert dump_snapshot(fresh) == baseline_text(name)
 
 
 @pytest.mark.parametrize("name", GATED)
 def test_baselines_carry_the_solution(name):
-    # fact-level attribution in CI diffs requires the solution section
+    # fact-level attribution requires the solution section
     baseline = load_baseline(name)
     assert "solution" in baseline
     assert baseline["precision"]["totals"]["total_ptfs"] > 0

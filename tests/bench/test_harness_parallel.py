@@ -27,8 +27,8 @@ def test_jobs_rows_match_sequential_columns():
         # result columns agree exactly; perf counters (dom_walk_steps,
         # cache_hit_rate, seconds) are process-state sensitive — the
         # sequential loop reuses one process's intern tables across
-        # programs — and are deliberately excluded, like the snapshot
-        # digest excludes the volatile section
+        # programs — and are deliberately excluded, as a snapshot
+        # records no counters
         assert (p.lines, p.procedures, p.avg_ptfs) == (
             s.lines, s.procedures, s.avg_ptfs
         )

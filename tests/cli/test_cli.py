@@ -393,15 +393,18 @@ class TestSnapshot:
         assert snap["format"] == "repro-snapshot/1"
 
     def test_no_solution_flag(self, prog_file, capsys):
-        assert main(["snapshot", prog_file, "--no-solution"]) == 0
-        snap = json.loads(capsys.readouterr().out)
-        assert "solution" not in snap
-        assert snap["digest"]["program"]
+        # every snapshot carries its solution: the flag is retired
+        with pytest.raises(SystemExit) as exc:
+            main(["snapshot", prog_file, "--no-solution"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_memory_flag_samples_peak(self, prog_file, capsys):
-        assert main(["snapshot", prog_file, "--memory"]) == 0
-        snap = json.loads(capsys.readouterr().out)
-        assert snap["volatile"]["memory"]["tracemalloc_peak_kb"] > 0
+    def test_memory_flag_is_a_usage_error(self, prog_file, capsys):
+        # a snapshot records what was computed, no tracemalloc peak
+        with pytest.raises(SystemExit) as exc:
+            main(["snapshot", prog_file, "--memory"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_repeat_runs_share_a_digest(self, prog_file, tmp_path, capsys):
         # same-process reruns need fresh interning for bit-identity
@@ -417,6 +420,9 @@ class TestSnapshot:
         sa = json.loads(a.read_text())
         sb = json.loads(b.read_text())
         assert sa["digest"]["program"] == sb["digest"]["program"]
+        # a snapshot records what was computed, no host numbers: the
+        # whole file repeats
+        assert a.read_bytes() == b.read_bytes()
 
     def test_degraded_run_exits_partial(self, prog_file, tmp_path, capsys):
         dest = tmp_path / "snap.json"
@@ -479,6 +485,24 @@ class TestDiff:
         capsys.readouterr()
         assert main(["diff", a, b, "--fail-on", "nonsense"]) == 2
         assert "unknown --fail-on" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", ["perf:5%", "mem"])
+    def test_retired_fail_on_specs_are_errors(self, prog_file, tmp_path,
+                                              spec, capsys):
+        a, b, _ = self.make_snaps(prog_file, tmp_path)
+        capsys.readouterr()
+        assert main(["diff", a, b, "--fail-on", spec]) == 2
+        assert "unknown --fail-on" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--perf-threshold", "--mem-threshold"])
+    def test_retired_threshold_flags_are_usage_errors(self, prog_file,
+                                                      tmp_path, flag, capsys):
+        a, b, _ = self.make_snaps(prog_file, tmp_path)
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["diff", a, b, flag, "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_not_a_snapshot(self, prog_file, tmp_path, capsys):
         a, _, _ = self.make_snaps(prog_file, tmp_path)

@@ -167,6 +167,30 @@ def test_query_bad_store_is_exit_2(tmp_path, capsys):
     assert main(["query", str(bad), "stats"]) == 2
 
 
+def _unseal(store_file):
+    with open(store_file) as fh:
+        doc = json.load(fh)
+    del doc["integrity"]
+    with open(store_file, "w") as fh:
+        json.dump(doc, fh)
+
+
+def test_query_unsealed_store_is_exit_2(store_file, capsys):
+    # deleting the integrity record does not turn the tamper check off
+    _unseal(store_file)
+    assert main(["query", store_file, "stats"]) == 2
+    assert "no integrity record" in capsys.readouterr().err
+
+
+def test_serve_unsealed_store_is_exit_2(store_file, capsys, monkeypatch):
+    import io
+
+    _unseal(store_file)
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    assert main(["serve", store_file]) == 2
+    assert "no integrity record" in capsys.readouterr().err
+
+
 def test_query_format_1_store_is_exit_2(store_file, capsys):
     _as_format_1(store_file)
     assert main(["query", store_file, "stats"]) == 2

@@ -9,7 +9,9 @@ lost ``--profile-parallel``/``--worker-trace-dir`` and the
 ``parallel-report`` command went, and again when ``serve`` lost
 ``--no-telemetry`` and ``loadtest`` lost its six daemon flags and made
 ``--tcp`` required, and again when ``table2`` lost ``--record`` and
-``loadtest`` lost ``--record``/``--fail-on``).  The dispatcher adds
+``loadtest`` lost ``--record``/``--fail-on``, and again when
+``snapshot`` lost ``--no-solution``/``--memory`` and ``diff`` lost
+``--perf-threshold``/``--mem-threshold``).  The dispatcher adds
 arguments only for the command being run, so these pin that every help
 text, usage line and "invalid choice" error is still the same.
 """

@@ -1,9 +1,9 @@
 """Snapshot determinism and canonicalization tests.
 
-The acceptance property of the regression observatory: the canonical
-half of a snapshot is a pure function of (program, semantics-affecting
-options).  Back-to-back runs must produce byte-identical canonical
-bytes; the memos must not move the digest (the uncached sparse state of
+The acceptance property of the regression observatory: a snapshot is a
+pure function of (program, options), and its canonical bytes of
+(program, semantics-affecting options).  Back-to-back runs must produce
+byte-identical documents; the memos must not move the digest (the uncached sparse state of
 :mod:`tests.memory.uncached_oracle` reproduces it); semantic knobs
 (``max_ptfs_total``) must.
 
@@ -53,11 +53,12 @@ class TestDeterminism:
         b = snap_of(name)
         assert a["digest"]["program"] == b["digest"]["program"]
         assert canonical_bytes(a) == canonical_bytes(b)
+        assert dump_snapshot(a) == dump_snapshot(b)
 
     @pytest.mark.parametrize("name", ["allroots", "grep", "compress"])
     def test_lookup_cache_does_not_move_the_digest(self, name):
-        # pure memoization: the memos change counters (volatile) but
-        # provably not the canonical half
+        # pure memoization: the memos change counters but provably not
+        # the snapshot
         cached = snap_of(name)
         uncached = snap_of(name, state=UncachedSparseState)
         assert cached["digest"]["program"] == uncached["digest"]["program"]
@@ -81,13 +82,19 @@ class TestDeterminism:
 
 
 class TestCanonicalization:
-    def test_volatile_and_options_are_excluded_from_canonical_bytes(self):
+    def test_options_are_excluded_from_canonical_bytes(self):
         snap = snap_of("allroots")
         mutated = json.loads(json.dumps(snap))
-        mutated["volatile"]["perf"]["elapsed_seconds"] = 999.0
-        mutated["volatile"]["memory"]["tracemalloc_peak_kb"] = 12345.0
         mutated["options"]["max_passes"] = 1
         assert canonical_bytes(mutated) == canonical_bytes(snap)
+
+    def test_snapshot_records_only_what_was_computed(self):
+        # no timers, counters or memory gauges: those describe the host
+        snap = snap_of("allroots")
+        assert set(snap) == {
+            "format", "program", "options", "digest", "precision",
+            "call_graph", "degradation", "solution",
+        }
 
     def test_digest_covers_solution_and_call_graph(self):
         snap = snap_of("allroots")
@@ -104,18 +111,6 @@ class TestCanonicalization:
         snap = snap_of("allroots")
         assert set(snap["digest"]["procedures"]) == set(snap["solution"])
         assert snap["precision"]["totals"]["procedures"] == len(snap["solution"])
-
-    def test_slim_snapshot_keeps_the_digest(self):
-        reset_interning()
-        result = analyze_benchmark("allroots")
-        full = build_snapshot(result, program_name="allroots")
-        reset_interning()
-        result2 = analyze_benchmark("allroots")
-        slim = build_snapshot(
-            result2, program_name="allroots", include_solution=False
-        )
-        assert "solution" not in slim
-        assert slim["digest"]["program"] == full["digest"]["program"]
 
     def test_solution_is_sorted_at_every_level(self):
         reset_interning()
@@ -142,31 +137,15 @@ class TestProfiles:
         assert totals["degraded_records"] == 0
 
     def test_memory_profile_gauges(self):
-        snap = snap_of("allroots")
-        mem = snap["volatile"]["memory"]
+        # the live gauges stay in --stats-json, not in the snapshot
+        reset_interning()
+        result = analyze_benchmark("allroots")
+        mem = result.analyzer.stats_dict()["memory"]
+        assert mem == result.analyzer.memory_profile()
         assert mem["blocks_created"] > 0
         assert mem["locsets_interned"] > 0
         assert mem["state"]["entries"] > 0
         assert mem["ptf_store"]["ptfs"] > 0
-        # tracemalloc is opt-in; without track_memory the peak is None
-        assert mem["tracemalloc_peak_kb"] is None
-
-    def test_tracemalloc_peak_when_tracking(self):
-        snap = snap_of("allroots", track_memory=True)
-        assert snap["volatile"]["memory"]["tracemalloc_peak_kb"] > 0
-
-    def test_track_memory_does_not_move_the_digest(self):
-        plain = snap_of("allroots")
-        tracked = snap_of("allroots", track_memory=True)
-        assert plain["digest"]["program"] == tracked["digest"]["program"]
-
-    def test_perf_profile_shape(self):
-        snap = snap_of("allroots")
-        perf = snap["volatile"]["perf"]
-        assert perf["elapsed_seconds"] > 0
-        assert "analysis" in perf["phases"]
-        assert "main" in perf["procedures"]
-        assert perf["counters"]["lookups"] > 0
 
 
 class TestIO:
@@ -184,6 +163,17 @@ class TestIO:
         write_snapshot(snap, buf)
         buf.seek(0)
         assert load_snapshot(buf)["format"] == SNAPSHOT_FORMAT
+
+    def test_older_volatile_section_is_dropped_on_load(self, tmp_path):
+        # snapshots written by older versions carry a volatile section of
+        # timers and memory gauges; it loads and is ignored
+        snap = snap_of("allroots")
+        older = dict(snap, volatile={"perf": {"elapsed_seconds": 1.0}})
+        dest = tmp_path / "older.json"
+        write_snapshot(older, str(dest))
+        loaded = load_snapshot(str(dest))
+        assert "volatile" not in loaded
+        assert dump_snapshot(loaded) == dump_snapshot(snap)
 
     def test_bad_format_rejected(self, tmp_path):
         dest = tmp_path / "bad.json"

@@ -171,9 +171,9 @@ def test_unrelated_procedure_stays_clean_with_matching_solution(tmp_path):
     from repro.diagnostics.snapshot import build_snapshot
 
     old_digests = store["snapshot"]["digest"]["procedures"]
-    new_digests = build_snapshot(
-        result2, program_name="two-unit", include_solution=True
-    )["digest"]["procedures"]
+    new_digests = build_snapshot(result2, program_name="two-unit")[
+        "digest"
+    ]["procedures"]
     assert old_digests["lonely"] == new_digests["lonely"]
 
 

@@ -241,6 +241,21 @@ def test_reload_rejects_tampered_target(tmp_path, store_v1, store_v3):
     assert ask(server, P_MAIN)["result"]["targets"] == ["x"]
 
 
+def test_reload_rejects_unsealed_target(tmp_path, store_v1, store_v3):
+    path = str(tmp_path / "hot.store.json")
+    write_store(store_v1, path)
+    server = make_server(store_v1, store_path=path)
+    doc = json.loads(json.dumps(store_v3))
+    del doc["integrity"]  # an unsealed store is not trusted either
+    (tmp_path / "hot.store.json").write_text(json.dumps(doc))
+    env = ask(server, {"op": "reload"})
+    assert not env["ok"] and env["error"]["code"] == "reload-failed"
+    assert "no integrity record" in env["error"]["message"]
+    assert "still serving generation 1" in env["error"]["message"]
+    assert server.generation == 1 and count(server, "reload_failures") == 1
+    assert ask(server, P_MAIN)["result"]["targets"] == ["x"]
+
+
 def test_injected_corrupt_reload_fault(tmp_path, store_v1, store_v3):
     path = str(tmp_path / "hot.store.json")
     write_store(store_v1, path)

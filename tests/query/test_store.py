@@ -228,15 +228,18 @@ class TestIntegrity:
         doc = json.loads(json.dumps(store))
         doc["program"] = "renamed"
         seal_store(doc)
-        assert verify_store_integrity(doc) is True
+        verify_store_integrity(doc)  # raises on any mismatch
 
-    def test_legacy_store_without_record_is_accepted(self, tmp_path, store):
+    def test_store_without_record_is_refused(self, tmp_path, store):
+        # build_store seals every store: deleting the record must not
+        # turn the tamper check off
         doc = json.loads(json.dumps(store))
         doc.pop("integrity")
         path = tmp_path / "x.store.json"
         path.write_text(json.dumps(doc))
-        again = load_store(str(path))  # nothing to verify, shape is fine
-        assert "integrity" not in again
+        with pytest.raises(StoreError, match="no integrity record"):
+            load_store(str(path))
+        assert "integrity" not in load_store(str(path), verify=False)
 
     def test_malformed_integrity_record_is_refused(self, tmp_path, store):
         doc = json.loads(json.dumps(store))
