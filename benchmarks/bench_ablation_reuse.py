@@ -71,7 +71,7 @@ def test_emami_mode_time(benchmark, name):
         iterations=1,
     )
     benchmark.extra_info["total_ptfs"] = result.stats().total_ptfs
-    benchmark.extra_info["analyses"] = result.analyzer.stats["ptf_analyses"]
+    benchmark.extra_info["analyses"] = result.analyzer.metrics.ptf_analyses
 
 
 @pytest.mark.parametrize("name", ["grep", "diff", "compress"])
@@ -80,7 +80,7 @@ def test_reuse_mode_time(benchmark, name):
         analyze_benchmark, args=(name,), rounds=2, iterations=1
     )
     benchmark.extra_info["total_ptfs"] = result.stats().total_ptfs
-    benchmark.extra_info["reuses"] = result.analyzer.stats["ptf_reuses"]
+    benchmark.extra_info["reuses"] = result.analyzer.metrics.ptf_reuses
 
 
 @pytest.mark.parametrize("name", ["grep", "diff", "compress"])

@@ -45,7 +45,7 @@ def test_fig1_analysis(benchmark, kind):
     # one PTF for S1+S2, one for S3
     assert len(result.ptfs_of("f")) == 2
     benchmark.extra_info["ptfs_f"] = len(result.ptfs_of("f"))
-    benchmark.extra_info["reuses"] = result.analyzer.stats["ptf_reuses"]
+    benchmark.extra_info["reuses"] = result.analyzer.metrics.ptf_reuses
 
 
 def test_fig3_unaliased_ptf_shared_by_s1_s2():

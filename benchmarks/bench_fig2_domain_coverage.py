@@ -57,12 +57,12 @@ def test_ptfs_do_not_track_call_sites(results, name):
 def test_every_reuse_was_a_domain_hit(results, name):
     """Each call either matched an existing PTF's domain or created one:
     reuses + creations >= internal call evaluations resolved."""
-    stats = results[name].analyzer.stats
-    assert stats["ptf_reuses"] > 0
+    metrics = results[name].analyzer.metrics
+    assert metrics.ptf_reuses > 0
     # every analyzed procedure's PTFs came from explicit creations (+1 for
     # main, whose PTF the engine seeds directly)
     total_ptfs = sum(len(v) for v in results[name].analyzer.ptfs.values())
-    assert stats["ptf_created"] + 1 >= total_ptfs
+    assert metrics.ptf_created + 1 >= total_ptfs
 
 
 def test_domain_coverage_benchmark(benchmark, results):

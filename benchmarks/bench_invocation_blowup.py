@@ -67,5 +67,5 @@ def test_reanalysis_cost_estimate():
     rows = invocation_rows(names=["compiler"])
     r = rows[0]
     result = analyze_benchmark("compiler")
-    analyses = result.analyzer.stats["ptf_analyses"]
+    analyses = result.analyzer.metrics.ptf_analyses
     assert analyses < r["invocation_nodes"] / 10

@@ -8,13 +8,11 @@ reusing them whenever the input aliases match.
 
 from __future__ import annotations
 
-import sys
 import time
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from ..diagnostics import FaultPlan, Metrics, ProvenanceLog, Tracer
-from ..frontend.ctypes_model import WORD_SIZE
 from ..ir.program import Procedure, Program
 from ..memory.blocks import GlobalBlock, HeapBlock
 from ..memory.locset import LocationSet
@@ -152,16 +150,6 @@ class Analyzer(InterproceduralMixin):
         self.provenance: Optional[ProvenanceLog] = (
             ProvenanceLog(tracer=self.trace) if self.options.provenance else None
         )
-        self.stats: dict[str, int] = {
-            "ptf_created": 0,
-            "ptf_reuses": 0,
-            "ptf_home_updates": 0,
-            "ptf_analyses": 0,
-            "ptf_generalized": 0,
-            "recursive_calls": 0,
-            "external_calls": 0,
-            "libc_calls": 0,
-        }
         #: the resource envelope of this run (armed by ``run``)
         self.budget: AnalysisBudget = AnalysisBudget.from_options(self.options)
         #: structured account of everything that degraded
@@ -312,8 +300,6 @@ class Analyzer(InterproceduralMixin):
             if tr is not None:
                 tr.end("analyze", "driver")
         self.elapsed_seconds = time.perf_counter() - start
-        # surface the hot-path counters next to the interprocedural ones
-        self.stats.update(self.metrics.counters())
         return self
 
     # -- memory accounting ------------------------------------------------
@@ -379,10 +365,10 @@ class Analyzer(InterproceduralMixin):
     # -- diagnostics ------------------------------------------------------
 
     def stats_dict(self) -> dict:
-        """JSON-serializable snapshot: interprocedural counters + the
-        metrics layer's counters, hit rate and timers (``--stats-json``)."""
+        """JSON-serializable snapshot: the metrics layer's counters,
+        derived ratios and timers, plus the run's elapsed time,
+        degradation account and memory gauges (``--stats-json``)."""
         out = self.metrics.as_dict()
-        out["interprocedural"] = dict(self.stats)
         out["elapsed_seconds"] = round(self.elapsed_seconds, 6)
         out["degradation"] = self.degradation.as_dict()
         out["memory"] = self.memory_profile()

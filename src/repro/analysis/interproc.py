@@ -45,7 +45,7 @@ class InterproceduralMixin:
 
     Relies on attributes provided by the engine: ``program``, ``options``,
     ``stack`` (list of Frames), ``ptfs`` (proc name -> list of PTFs),
-    ``libc`` (library summaries), ``stats``, ``metrics``, and the
+    ``libc`` (library summaries), ``metrics``, and the
     degradation machinery: ``budget`` (:class:`AnalysisBudget`),
     ``degradation`` (:class:`DegradationReport`), ``faults`` (optional
     :class:`FaultPlan`), ``_regions`` (conservative-region cache).
@@ -251,7 +251,7 @@ class InterproceduralMixin:
         # recursive call: reuse the PTF already on the call stack (§5.4)
         head_ptf = on_stack.ptf
         head_ptf.is_recursive = True
-        self.stats["recursive_calls"] += 1
+        self.metrics.recursive_calls += 1
         tr = self.trace
         if tr is not None:
             tr.instant(
@@ -341,7 +341,7 @@ class InterproceduralMixin:
                     pattern=ptf.alias_pattern(),
                 )
         ptf.snapshot_pointer_versions(map_)
-        self.stats["ptf_analyses"] += 1
+        self.metrics.ptf_analyses += 1
         return True
 
     def _stack_frame(self, proc_name: str) -> Optional[Frame]:
@@ -449,7 +449,7 @@ class InterproceduralMixin:
                             ptf=candidate.uid,
                             reason="recursive summary grew",
                         )
-                self.stats["ptf_reuses"] += 1
+                self.metrics.ptf_reuses += 1
                 if tr is not None:
                     tr.instant(
                         "ptf.reuse",
@@ -481,7 +481,7 @@ class InterproceduralMixin:
         if home is not None:
             # same call site, new inputs mid-iteration: update in place
             home.reset()
-            self.stats["ptf_home_updates"] += 1
+            self.metrics.ptf_home_updates += 1
             if tr is not None:
                 tr.instant(
                     "ptf.home_update",
@@ -502,7 +502,6 @@ class InterproceduralMixin:
             # PTF list, so every new context folds into the first summary.
             fallback = per_proc[0]
             self._merge_into_ptf(frame, node, fallback, map_)
-            self.stats["ptf_generalized"] += 1
             self.metrics.note_generalization(proc.name)
             if tr is not None:
                 tr.instant(
@@ -516,7 +515,7 @@ class InterproceduralMixin:
             return fallback, True
         ptf = self.new_ptf(proc)
         ptf.home = home_key
-        self.stats["ptf_created"] += 1
+        self.metrics.ptf_created += 1
         if tr is not None:
             tr.instant(
                 "ptf.create",
@@ -1114,7 +1113,7 @@ class InterproceduralMixin:
     def _call_external(
         self, frame: Frame, evaluator: "ProcEvaluator", node: CallNode, name: str
     ) -> None:
-        self.stats["external_calls"] += 1
+        self.metrics.external_calls += 1
         tr = self.trace
         if tr is not None:
             tr.instant(

@@ -61,7 +61,7 @@ class LibcSummaries:
     ) -> None:
         ctx = _CallContext(analyzer, frame, evaluator, node)
         self._handlers[name](ctx)
-        analyzer.stats["libc_calls"] += 1
+        analyzer.metrics.libc_calls += 1
 
     # ------------------------------------------------------------------
 

@@ -15,9 +15,9 @@ Fault isolation
 ---------------
 
 A batch run over the whole suite must not die because one program does:
-``table2_rows`` runs each benchmark under a per-program ``try/except`` by
-default (``fault_tolerant=True``), turning a crash into an error row with
-the exception in ``Table2Row.error``.  ``per_program_timeout=SECONDS``
+``table2_rows`` runs each benchmark under a per-program ``try/except``,
+turning a crash into an error row with the exception in
+``Table2Row.error``.  ``per_program_timeout=SECONDS``
 goes further and runs every program in its own subprocess (``python -m
 repro.bench.harness --row ...``), so a hung or memory-exploding analysis
 is killed by the OS without taking the harness down.  Programs whose
@@ -306,7 +306,6 @@ def _parallel_rows(
 def table2_rows(
     names: Optional[list[str]] = None,
     options: Optional[AnalyzerOptions] = None,
-    fault_tolerant: bool = True,
     per_program_timeout: Optional[float] = None,
     jobs: int = 1,
 ) -> list[Table2Row]:
@@ -323,8 +322,6 @@ def table2_rows(
         try:
             result = analyze_benchmark(prog.name, options)
         except Exception as exc:  # noqa: BLE001 - fault isolation by design
-            if not fault_tolerant:
-                raise
             rows.append(_error_row(prog, f"{type(exc).__name__}: {exc}"))
             continue
         rows.append(_row_from_result(prog, result))

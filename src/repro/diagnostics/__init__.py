@@ -4,7 +4,7 @@ Three cooperating layers, all pay-for-what-you-use:
 
 * :class:`Metrics` — hot-path counters and phase/procedure timers,
   threaded through the engine unconditionally (plain attribute ``+=``,
-  no dict probes).  Surfaces as ``Analyzer.stats``, ``--stats-json``
+  no dict probes).  Surfaces as ``Analyzer.metrics``, ``--stats-json``
   and the bench harness columns.
 * :class:`Tracer` — hierarchical span/event tracing of the driver
   phases, per-procedure evaluations, fixpoint passes and the

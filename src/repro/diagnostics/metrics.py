@@ -32,6 +32,15 @@ Counter semantics:
 * ``call_memo_hits`` / ``call_memo_misses`` — internal call dispatches
   skipped because nothing their last dispatch read had changed, and those
   that ran (the call-site memo of the interprocedural layer).
+* ``ptf_created`` / ``ptf_reuses`` — PTFs created at call sites, and
+  call sites whose input aliases matched an existing PTF (§5);
+* ``ptf_home_updates`` — PTFs reset in place because their own call
+  site brought new inputs mid-iteration;
+* ``ptf_analyses`` — completed procedure-body analyses under some PTF;
+* ``recursive_calls`` — calls into a procedure already on the analysis
+  stack, which reuse the PTF on the stack (§5.4);
+* ``libc_calls`` / ``external_calls`` — calls handled by a libc summary,
+  and calls to other procedures with no body.
 
 Timers: ``phase_seconds`` buckets the top-level driver phases
 (``finalize`` / ``analysis`` / ``summary``); ``proc_seconds`` buckets
@@ -76,6 +85,13 @@ COUNTERS = (
     "ptf_generalizations",
     "call_memo_hits",
     "call_memo_misses",
+    "ptf_created",
+    "ptf_reuses",
+    "ptf_home_updates",
+    "ptf_analyses",
+    "recursive_calls",
+    "external_calls",
+    "libc_calls",
 )
 
 
@@ -194,7 +210,6 @@ class Metrics:
         steps_per_lookup = safe_ratio(self.dom_walk_steps, self.lookups)
         return {
             "counters": self.counters(),
-            "cache_hit_rate": hit_rate,
             "derived": {
                 "dom_steps_per_lookup": steps_per_lookup,
                 "cache_hit_rate": hit_rate,
@@ -214,21 +229,6 @@ class Metrics:
                 ),
             },
         }
-
-    def merge(self, other: "Metrics") -> None:
-        """Fold another metrics object into this one (bench aggregation)."""
-        for name in COUNTERS:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-        for k, v in other.phase_seconds.items():
-            self.phase_seconds[k] = self.phase_seconds.get(k, 0.0) + v
-        for k, v in other.proc_seconds.items():
-            self.proc_seconds[k] = self.proc_seconds.get(k, 0.0) + v
-        for k, v in other.proc_self_seconds.items():
-            self.proc_self_seconds[k] = self.proc_self_seconds.get(k, 0.0) + v
-        for k, v in other.proc_passes.items():
-            self.proc_passes[k] = self.proc_passes.get(k, 0) + v
-        for k, v in other.proc_generalizations.items():
-            self.proc_generalizations[k] = self.proc_generalizations.get(k, 0) + v
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         c = self.counters()

@@ -462,21 +462,6 @@ class TelemetryRegistry:
             },
         }
 
-    def merge(self, other: "TelemetryRegistry") -> "TelemetryRegistry":
-        """Fold another registry in (per-thread load-generator
-        registries); counters/gauges add, histograms merge exactly."""
-        with other._lock:
-            counters = dict(other._counters)
-            gauges = dict(other._gauges)
-            histograms = dict(other._histograms)
-        for name, c in counters.items():
-            self.counter(name).inc(c.value)
-        for name, g in gauges.items():
-            self.gauge(name).add(g.value)
-        for name, h in histograms.items():
-            self.histogram(name).merge(h)
-        return self
-
 
 # ---------------------------------------------------------------------------
 # Prometheus text exposition (docs/OBSERVABILITY.md §5)

@@ -55,13 +55,19 @@ if an edit makes a changed (or added) procedure a new indirect-call
 target, the edge from the indirect call site to it exists only in the
 *post-edit* world, so pure stored-graph propagation under-invalidates
 and a query would keep answering with the old target.  The widening
-rule: whenever a changed/added procedure is address-taken (before *or*
-after the edit), or the address-taken set itself moved, every procedure
-containing an indirect call site goes stale too (any of them is
-compatible with the retargeted pointer as far as digests can tell), and
-their transitive callers with them.  Stores record ``address_taken`` /
-``indirect_callers`` next to the digests for this; older stores missing
-the record fall back to recomputing both sides from the new program.
+rule: whenever a changed/added/removed procedure is address-taken
+(before *or* after the edit), or the address-taken set itself moved,
+every procedure containing an indirect call site (in either world) goes
+stale too (any of them is compatible with the retargeted pointer as far
+as digests can tell), and their dependents with them.  Stores record
+``address_taken`` / ``indirect_callers`` next to the digests for this
+(:func:`program_ir_record`).
+
+One rule serves every caller: :func:`compute_stale` compares a store's
+``ir`` record with the record of a freshly lowered program (a repeated
+``repro index``, the demand tier's probe), and
+:func:`compute_stale_between_stores` compares two stores' records (the
+serve daemon's ``reload``, which lowers nothing).
 """
 
 from __future__ import annotations
@@ -77,6 +83,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "procedure_ir_digest",
     "program_ir_digests",
+    "program_ir_record",
     "StaleReport",
     "compute_stale",
     "compute_stale_between_stores",
@@ -152,6 +159,21 @@ def program_ir_digests(program: "Program") -> dict:
         "\n".join(env_lines).encode("utf-8")
     ).hexdigest()
     return {"procedures": procedures, "globals": globals_digest}
+
+
+def program_ir_record(program: "Program") -> dict:
+    """The ``ir`` record of a store: :func:`program_ir_digests` plus the
+    sorted ``address_taken`` procedures and ``indirect_callers`` (those
+    holding an indirect call site), which function-pointer widening
+    reads.  :func:`~repro.query.store.build_store` writes it and
+    :func:`compute_stale` compares a store's record against it, so the
+    stored side and the live side are one function's output."""
+    from ..analysis.guards import address_taken_procs, indirect_call_procs
+
+    record = program_ir_digests(program)
+    record["address_taken"] = sorted(address_taken_procs(program))
+    record["indirect_callers"] = sorted(indirect_call_procs(program))
+    return record
 
 
 # ---------------------------------------------------------------------------
@@ -250,9 +272,9 @@ def _dependents(call_graph: dict, roots: set) -> set:
 def _with_callbacks(call_graph: dict, procs, taken) -> dict:
     """``call_graph`` plus edges to every address-taken procedure from
     each caller of an external (the libc models call their callback
-    arguments); ``taken`` None means unrecorded: every procedure."""
+    arguments)."""
     procs = set(procs)
-    taken = procs if taken is None else set(taken)
+    taken = set(taken)
     graph = {caller: set(callees) for caller, callees in call_graph.items()}
     for callees in graph.values():
         if callees - procs:
@@ -260,98 +282,39 @@ def _with_callbacks(call_graph: dict, procs, taken) -> dict:
     return graph
 
 
-def _program_call_graph(program: "Program") -> dict:
-    """The lowered program's call edges: direct targets (externals
-    included), and every address-taken procedure at indirect call
-    sites and at calls to externals."""
-    from ..analysis.guards import _direct_targets, address_taken_procs
+def _program_call_graph(program: "Program", taken) -> dict:
+    """The lowered program's static call edges: direct targets
+    (externals included), and the address-taken procedures ``taken`` at
+    indirect call sites."""
+    from ..analysis.guards import _direct_targets
 
-    taken = address_taken_procs(program)
+    taken = set(taken)
     graph: dict = {}
     for name, proc in program.procedures.items():
         callees: set = set()
         for node in proc.call_nodes():
             callees |= _direct_targets(node) or taken
         graph[name] = callees
-    return _with_callbacks(graph, program.procedures, taken)
+    return graph
 
 
-def compute_stale(store: dict, program: "Program") -> StaleReport:
-    """Compare a store's recorded IR digests against a freshly lowered
-    ``program`` and report the set of procedures whose PTFs must be
-    recomputed.
+def _compare(
+    old_ir: dict, old_graph: dict, new_ir: dict, new_graph: dict
+) -> StaleReport:
+    """The staleness rule: which procedures of the ``new`` world must be
+    recomputed when the ``old`` world's solution is reused.
 
-    The comparison is pure digest work — the analysis engine never runs.
-    Dependents travel over the union of the store's *recorded* call
-    graph and the lowered program's call edges: an edge in either world
-    can carry a stale summary up or a changed context down, and only the
-    new program can name an *added* procedure.
+    Each side is an ``ir`` record (:func:`program_ir_record`) and a call
+    graph.  Dependents travel over the union of both graphs, each with
+    its callback edges (an edge in either world can carry a stale
+    summary up or a changed context down), and function-pointer
+    widening fires from the two address-taken sets.
     """
-    stored = store.get("ir", {})
-    stored_procs: dict = stored.get("procedures", {})
-    current = program_ir_digests(program)
-    cur_procs = current["procedures"]
+    old_procs: dict = old_ir["procedures"]
+    new_procs: dict = new_ir["procedures"]
 
     report = StaleReport()
-    report.globals_changed = bool(
-        stored.get("globals") and stored["globals"] != current["globals"]
-    )
-    report.changed = sorted(
-        name
-        for name, digest in cur_procs.items()
-        if name in stored_procs and stored_procs[name] != digest
-    )
-    report.added = sorted(set(cur_procs) - set(stored_procs))
-    report.removed = sorted(set(stored_procs) - set(cur_procs))
-
-    if report.globals_changed:
-        report.stale = sorted(cur_procs)
-        report.clean = []
-        return report
-
-    roots = set(report.changed) | set(report.added) | set(report.removed)
-    call_graph = _with_callbacks(
-        store.get("call_graph", {}), stored_procs, stored.get("address_taken")
-    )
-    for caller, callees in _program_call_graph(program).items():
-        call_graph.setdefault(caller, set()).update(callees)
-    widened = _fnptr_widening(stored, program, roots)
-    dependents = _dependents(call_graph, roots | widened) | widened
-    report.dependents = sorted((dependents - roots) & set(cur_procs))
-    stale = (roots | dependents) & set(cur_procs)
-    report.stale = sorted(stale)
-    report.clean = sorted(set(cur_procs) - stale)
-    return report
-
-
-def compute_stale_between_stores(old_store: dict, new_store: dict) -> StaleReport:
-    """Which procedures moved between two *store documents*.
-
-    The hot-swap path of the serve daemon (``reload`` admin op) uses
-    this to invalidate only the stale slice of the query LRU: both
-    stores already carry their IR digests, call graphs and the
-    ``address_taken`` / ``indirect_callers`` records, so the comparison
-    needs no program lowering at all — pure recorded-digest work, safe
-    to run under live traffic.
-
-    The same propagation rules as :func:`compute_stale` apply, driven
-    from the records: dependents travel over the *union* of the two
-    call graphs (an edge present in either world can transmit a stale
-    summary), and function-pointer widening fires from the recorded
-    address-taken sets.  A missing globals digest on either side is
-    treated as changed (conservative: cannot prove it didn't move).
-    """
-    old_ir = old_store.get("ir") or {}
-    new_ir = new_store.get("ir") or {}
-    old_procs: dict = old_ir.get("procedures") or {}
-    new_procs: dict = new_ir.get("procedures") or {}
-
-    report = StaleReport()
-    old_globals = old_ir.get("globals")
-    new_globals = new_ir.get("globals")
-    report.globals_changed = (
-        old_globals is None or new_globals is None or old_globals != new_globals
-    )
+    report.globals_changed = old_ir["globals"] != new_ir["globals"]
     report.changed = sorted(
         name
         for name, digest in new_procs.items()
@@ -362,38 +325,25 @@ def compute_stale_between_stores(old_store: dict, new_store: dict) -> StaleRepor
 
     if report.globals_changed:
         report.stale = sorted(new_procs)
-        report.clean = []
         return report
 
     roots = set(report.changed) | set(report.added) | set(report.removed)
     call_graph: dict = {}
-    for store, ir in ((old_store, old_ir), (new_store, new_ir)):
+    for ir, graph in ((old_ir, old_graph), (new_ir, new_graph)):
         for caller, callees in _with_callbacks(
-            store.get("call_graph") or {},
-            ir.get("procedures") or {},
-            ir.get("address_taken"),
+            graph, ir["procedures"], ir["address_taken"]
         ).items():
             call_graph.setdefault(caller, set()).update(callees)
 
+    # function-pointer widening (module docstring): a root that is
+    # address-taken in either world, or a moved address-taken set, may
+    # retarget any indirect call site
+    old_taken = set(old_ir["address_taken"])
+    new_taken = set(new_ir["address_taken"])
     widened: set = set()
-    if roots:
-        old_taken_rec = old_ir.get("address_taken")
-        new_taken_rec = new_ir.get("address_taken")
-        old_taken = set(old_taken_rec or ())
-        new_taken = set(new_taken_rec or ())
-        indirect = set(old_ir.get("indirect_callers") or ()) | set(
-            new_ir.get("indirect_callers") or ()
-        )
-        if old_taken_rec is None or new_taken_rec is None:
-            # legacy store without the record: any edit near indirect
-            # call sites must widen (the taken set is unknowable)
-            trigger = bool(indirect)
-        else:
-            trigger = bool(roots & (old_taken | new_taken)) or (
-                old_taken != new_taken
-            )
-        if trigger:
-            widened = indirect & set(new_procs)
+    if roots and (roots & (old_taken | new_taken) or old_taken != new_taken):
+        indirect = set(old_ir["indirect_callers"]) | set(new_ir["indirect_callers"])
+        widened = indirect & set(new_procs)
 
     dependents = _dependents(call_graph, roots | widened) | widened
     report.dependents = sorted((dependents - roots) & set(new_procs))
@@ -403,35 +353,36 @@ def compute_stale_between_stores(old_store: dict, new_store: dict) -> StaleRepor
     return report
 
 
-def _fnptr_widening(stored: dict, program: "Program", roots: set) -> set:
-    """Extra stale seeds covering function-pointer retargeting edits.
+def compute_stale(store: dict, program: "Program") -> StaleReport:
+    """Compare a store's ``ir`` record against a freshly lowered
+    ``program`` and report the set of procedures whose PTFs must be
+    recomputed (a repeated ``repro index``, the demand tier's probe).
 
-    If any root procedure is address-taken — in the stored world or the
-    edited one — or the address-taken set itself moved, the stored call
-    graph cannot be trusted to name the indirect call edges into the
-    roots, so every procedure containing an indirect call site (old or
-    new) is widened into the stale set.  Stores predating the
-    ``address_taken`` record get the conservative recompute-both-sides
-    treatment.
+    The comparison is pure digest work — the analysis engine never runs.
+    The new world's call graph is the lowered program's static call
+    edges: only the new program can name an *added* procedure.
     """
-    if not roots:
-        return set()
-    from ..analysis.guards import address_taken_procs, indirect_call_procs
+    current = program_ir_record(program)
+    return _compare(
+        store["ir"],
+        store["call_graph"],
+        current,
+        _program_call_graph(program, current["address_taken"]),
+    )
 
-    cur_taken = address_taken_procs(program)
-    cur_indirect = indirect_call_procs(program)
-    old_taken_rec = stored.get("address_taken")
-    old_indirect_rec = stored.get("indirect_callers")
-    old_taken = set(old_taken_rec) if old_taken_rec is not None else set()
-    old_indirect = set(old_indirect_rec) if old_indirect_rec is not None else set()
-    if old_taken_rec is None:
-        # legacy store without the record: the old address-taken set is
-        # unknowable, so any edit near indirect call sites must widen
-        trigger = bool(cur_indirect | old_indirect)
-    else:
-        trigger = bool(roots & (cur_taken | old_taken)) or (
-            set(old_taken_rec) != cur_taken
-        )
-    if not trigger:
-        return set()
-    return (cur_indirect | old_indirect) & set(program.procedures)
+
+def compute_stale_between_stores(old_store: dict, new_store: dict) -> StaleReport:
+    """Which procedures moved between two *store documents*.
+
+    The hot-swap path of the serve daemon (``reload`` admin op) uses
+    this to invalidate only the stale slice of the query LRU.  Both
+    stores carry their ``ir`` records and call graphs, so the same rule
+    as :func:`compute_stale` runs without lowering anything — pure
+    recorded-digest work, safe under live traffic.
+    """
+    return _compare(
+        old_store["ir"],
+        old_store["call_graph"],
+        new_store["ir"],
+        new_store["call_graph"],
+    )

@@ -21,8 +21,10 @@ Document layout (format tag ``repro-store/2``)::
       "snapshot": {"digest": ..., "degradation": ...} — the run's
                   snapshot digests and sanitized degradation account,
                   equal to what ``repro snapshot`` computes,
-      "ir":       per-procedure lowered-IR digests + the global
-                  environment digest (repro.query.invalidate),
+      "ir":       per-procedure lowered-IR digests, the global
+                  environment digest, the address-taken procedures and
+                  those with an indirect call site
+                  (repro.query.invalidate.program_ir_record),
       "call_graph": caller -> sorted callees (the analysis-resolved one),
       "index":    the merged per-procedure fact tables below,
       "integrity": {"algorithm": "sha256", "digest": ...}
@@ -63,8 +65,9 @@ last-replace-wins instead of corrupting each other's temporary file.
 
 Readers are defensive (:func:`load_store`): the format tag, the
 document shape, and a whole-store SHA-256 are all validated before a
-single query is answered; a store of an older format is refused with a
-hint to re-run ``repro index``.  The digest is computed at build time
+single query is answered; a store of an older format, or one whose
+``ir`` section lacks a record the staleness rule reads, is refused with
+a hint to re-run ``repro index``.  The digest is computed at build time
 over the canonical compact serialization of every section *except*
 ``integrity`` itself (:func:`store_integrity_digest`), so any
 post-write corruption — a truncated replace, a flipped byte, a hand
@@ -113,16 +116,20 @@ STORE_FORMAT = "repro-store/2"
 #: engine indexes into all of them unconditionally)
 _REQUIRED_SECTIONS = ("snapshot", "ir", "call_graph", "index")
 
+#: records of the ``ir`` section every staleness comparison reads
+#: (:func:`repro.query.invalidate.program_ir_record`)
+_IR_RECORDS = ("procedures", "globals", "address_taken", "indirect_callers")
+
 
 class StoreError(ValueError):
     """A store document that cannot be loaded or trusted.
 
     Raised for unknown format tags, truncated/invalid JSON, missing
-    sections, and integrity-digest mismatches.  A ``ValueError``
-    subclass so existing ``except ValueError`` call sites keep working;
-    the CLI maps it to a ``repro:``-prefixed stderr line and exit 2,
-    the daemon's ``reload`` op to a ``reload-failed`` error envelope
-    (while the old store keeps serving).
+    sections or ``ir`` records, and integrity-digest mismatches.  A
+    ``ValueError`` subclass so existing ``except ValueError`` call sites
+    keep working; the CLI maps it to a ``repro:``-prefixed stderr line
+    and exit 2, the daemon's ``reload`` op to a ``reload-failed`` error
+    envelope (while the old store keeps serving).
     """
 
 
@@ -297,21 +304,13 @@ def build_store(
     one (the parallel worker does, for the digest); the store keeps only
     its digest and degradation account.
     """
-    from ..analysis.guards import address_taken_procs, indirect_call_procs
     from ..diagnostics.snapshot import build_snapshot
-    from .invalidate import program_ir_digests
+    from .invalidate import program_ir_record
 
     if snapshot is None:
         snapshot = build_snapshot(
             result, options=options, program_name=program_name
         )
-    ir = program_ir_digests(result.program)
-    # recorded so staleness checks can widen across function-pointer
-    # retargeting edits: an edit that makes a changed procedure
-    # address-taken creates indirect call edges the *stored* call graph
-    # cannot know about (see query/invalidate.py)
-    ir["address_taken"] = sorted(address_taken_procs(result.program))
-    ir["indirect_callers"] = sorted(indirect_call_procs(result.program))
     store = {
         "format": STORE_FORMAT,
         "program": snapshot["program"],
@@ -323,7 +322,7 @@ def build_store(
             "digest": snapshot["digest"],
             "degradation": snapshot["degradation"],
         },
-        "ir": ir,
+        "ir": program_ir_record(result.program),
         "call_graph": snapshot["call_graph"],
     }
     # the store keeps no solution: let it go before the index is built
@@ -400,8 +399,8 @@ def load_store(source: Union[str, IO], verify: bool = True) -> dict:
     """Read and validate a store from a path or open file object.
 
     Every failure mode — truncated or non-JSON bytes, a non-object
-    document, an unknown format tag, missing sections, an integrity
-    mismatch — raises :class:`StoreError` with a message naming the
+    document, an unknown format tag, missing sections or ``ir`` records,
+    an integrity mismatch — raises :class:`StoreError` with a message naming the
     store, never a raw decoder traceback.  ``verify=False`` skips only
     the whole-store digest check (the shape checks always run).
     """
@@ -441,6 +440,12 @@ def load_store(source: Union[str, IO], verify: bool = True) -> dict:
             )
     if not isinstance(store["index"].get("procedures"), dict):
         raise StoreError(f"{label}: index carries no procedure tables")
+    missing = [key for key in _IR_RECORDS if key not in store["ir"]]
+    if missing:
+        raise StoreError(
+            f"{label}: 'ir' section lacks {', '.join(missing)}; "
+            f"re-run `repro index` to rebuild it"
+        )
     if verify:
         verify_store_integrity(store, label=label)
     return store

@@ -29,7 +29,7 @@ from repro.analysis.engine import Analyzer, AnalyzerOptions
 from repro.analysis.results import AnalysisResult
 from repro.memory.blocks import MemoryBlock
 
-_PTF_STATS = ("ptf_created", "ptf_home_updates", "ptf_analyses", "ptf_generalized")
+_PTF_STATS = ("ptf_created", "ptf_home_updates", "ptf_analyses", "ptf_generalizations")
 
 
 class MemoOracleAnalyzer(Analyzer):
@@ -62,7 +62,7 @@ class MemoOracleAnalyzer(Analyzer):
         lists = tuple(
             (name, tuple(p.uid for p in ptfs_)) for name, ptfs_ in sorted(self.ptfs.items())
         )
-        stats = tuple(self.stats[k] for k in _PTF_STATS)
+        stats = tuple(getattr(self.metrics, k) for k in _PTF_STATS)
         return ptfs, lists, stats, frozenset(frame.deferred)
 
     def _call_internal(self, frame, evaluator, node, name, multiple) -> None:

@@ -193,7 +193,7 @@ class TestNeverStored:
         """)
         (ptf,) = r.ptfs_of("deep")
         assert not ptf.summary()
-        assert r.analyzer.stats["recursive_calls"] >= 2  # deferred on every pass
+        assert r.analyzer.metrics.recursive_calls >= 2  # deferred on every pass
         assert all(key[3] == -1 for key in ptf.call_memo)
 
     def test_dense_state_is_not_memoized(self):

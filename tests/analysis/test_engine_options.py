@@ -83,13 +83,12 @@ class TestPTFLimit:
         )
         r = analyze_source(src, options=AnalyzerOptions(ptf_limit=2))
         assert len(r.ptfs_of("f")) <= 2
-        assert r.analyzer.stats.get("ptf_generalized", 0) >= 0
+        assert r.analyzer.metrics.ptf_generalizations >= 0
 
     def test_default_limit_not_hit_normally(self):
         r = analyze_source(
             "int g; int *id(int *p){return p;} int main(void){ int *q = id(&g); return 0;}"
         )
-        assert r.analyzer.stats.get("ptf_generalized", 0) == 0
         assert r.analyzer.metrics.ptf_generalizations == 0
 
     #: calls with genuinely distinct alias patterns (aliased arguments,
@@ -121,18 +120,12 @@ class TestPTFLimit:
         precise = analyze_source(self.BLOWUP_SRC)
         # the distinct patterns really do need >2 PTFs when unconstrained
         assert len(precise.ptfs_of("f")) >= 3
-        assert precise.analyzer.stats["ptf_generalized"] == 0
+        assert precise.analyzer.metrics.ptf_generalizations == 0
         merged = analyze_source(
             self.BLOWUP_SRC, options=AnalyzerOptions(ptf_limit=2)
         )
         assert len(merged.ptfs_of("f")) <= 2
-        # both the stats dict and the metrics counter record the merges
-        assert merged.analyzer.stats["ptf_generalized"] >= 1
         assert merged.analyzer.metrics.ptf_generalizations >= 1
-        assert (
-            merged.analyzer.metrics.ptf_generalizations
-            == merged.analyzer.stats["ptf_generalized"]
-        )
         for var in self.BLOWUP_VARS:
             p = precise.points_to_names("main", var)
             m = merged.points_to_names("main", var)
@@ -196,19 +189,19 @@ class TestStatistics:
         r = analyze_source("int main(void){ return 0; }")
         for key in ("ptf_created", "ptf_reuses", "ptf_analyses",
                     "recursive_calls", "external_calls", "libc_calls"):
-            assert key in r.analyzer.stats
+            assert key in r.analyzer.metrics.counters()
 
     def test_libc_calls_counted(self):
         r = analyze_source(
             '#include <stdlib.h>\nint main(void){ int *p = malloc(4); free(p); return 0; }'
         )
-        assert r.analyzer.stats["libc_calls"] >= 2
+        assert r.analyzer.metrics.libc_calls >= 2
 
     def test_external_calls_counted(self):
         r = analyze_source(
             "void mystery(void); int main(void){ mystery(); return 0; }"
         )
-        assert r.analyzer.stats["external_calls"] >= 1
+        assert r.analyzer.metrics.external_calls >= 1
 
     def test_elapsed_recorded(self):
         r = analyze_source("int main(void){ return 0; }")

@@ -26,7 +26,7 @@ class TestIndirectRecursion:
         """
         for r in both_kinds(src):
             assert r.points_to_names("main", "q") == {"g"}
-            assert r.analyzer.stats["recursive_calls"] >= 1
+            assert r.analyzer.metrics.recursive_calls >= 1
 
     def test_mutual_recursion_via_table(self):
         src = """

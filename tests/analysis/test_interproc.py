@@ -105,7 +105,7 @@ class TestContextSensitivity:
         for r in both_kinds(src):
             # both calls have the same (trivial) alias pattern: one PTF
             assert len(r.ptfs_of("id")) == 1
-            assert r.analyzer.stats["ptf_reuses"] >= 1
+            assert r.analyzer.metrics.ptf_reuses >= 1
 
     def test_swap_respects_contexts(self):
         src = """

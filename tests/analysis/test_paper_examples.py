@@ -47,7 +47,7 @@ class TestPTFReuse:
         assert len(result.ptfs_of("main")) == 1
 
     def test_reuse_happened(self, result):
-        assert result.analyzer.stats["ptf_reuses"] >= 1
+        assert result.analyzer.metrics.ptf_reuses >= 1
 
 
 class TestCaseI:

@@ -24,7 +24,7 @@ class TestDirectRecursion:
         """
         for r in both_kinds(src):
             assert len(r.ptfs_of("count")) >= 1
-            assert r.analyzer.stats["recursive_calls"] >= 1
+            assert r.analyzer.metrics.recursive_calls >= 1
 
     def test_recursive_pointer_result(self):
         src = """

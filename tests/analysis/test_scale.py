@@ -56,7 +56,7 @@ class TestDeepCallTrees:
         ~2^n procedure analyses; PTF reuse keeps it ~n."""
         src = generated_program(60)
         r = analyze_source(src)
-        analyses = r.analyzer.stats["ptf_analyses"]
+        analyses = r.analyzer.metrics.ptf_analyses
         assert analyses < 8 * 61, analyses
 
     def test_time_scales_gently(self):
@@ -88,7 +88,7 @@ class TestWidePrograms:
         parts.append("int main(void) { " + " ".join(calls) + " return 0; }")
         r = analyze_source("\n".join(parts))
         assert len(r.ptfs_of("id")) == 1
-        assert r.analyzer.stats["ptf_reuses"] >= 59
+        assert r.analyzer.metrics.ptf_reuses >= 59
 
 
 class TestDeepData:

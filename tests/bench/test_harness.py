@@ -147,16 +147,6 @@ class TestFaultIsolation:
         text = harness.table2_text(rows)
         assert "ERROR" in text and "1 of 2 programs failed" in text
 
-    def test_fault_tolerant_false_raises(self, monkeypatch):
-        import repro.bench.harness as harness
-
-        def boom(name, options=None):
-            raise RuntimeError("synthetic crash")
-
-        monkeypatch.setattr(harness, "analyze_benchmark", boom)
-        with pytest.raises(RuntimeError):
-            harness.table2_rows(names=["allroots"], fault_tolerant=False)
-
     def test_error_row_serializes_additively(self):
         from repro.bench.harness import Table2Row, _error_row
 

@@ -117,7 +117,7 @@ class TestFootball:
         cg = r.call_graph()
         assert "qsort" in cg["rank_teams"]
         # the comparators were analyzed via the qsort summary's callback
-        assert r.analyzer.stats["libc_calls"] >= 1
+        assert r.analyzer.metrics.libc_calls >= 1
         for cmp_name in ("by_rating", "by_offense"):
             ptf = r.ptfs_of(cmp_name)[0]
             assert ptf.initial_entries  # the callback received arguments

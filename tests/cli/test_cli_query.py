@@ -93,6 +93,31 @@ def test_index_rewrites_format_1_store(prog_file, store_file, capsys):
     assert load_store(store_file)["format"] == STORE_FORMAT == "repro-store/2"
 
 
+def _drop_ir_record(store_file, record):
+    """Delete one ``ir`` record and re-seal, so only its absence can be
+    refused."""
+    from repro.query import load_store, seal_store, write_store
+
+    store = load_store(store_file)
+    del store["ir"][record]
+    write_store(seal_store(store), store_file)
+
+
+@pytest.mark.parametrize("record", ["globals", "address_taken", "indirect_callers"])
+def test_index_rebuilds_store_missing_an_ir_record(
+    prog_file, store_file, capsys, record
+):
+    from repro.query import load_store
+
+    _drop_ir_record(store_file, record)
+    capsys.readouterr()
+    assert main(["index", prog_file, "-o", store_file]) == 0
+    err = capsys.readouterr().err
+    assert "up to date" not in err
+    assert "indexed" in err
+    assert record in load_store(store_file)["ir"]
+
+
 def test_index_runs_write_identical_bytes(tmp_path):
     """Two ``repro index`` runs of one source, in fresh processes under
     different hash seeds, write the same bytes: nothing in the store
@@ -196,6 +221,15 @@ def test_query_format_1_store_is_exit_2(store_file, capsys):
     assert main(["query", store_file, "stats"]) == 2
     err = capsys.readouterr().err
     assert "repro-store/1" in err
+    assert "repro index" in err
+
+
+@pytest.mark.parametrize("record", ["globals", "address_taken", "indirect_callers"])
+def test_query_store_missing_an_ir_record_is_exit_2(store_file, capsys, record):
+    _drop_ir_record(store_file, record)
+    assert main(["query", store_file, "stats"]) == 2
+    err = capsys.readouterr().err
+    assert f"lacks {record}" in err
     assert "repro index" in err
 
 

@@ -70,13 +70,12 @@ class TestDerived:
 class TestHitRate:
     def test_zero_probes_is_null(self):
         d = Metrics().as_dict()
-        assert d["cache_hit_rate"] is None
         assert d["derived"]["cache_hit_rate"] is None
 
     def test_rate(self):
         m = Metrics()
         m.cache_hits, m.cache_misses = 3, 1
-        assert m.as_dict()["cache_hit_rate"] == 0.75
+        assert m.as_dict()["derived"]["cache_hit_rate"] == 0.75
 
 
 class TestTimers:
@@ -156,25 +155,11 @@ class TestSerialization:
         blob = json.dumps(m.as_dict())
         back = json.loads(blob)
         assert back["counters"]["cache_hits"] == 1
-        assert back["cache_hit_rate"] == 1.0
+        assert back["derived"]["cache_hit_rate"] == 1.0
         assert back["timers"]["procedures"]["main"] >= 0.1
         assert back["timers"]["procedures_self"]["main"] >= 0.1
         assert back["timers"]["procedure_passes"]["main"] == 1
         assert "dom_steps_per_lookup" in back["derived"]
-
-    def test_merge_folds_counters_and_timers(self):
-        a, b = Metrics(), Metrics()
-        a.lookups, b.lookups = 2, 3
-        a.add_proc_time("f", 1.0, passes=1)
-        b.add_proc_time("f", 2.0, passes=1, self_seconds=0.5)
-        b.add_proc_time("g", 4.0)
-        b.phase_seconds["analysis"] = 1.5
-        a.merge(b)
-        assert a.lookups == 5
-        assert a.proc_seconds == {"f": 3.0, "g": 4.0}
-        assert a.proc_self_seconds == {"f": 1.5, "g": 4.0}
-        assert a.proc_passes == {"f": 2}
-        assert a.phase_seconds == {"analysis": 1.5}
 
 
 SOURCE = """

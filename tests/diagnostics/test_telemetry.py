@@ -227,19 +227,6 @@ def test_registry_create_on_first_use_and_as_dict():
     assert snap["histograms"]["latency"]["count"] == 1
 
 
-def test_registry_merge():
-    a, b = TelemetryRegistry(), TelemetryRegistry()
-    a.counter("requests").inc(2)
-    b.counter("requests").inc(3)
-    b.counter("errors").inc(1)
-    a.histogram("latency").record(1.0)
-    b.histogram("latency").record(2.0)
-    a.merge(b)
-    snap = a.as_dict()
-    assert snap["counters"] == {"errors": 1, "requests": 5}
-    assert snap["histograms"]["latency"]["count"] == 2
-
-
 # -- the token bucket (overload shedding, docs/ROBUSTNESS.md §8) ------------
 
 

@@ -212,20 +212,18 @@ class TestZeroCostWhenDisabled:
             str(loc): sorted(str(v) for v in vals)
             for loc, vals in analyzer.main_frame.ptf.summary().items()
         }
-        counters = analyzer.metrics.counters()
-        return summary, counters, dict(analyzer.stats)
+        return summary, analyzer.metrics.counters()
 
     def test_trace_none_is_bit_identical(self):
-        base_summary, base_counters, base_stats = self._run()
-        traced_summary, traced_counters, traced_stats = self._run(
+        base_summary, base_counters = self._run()
+        traced_summary, traced_counters = self._run(
             trace=Tracer()
         )
         assert base_summary == traced_summary
         assert base_counters == traced_counters
-        assert base_stats == traced_stats
 
     def test_provenance_off_by_default_and_harmless_when_on(self):
-        base_summary, base_counters, _ = self._run()
-        prov_summary, prov_counters, _ = self._run(provenance=True)
+        base_summary, base_counters = self._run()
+        prov_summary, prov_counters = self._run(provenance=True)
         assert base_summary == prov_summary
         assert base_counters == prov_counters

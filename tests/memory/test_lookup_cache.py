@@ -290,7 +290,7 @@ class TestMetricsCounting:
         st.lookup_overlapping(l, nodes[2], width=4)
         assert metrics.cache_hits >= 1
         assert metrics.cache_misses == misses
-        assert 0.0 < metrics.as_dict()["cache_hit_rate"] < 1.0
+        assert 0.0 < metrics.as_dict()["derived"]["cache_hit_rate"] < 1.0
         # exact-key lookups are not memoized: they probe nothing
         st.lookup(l, nodes[2])
         assert (metrics.cache_hits, metrics.cache_misses) == (1, misses)
@@ -308,7 +308,7 @@ class TestMetricsCounting:
         # each read scans one strong-def index entry (the fence at
         # nodes[0]) and one def index entry (the def it answers from)
         assert metrics.dom_walk_steps == 4
-        assert metrics.as_dict()["cache_hit_rate"] is None
+        assert metrics.as_dict()["derived"]["cache_hit_rate"] is None
 
     def test_steps_count_examined_index_entries(self):
         """The interval scan stops at the first indexed node whose

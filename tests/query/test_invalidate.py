@@ -15,11 +15,15 @@ from repro import AnalyzerOptions
 from repro.analysis.demand import fresh_analysis_state
 from repro.frontend.parser import load_project_files
 from repro.query import (
+    StoreError,
     build_store,
     compute_stale,
     compute_stale_between_stores,
+    load_store,
     procedure_ir_digest,
     program_ir_digests,
+    seal_store,
+    write_store,
 )
 
 from .staleness_oracle import assert_clean_means_identical
@@ -300,17 +304,18 @@ def test_between_stores_globals_change_dirties_everything(tmp_path):
     assert report.clean == []
 
 
-def test_between_stores_missing_globals_digest_is_conservative(tmp_path):
-    """A store from before the globals digest was recorded cannot prove
-    anything clean — everything goes stale rather than risking a wrong
-    cache carryover."""
-    old = _store_for(tmp_path / "r1", UNIT_A)
-    new = _store_for(tmp_path / "r2", UNIT_A)
-    old["ir"].pop("globals", None)
-    report = compute_stale_between_stores(old, new)
-    assert_clean_means_identical(report, old, new)
-    assert report.globals_changed
-    assert report.clean == []
+@pytest.mark.parametrize("record", ["globals", "address_taken", "indirect_callers"])
+def test_store_missing_an_ir_record_is_refused(tmp_path, record):
+    """Every comparison reads all of the ``ir`` records, so a store
+    lacking one is refused on load — also under ``verify=False`` —
+    with a hint to rebuild it, rather than compared."""
+    doc = _store_for(tmp_path / "r1", UNIT_A)
+    del doc["ir"][record]
+    path = str(tmp_path / "x.store.json")
+    write_store(seal_store(doc), path)
+    for verify in (True, False):
+        with pytest.raises(StoreError, match=f"lacks {record}.*repro index"):
+            load_store(path, verify=verify)
 
 
 def test_between_stores_added_and_removed(tmp_path):

@@ -18,6 +18,7 @@ from repro.analysis.demand import fresh_analysis_state
 from repro.analysis.results import run_analysis
 from repro.frontend.parser import load_project_files
 from repro.query import build_store, compute_stale
+from repro.query.invalidate import program_ir_record
 
 from .staleness_oracle import assert_clean_means_identical
 
@@ -97,6 +98,13 @@ def test_store_records_address_taken_and_indirect_callers(tmp_path):
     assert store["ir"]["indirect_callers"] == ["dispatch"]
 
 
+def test_stored_record_is_the_program_record(tmp_path):
+    """The stored side and the live side of :func:`compute_stale` are
+    one function's output."""
+    program = _program(tmp_path / "orig", UNIT_A, UNIT_B)
+    assert _index(program)["ir"] == program_ir_record(program)
+
+
 def test_retargeting_edit_widens_to_indirect_callers(tmp_path):
     """The two-unit regression: main retargets the pointer from f to h
     (and h's body changes).  The stored call graph has no dispatch -> h
@@ -144,14 +152,3 @@ def test_unrelated_edit_does_not_widen(tmp_path):
     assert "main" in report.stale  # leaf's direct caller
     assert report.dependents == ["dispatch", "f"]
     assert "h" in report.clean
-
-
-def test_old_store_without_record_falls_back_conservatively(tmp_path):
-    """Stores written before ``address_taken`` existed must still widen:
-    both sides are recomputed from the new program."""
-    store = _store(tmp_path / "orig")
-    del store["ir"]["address_taken"]
-    del store["ir"]["indirect_callers"]
-    edited = _program(tmp_path / "edit", UNIT_A_EDITED, UNIT_B_EDITED)
-    report = _stale(store, edited)
-    assert "dispatch" in report.stale

@@ -27,6 +27,7 @@ from repro.query import (
     build_store,
     compute_stale_between_stores,
     load_store,
+    seal_store,
     write_store,
 )
 from repro.query.server import QueryServer
@@ -251,6 +252,26 @@ def test_reload_rejects_unsealed_target(tmp_path, store_v1, store_v3):
     env = ask(server, {"op": "reload"})
     assert not env["ok"] and env["error"]["code"] == "reload-failed"
     assert "no integrity record" in env["error"]["message"]
+    assert "still serving generation 1" in env["error"]["message"]
+    assert server.generation == 1 and count(server, "reload_failures") == 1
+    assert ask(server, P_MAIN)["result"]["targets"] == ["x"]
+
+
+@pytest.mark.parametrize("record", ["globals", "address_taken", "indirect_callers"])
+def test_reload_rejects_target_missing_an_ir_record(
+    tmp_path, store_v1, store_v3, record
+):
+    """A sealed target without one of the records the staleness rule
+    reads is refused; the old generation keeps serving."""
+    path = str(tmp_path / "hot.store.json")
+    write_store(store_v1, path)
+    server = make_server(store_v1, store_path=path)
+    doc = json.loads(json.dumps(store_v3))
+    del doc["ir"][record]
+    write_store(seal_store(doc), path)
+    env = ask(server, {"op": "reload"})
+    assert not env["ok"] and env["error"]["code"] == "reload-failed"
+    assert f"lacks {record}" in env["error"]["message"]
     assert "still serving generation 1" in env["error"]["message"]
     assert server.generation == 1 and count(server, "reload_failures") == 1
     assert ask(server, P_MAIN)["result"]["targets"] == ["x"]

@@ -218,6 +218,9 @@ def test_serve_loads_invalidation_on_reload(tmp_path, indexed):
     assert replies[1]["status"] == 0, replies[1]
     assert "repro.query.invalidate" in loaded
     assert analysis_modules(loaded) == []
+    # the store-to-store comparison lowers nothing
+    assert frontend_modules(loaded) == []
+    assert "repro.analysis.guards" not in loaded
 
 
 def test_index_loads_no_query_engine_or_telemetry(tmp_path):
