@@ -376,15 +376,6 @@ class Analyzer(InterproceduralMixin):
 
     # -- statistics (Table 2 columns) -------------------------------------
 
-    def procedures_analyzed(self) -> int:
-        return len(self.ptfs)
-
-    def average_ptfs(self) -> float:
-        counts = [len(v) for v in self.ptfs.values() if v]
-        if not counts:
-            return 0.0
-        return sum(counts) / len(counts)
-
     def ptf_counts(self) -> dict[str, int]:
         return {name: len(v) for name, v in sorted(self.ptfs.items())}
 

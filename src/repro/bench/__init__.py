@@ -13,11 +13,5 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "invocation_rows",
         "analyze_benchmark",
     ),
-    ".loadgen": (
-        "DEFAULT_MIX",
-        "LoadReport",
-        "build_workload",
-        "parse_mix",
-        "run_loadtest",
-    ),
+    ".loadgen": ("DEFAULT_MIX", "build_workload"),
 })

@@ -18,7 +18,6 @@
     python -m repro query prog.store.json "points-to p@main" "alias a b"
     python -m repro serve prog.store.json --tcp 127.0.0.1:0   # ...ask many
     python -m repro serve prog.store.json --access-log access.jsonl
-    python -m repro loadtest prog.store.json --tcp 127.0.0.1:47117 --clients 64
 
 This module is only the dispatcher.  :data:`COMMANDS` maps each
 subcommand to the module under :mod:`repro.commands` that defines its
@@ -75,11 +74,6 @@ COMMANDS = {
         "serve",
         "long-lived query daemon over a store (JSON lines on "
         "stdio, or TCP with --tcp HOST:PORT)",
-    ),
-    "loadtest": (
-        "serve",
-        "replay a concurrent mixed query workload against a store "
-        "and report qps + latency quantiles (p50/p90/p95/p99)",
     ),
 }
 

@@ -1,5 +1,4 @@
-"""``repro serve | loadtest``: the long-lived query daemon, and a load
-generator that replays a mixed workload against it."""
+"""``repro serve``: the long-lived query daemon over one store."""
 
 from __future__ import annotations
 
@@ -7,8 +6,8 @@ import argparse
 import json
 import sys
 
-from ..ioutil import RotatingLineWriter, out_stream, write_text
-from . import EXIT_ERROR, EXIT_OK
+from ..ioutil import RotatingLineWriter, out_stream
+from . import EXIT_ERROR
 
 
 def add_serve_arguments(p: argparse.ArgumentParser) -> None:
@@ -63,44 +62,6 @@ def add_serve_arguments(p: argparse.ArgumentParser) -> None:
                         "with an explicit \"stale\": true envelope "
                         "field instead of being recomputed from the "
                         "edited sources")
-
-
-def add_loadtest_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("store", help="store path written by 'repro index'")
-    p.add_argument("--clients", type=int, default=8, metavar="N",
-                   help="concurrent TCP client threads (default 8)")
-    p.add_argument("--requests", type=int, default=50, metavar="N",
-                   help="requests per client (default 50)")
-    p.add_argument("--mix", metavar="SPEC",
-                   help="weighted op mix, e.g. "
-                        "'points_to=6,alias=3,modref=1' (default: the "
-                        "built-in serve-smoke mix)")
-    p.add_argument("--no-repeat-half", action="store_true",
-                   help="do not repeat each client's first half (the "
-                        "repeat models cache-hit realism)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="workload shuffle seed (default 0)")
-    p.add_argument("--tcp", metavar="HOST:PORT", required=True,
-                   help="address of the running daemon to drive "
-                        "('repro serve STORE --tcp HOST:PORT')")
-    p.add_argument("--json", action="store_true",
-                   help="emit the report as JSON")
-    p.add_argument("-o", "--output", default="-", metavar="PATH",
-                   help="report destination ('-' = stdout, the default)")
-    p.add_argument("--max-p99-ms", type=float, metavar="MS",
-                   help="absolute gate: exit 1 when p99 latency exceeds "
-                        "MS milliseconds")
-    p.add_argument("--chaos", action="store_true",
-                   help="chaos mode: clients deterministically send "
-                        "garbage and disconnect mid-request, tolerate "
-                        "sheds/drops, and verify every ok answer "
-                        "against a fault-free baseline (exit 1 on any "
-                        "mismatch)")
-    p.add_argument("--expect-store", action="append", metavar="PATH",
-                   help="with --chaos: additional store(s) whose "
-                        "answers are also acceptable (pass the "
-                        "post-reload store when a hot swap happens "
-                        "mid-run); repeatable")
 
 
 def _tcp_addr(spec: str):
@@ -193,101 +154,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         return server.serve_stdio()
 
 
-def _render_loadtest_report(report: dict) -> list[str]:
-    lines = [
-        f"loadtest {report['program']}: {report['requests']} requests, "
-        f"{report['clients']} client(s), {report['errors']} error(s), "
-        f"{report['seconds']:.3f}s wall",
-        f"  throughput : {report['qps']:.1f} qps",
-        "  latency    : p50 {p50_ms} ms, p90 {p90_ms} ms, p95 {p95_ms} ms, "
-        "p99 {p99_ms} ms, max {max_ms} ms".format(**report["latency"]),
-    ]
-    hits, misses = report["cache_hits"], report["cache_misses"]
-    lines.append(
-        f"  cache      : {hits} hits / {misses} misses "
-        f"(hit rate {report['cache_hit_rate']})"
-    )
-    mix = ", ".join(f"{op}={n}" for op, n in sorted(report["ops"].items()))
-    lines.append(f"  op mix     : {mix}")
-    chaos = report.get("chaos")
-    if chaos is not None:
-        lines.append(
-            f"  chaos      : {chaos['answers_read']} answers read, "
-            f"{chaos['sheds']} shed(s), {chaos['garbage']} garbage "
-            f"line(s), {chaos['client_disconnects']} client "
-            f"disconnect(s), {chaos['server_drops']} server drop(s), "
-            f"{chaos['mismatches']} mismatch(es)"
-        )
-        for sample in chaos.get("mismatch_samples", []):
-            lines.append(f"    mismatch : {sample}")
-    return lines
-
-
-def cmd_loadtest(args: argparse.Namespace) -> int:
-    """Replay a mixed concurrent query workload against a running daemon
-    and report throughput + latency quantiles."""
-    from ..bench.loadgen import parse_mix, run_loadtest
-
-    for flag, value in (("--clients", args.clients),
-                        ("--requests", args.requests)):
-        if value < 1:
-            # an empty run would report 0 requests and pass every gate
-            print(f"error: {flag} must be at least 1, got {value}",
-                  file=sys.stderr)
-            return EXIT_ERROR
-    try:
-        mix = parse_mix(args.mix)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    addr = _tcp_addr(args.tcp)
-    if addr is None:
-        return EXIT_ERROR
-    try:
-        report = run_loadtest(
-            args.store,
-            addr,
-            clients=args.clients,
-            requests_per_client=args.requests,
-            mix=mix,
-            repeat_half=not args.no_repeat_half,
-            seed=args.seed,
-            chaos=args.chaos,
-            expect_stores=args.expect_store,
-        )
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"repro: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    payload = report.as_dict()
-    if args.json:
-        write_text(args.output,
-                    json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        with out_stream(args.output) as fh:
-            for line in _render_loadtest_report(payload):
-                fh.write(line + "\n")
-    status = EXIT_OK
-    chaos_block = payload.get("chaos")
-    if chaos_block is not None and chaos_block["mismatches"]:
-        print(
-            f"repro: chaos gate failed: {chaos_block['mismatches']} "
-            "answer(s) did not match the fault-free baseline",
-            file=sys.stderr,
-        )
-        status = 1
-    if args.max_p99_ms is not None:
-        p99 = payload["latency"]["p99_ms"]
-        if p99 is None or p99 > args.max_p99_ms:
-            print(
-                f"repro: loadtest gate failed: p99 {p99} ms exceeds "
-                f"--max-p99-ms {args.max_p99_ms}",
-                file=sys.stderr,
-            )
-            status = 1
-    return status
-
-
 COMMANDS = {
     "serve": (add_serve_arguments, cmd_serve),
-    "loadtest": (add_loadtest_arguments, cmd_loadtest),
 }

@@ -19,8 +19,8 @@ Three cooperating layers, all pay-for-what-you-use:
 
 The *serving* path has its own layer, :class:`TelemetryRegistry`
 (:mod:`~repro.diagnostics.telemetry`): thread-safe counters, gauges and
-mergeable log-bucketed latency histograms for the ``repro serve`` daemon
-and the ``repro loadtest`` harness (``docs/OBSERVABILITY.md`` §5).
+log-bucketed latency histograms for the ``repro serve`` daemon
+(``docs/OBSERVABILITY.md`` §5).
 
 Plus :class:`FaultPlan`, the deterministic seeded fault-injection hook
 that exercises the degradation ladder (``--inject-faults``; see

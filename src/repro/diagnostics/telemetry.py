@@ -2,10 +2,10 @@
 
 Where :class:`~repro.diagnostics.metrics.Metrics` instruments the
 *analysis* (single-threaded, hot inner loops, plain ``+=`` attributes),
-this module instruments the *serving* path (``repro serve`` /
-``repro loadtest``): many threads, per-request latencies spanning six
-orders of magnitude, and a live process that must answer "how am I
-doing?" without pausing.  Three primitives, one registry:
+this module instruments the *serving* path (``repro serve``): many
+threads, per-request latencies spanning six orders of magnitude, and a
+live process that must answer "how am I doing?" without pausing.
+Three primitives, one registry:
 
 * :class:`Counter` — a monotone event count (requests, errors,
   deadline expiries, cache hits);
@@ -23,12 +23,7 @@ fixed factor ``gamma = (1 + eps) / (1 - eps)``, so
   (default 1%) of the exact sorted-sample quantile: the bucket midpoint
   ``2·gamma^i / (gamma + 1)`` is at most ``eps`` away (relatively) from
   any value in bucket ``i`` — the property
-  ``tests/diagnostics/test_telemetry.py`` pins with hypothesis;
-* two histograms **merge** by adding bucket counts — exact, lossless,
-  associative and commutative (``merge(a, b).digest() ==
-  merge(b, a).digest()``), which is what lets the load generator give
-  every client thread its own histogram and fold them afterwards with
-  no cross-thread contention.
+  ``tests/diagnostics/test_telemetry.py`` pins with hypothesis.
 
 Snapshots (:meth:`LogHistogram.snapshot`) export exact ``count`` /
 ``min`` / ``max`` and estimated ``p50`` / ``p90`` / ``p99`` (any
@@ -42,13 +37,11 @@ empty histogram reports ``null``, never a fabricated ``0.0``.
 created on first use and live forever (a live admin ``stats`` op must
 never see a counter vanish).  ``as_dict()`` follows the same
 JSON-snapshot convention as ``Metrics.as_dict`` — plain data, sorted
-keys, ``null`` for undefined ratios — and ``merge()`` folds another
-registry in (the load generator's per-thread registries).
+keys, ``null`` for undefined ratios.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 import threading
 import time
@@ -191,11 +184,8 @@ class LogHistogram:
     Non-positive values (a clock that went backwards, a zero-length
     request) are counted in a dedicated zero bucket so ``count`` stays
     exact.  All statistics except the quantile *positions* are exact:
-    ``count``, ``min``, ``max``, per-bucket counts, and the merge of two
-    histograms.  ``sum`` is kept for the derived mean but deliberately
-    excluded from :meth:`digest` — float addition is commutative but not
-    associative, and the digest exists to prove the *mergeable state*
-    (bucket table + exact extremes) is order-independent.
+    ``count``, ``min``, ``max`` and the per-bucket counts.  ``sum`` is
+    kept for the derived mean.
     """
 
     __slots__ = (
@@ -344,62 +334,6 @@ class LogHistogram:
         for name, value in quantiles.items():
             out[name] = None if value is None else round(value, ndigits)
         return out
-
-    # -- merging -----------------------------------------------------------
-
-    def merge(self, other: "LogHistogram") -> "LogHistogram":
-        """Fold ``other`` into this histogram (returns ``self``).
-
-        Exact: bucket counts add; min/max take the extremes.  Requires
-        the same ``relative_error`` (the bucket grids must line up)."""
-        if other.relative_error != self.relative_error:
-            raise ValueError(
-                "cannot merge histograms with different relative errors: "
-                f"{self.relative_error} vs {other.relative_error}"
-            )
-        # lock ordering by id() so two concurrent a.merge(b) / b.merge(a)
-        # calls cannot deadlock
-        first, second = sorted((self, other), key=id)
-        with first._lock, second._lock:
-            for index, n in other._buckets.items():
-                self._buckets[index] = self._buckets.get(index, 0) + n
-            self._zero_count += other._zero_count
-            self._count += other._count
-            self._sum += other._sum
-            if other._min is not None and (
-                self._min is None or other._min < self._min
-            ):
-                self._min = other._min
-            if other._max is not None and (
-                self._max is None or other._max > self._max
-            ):
-                self._max = other._max
-        return self
-
-    @classmethod
-    def merged(cls, histograms: Iterable["LogHistogram"]) -> "LogHistogram":
-        """A fresh histogram holding the fold of ``histograms``."""
-        out: Optional[LogHistogram] = None
-        for h in histograms:
-            if out is None:
-                out = cls(relative_error=h.relative_error)
-            out.merge(h)
-        return out if out is not None else cls()
-
-    def digest(self) -> str:
-        """SHA-256 over the exact mergeable state (sorted bucket table,
-        zero bucket, count, min, max).  Equal digests == equal
-        distributions as far as any quantile can tell; the associativity
-        and commutativity tests compare digests, not floats."""
-        with self._lock:
-            payload = (
-                f"eps={self.relative_error!r};zero={self._zero_count};"
-                f"count={self._count};min={self._min!r};max={self._max!r};"
-                + ",".join(
-                    f"{i}:{self._buckets[i]}" for i in sorted(self._buckets)
-                )
-            )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 class TelemetryRegistry:

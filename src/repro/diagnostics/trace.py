@@ -289,10 +289,6 @@ class Tracer:
         with open(path, "w", encoding="utf-8") as fh:
             self.write_chrome(fh, **metadata)
 
-    def save_jsonl(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            self.write_jsonl(fh)
-
     def __len__(self) -> int:
         return len(self.events)
 

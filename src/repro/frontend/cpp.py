@@ -379,15 +379,6 @@ class Preprocessor:
         self._process(text, filename, out, depth=0)
         return "\n".join(out) + "\n"
 
-    def preprocess_file(self, path: str) -> str:
-        with open(path, "r") as f:
-            text = f.read()
-        self.include_paths.insert(0, os.path.dirname(os.path.abspath(path)))
-        try:
-            return self.preprocess(text, os.path.basename(path))
-        finally:
-            self.include_paths.pop(0)
-
     # -- internals ------------------------------------------------------
 
     def _process(self, text: str, filename: str, out: list[str], depth: int) -> None:

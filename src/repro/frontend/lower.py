@@ -1182,15 +1182,3 @@ class _ProcLowerer:
         return self._lvalue_to_rvalue(_LValue(SymbolLoc(temp), ctype))
 
     _lv_CompoundLiteral = None  # not addressable in our model
-
-
-def parse_and_lower(
-    source: str,
-    filename: str = "<input>",
-    name: str = "<program>",
-) -> Program:
-    """Convenience: preprocess, parse and lower a single source string."""
-    from .parser import parse_c_source
-
-    ast = parse_c_source(source, filename)
-    return lower_translation_unit(ast, name)

@@ -62,8 +62,8 @@ def out_stream(dest: str) -> Iterator[IO[str]]:
     """The one ``-``-means-stdout output convention, shared by every
     JSON-emitting destination flag (``--stats-json``, ``--trace-json``,
     ``--trace-jsonl``, ``explain --json``, ``query -o``, ``serve
-    --access-log``, ``loadtest -o``): ``-`` yields ``sys.stdout`` (left
-    open), anything else opens the file at that path for writing."""
+    --access-log``): ``-`` yields ``sys.stdout`` (left open), anything
+    else opens the file at that path for writing."""
     if dest == "-":
         yield sys.stdout
     else:

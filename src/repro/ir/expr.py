@@ -215,14 +215,6 @@ class ValueExpr:
     def is_unknown(self) -> bool:
         return all(isinstance(t, UnknownTerm) for t in self.terms)
 
-    def combined(self, other: "ValueExpr") -> "ValueExpr":
-        """Union of the two values (e.g. the arms of ``?:``)."""
-        terms = []
-        for t in self.terms + other.terms:
-            if t not in terms:
-                terms.append(t)
-        return ValueExpr(tuple(terms))
-
     def __str__(self) -> str:
         return " | ".join(str(t) for t in self.terms)
 

@@ -291,9 +291,6 @@ class SparseState:
             self._note_read(loc.base)
         return self._initial.get(loc)
 
-    def initial_items(self) -> list[tuple[LocationSet, frozenset]]:
-        return list(self._initial.items())
-
     def merge_at(self, node: Node, evaluated: set[int]) -> None:
         """Called before ``node`` is evaluated.  A no-op: sparse states do
         not materialize merged maps, φ evaluation happens when the meet

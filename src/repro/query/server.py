@@ -85,7 +85,7 @@ with serve sites and the daemon deterministically injects slow handlers
 (``slow``), mid-request disconnects (``disconnect`` — the line is read
 and processed but the answer is never written), and corrupt reload
 targets (``corrupt_reload``) — the substrate of the chaos gate
-(``repro loadtest --chaos``), which proves zero crashes and
+(``tests/query/test_serve_gates.py``), which proves zero crashes and
 byte-identical non-shed answers under sustained injected failure.
 
 Deadlines: construct the server with ``deadline_seconds`` and every
@@ -1362,13 +1362,3 @@ class _TcpLoop:
         self.sel.close()
         self.wake_r.close()
         self.wake_w.close()
-
-
-def _probe_tcp(host: str, port: int, timeout: float = 0.2) -> bool:
-    """Whether something is listening on ``host:port`` (used by the
-    daemon tests to assert no orphan socket survives a shutdown)."""
-    try:
-        with socket.create_connection((host, port), timeout=timeout):
-            return True
-    except OSError:
-        return False

@@ -1,10 +1,10 @@
-"""The running daemon that ``repro loadtest`` drives.
+"""The running daemon the load clients drive.
 
-``repro loadtest`` never starts the daemon it measures, so every load
-test first starts one: a :class:`~repro.query.server.QueryServer` on an
-ephemeral loopback port, served by its selector loop on a background
-thread, and stopped at teardown through the same graceful path as the
-in-band ``shutdown`` op.
+The load clients (``tests/query/load_clients.py``) never start the
+daemon they drive, so every load test first starts one: a
+:class:`~repro.query.server.QueryServer` on an ephemeral loopback port,
+served by its selector loop on a background thread, and stopped at
+teardown through the same graceful path as the in-band ``shutdown`` op.
 """
 
 import io

@@ -1,30 +1,30 @@
-"""Chaos mode of the load generator (docs/ROBUSTNESS.md §8).
+"""The daemon under chaos load (docs/ROBUSTNESS.md §8).
 
-The chaos gate's two properties, pinned against a daemon on a
-background thread (the ``daemon`` fixture): under misbehaving
-clients and injected serve faults the daemon (1) never crashes and its
-counters exactly account for every line it read, and (2) every non-shed
-``ok`` answer is byte-identical to a fault-free baseline — across a
-mid-run hot swap, the baseline is the *union* of the old and new
-stores' answers (old-or-new, never a torn mix).
+Load clients (``tests/query/load_clients.py``) drive a daemon on a
+background thread (the ``daemon`` fixture).  Under misbehaving clients
+and injected serve faults the daemon (1) never crashes and its counters
+exactly account for every line it read, and (2) every non-shed ``ok``
+answer is byte-identical to a fault-free baseline.  Across hot swaps
+under live traffic the baseline is both stores' answers, and every
+batch line must be answered from one of them (old or new, never a torn
+mix).
 """
 
 import json
-import threading
 import time
 
 import pytest
 
 from repro import AnalyzerOptions, analyze_source
-from repro.bench.loadgen import (
-    baseline_answers,
-    build_workload,
-    run_clients,
-    run_loadtest,
-)
+from repro.bench.loadgen import build_workload
 from repro.diagnostics.faults import FaultPlan
 from repro.memory.pointsto import reset_interning
 from repro.query import build_store, write_store
+from tests.query.load_clients import (
+    baseline_answers,
+    request_key,
+    run_clients,
+)
 
 SOURCE_V1 = """
 int g;
@@ -60,13 +60,6 @@ def store_v3():
     return build(SOURCE_V3)
 
 
-@pytest.fixture()
-def store_file(tmp_path, store_v1):
-    path = tmp_path / "chaos.store.json"
-    write_store(store_v1, str(path))
-    return str(path)
-
-
 def query_once(addr, request):
     import socket
 
@@ -86,6 +79,24 @@ def _wait_for(predicate, timeout=10.0):
     return predicate()
 
 
+def workloads(store, clients, count, seed=0):
+    return [build_workload(store, count, seed=seed + i)
+            for i in range(clients)]
+
+
+def test_clean_run_answers_every_request(store_v1, daemon):
+    """Well-behaved clients: every request is answered ok, and the
+    repeated half of each workload hits the shared LRU."""
+    server, addr = daemon(store_v1)
+    books = run_clients(addr, workloads(store_v1, 4, 20))
+    assert books.answers_read == 80
+    assert books.errors == books.sheds == books.server_drops == 0
+    # the daemon finalizes a line after writing its answers
+    requests = server.telemetry.counter("requests")
+    assert _wait_for(lambda: requests.value == 80)
+    assert server.telemetry.counter("cache_hits").value > 0
+
+
 def test_accounting_invariant_under_chaos_and_disconnect_faults(
     store_v1, daemon
 ):
@@ -96,104 +107,89 @@ def test_accounting_invariant_under_chaos_and_disconnect_faults(
         store_v1, faults=FaultPlan(seed=3, disconnect_rate=0.05)
     )
     requests = server.telemetry.counter("requests")
-    workloads = [build_workload(store_v1, 40, seed=i) for i in range(6)]
-    report = run_clients(addr, workloads, chaos_seed=11)
-    chaos = report.chaos
-    sent = (
-        chaos["answers_read"]
-        + chaos["client_disconnects"]
-        + chaos["server_drops"]
-    )
+    books = run_clients(addr, workloads(store_v1, 6, 40), chaos_seed=11)
+    sent = books.finalized
     assert sent > 0
     # chaos actually happened: both misbehavior kinds fired
-    assert chaos["garbage"] > 0
-    assert chaos["client_disconnects"] > 0
-    assert chaos["server_drops"] > 0  # the injected fault fired
+    assert books.garbage > 0
+    assert books.client_disconnects > 0
+    assert books.server_drops > 0  # the injected fault fired
     assert _wait_for(lambda: requests.value == sent)
     assert requests.value == sent
     assert server.telemetry.counter("fault_disconnects").value == (
-        chaos["server_drops"]
+        books.server_drops
     )
     # the daemon survived it all
     assert query_once(addr, {"op": "ping"})["ok"]
 
 
-def test_chaos_runs_are_deterministic(store_v1, store_file, daemon):
+def test_chaos_runs_are_deterministic(store_v1, daemon):
     """Same seed, same store, no timing-dependent shedding: the chaos
-    accounting block is identical across runs."""
+    accounting is identical across runs."""
     _, addr = daemon(store_v1)
-
-    def run():
-        return run_loadtest(
-            store_file, addr, clients=4, requests_per_client=30, seed=5,
-            chaos=True,
-        )
-
-    a, b = run(), run()
-    assert a.chaos == b.chaos
-    assert a.chaos["garbage"] > 0 or a.chaos["client_disconnects"] > 0
+    loads = workloads(store_v1, 4, 30, seed=5)
+    a = run_clients(addr, loads, chaos_seed=5)
+    b = run_clients(addr, loads, chaos_seed=5)
+    assert a == b
+    assert a.garbage > 0 or a.client_disconnects > 0
 
 
-def test_chaos_on_a_clean_store_matches_baseline(store_v1, store_file,
-                                                 daemon):
+def test_chaos_on_a_clean_store_matches_baseline(store_v1, daemon):
     _, addr = daemon(store_v1)
-    report = run_loadtest(
-        store_file, addr, clients=4, requests_per_client=40, seed=1,
-        chaos=True,
-    )
-    assert report.chaos["mismatches"] == 0
-    assert report.chaos["mismatch_samples"] == []
-    assert report.chaos["answers_read"] > 0
-    assert report.errors == 0
-    out = report.as_dict()
-    assert out["chaos"]["seed"] == 1
+    loads = workloads(store_v1, 4, 40, seed=1)
+    books = run_clients(addr, loads, chaos_seed=1,
+                        expected=baseline_answers([store_v1], loads))
+    assert books.mismatches == 0
+    assert books.answers_read > 0
+    assert books.errors == 0
 
 
-def test_chaos_with_rate_limit_counts_sheds_not_errors(store_v1, store_file,
-                                                      daemon):
-    _, addr = daemon(store_v1, rate_limit=50.0, burst=10.0)
-    report = run_loadtest(
-        store_file, addr, clients=4, requests_per_client=30, seed=2,
-        chaos=True,
-    )
-    assert report.chaos["sheds"] > 0
+def test_chaos_with_rate_limit_counts_sheds_not_errors(store_v1, daemon):
+    server, addr = daemon(store_v1, rate_limit=50.0, burst=10.0)
+    loads = workloads(store_v1, 4, 30, seed=2)
+    books = run_clients(addr, loads, chaos_seed=2,
+                        expected=baseline_answers([store_v1], loads))
+    assert books.sheds > 0
     # sheds are not engine errors, and shed answers skip verification
-    assert report.errors == 0
-    assert report.chaos["mismatches"] == 0
-    # sheds and garbage answers never enter the latency histogram
-    # (garbage bypasses admission — it fails JSON parse before the
-    # gates — so every garbage line here got its bad-json answer)
-    assert report.requests == (
-        report.chaos["answers_read"]
-        - report.chaos["sheds"]
-        - report.chaos["garbage"]
-    )
+    assert books.errors == 0
+    assert books.mismatches == 0
+    # a shed request is finalized like any other
+    requests = server.telemetry.counter("requests")
+    assert _wait_for(lambda: requests.value == books.finalized)
+    assert server.telemetry.counter("sheds").value >= books.sheds
 
 
 def test_midrun_hot_swap_answers_old_or_new_never_torn(
     tmp_path, store_v1, store_v3, daemon
 ):
-    path = str(tmp_path / "hot.store.json")
-    write_store(store_v1, path)
-    server, addr = daemon(store_v1, store_path=path)
-    workloads = [build_workload(store_v1, 60, seed=i) for i in range(4)]
-    expected = baseline_answers([store_v1, store_v3], workloads)
-
-    swap_result = {}
-
-    def swap():
-        time.sleep(0.02)
-        write_store(store_v3, path)
-        swap_result["env"] = query_once(addr, {"op": "reload"})
-
-    swapper = threading.Thread(target=swap)
-    swapper.start()
-    report = run_clients(addr, workloads, chaos_seed=7, expected=expected)
-    swapper.join(10)
-    assert swap_result["env"]["ok"]
-    assert server.generation == 2
-    # every non-shed ok answer matched the old store or the new store —
-    # the never-torn contract, end to end
-    assert report.chaos["mismatches"] == 0
-    assert report.chaos["mismatch_samples"] == []
-    assert report.errors == 0
+    """Batch lines that reload the store half way through, from
+    concurrent chaos clients: every answer on a line comes from the
+    store pinned when the line arrived, never from the one its own
+    ``reload`` promoted."""
+    paths = [str(tmp_path / "v3.store.json"), str(tmp_path / "v1.store.json")]
+    write_store(store_v3, paths[0])
+    write_store(store_v1, paths[1])
+    server, addr = daemon(store_v1, store_path=paths[1])
+    # requests whose answers differ between the two stores
+    pool = build_workload(store_v1, 200, repeat_half=False, seed=0)
+    both = baseline_answers([store_v1, store_v3], [pool])
+    moved = [req for req in pool
+             if len(set(both.get(request_key(req), ()))) > 1]
+    assert len({request_key(req) for req in moved}) >= 2
+    loads = [
+        [
+            [moved[i % len(moved)], moved[(i + 1) % len(moved)],
+             {"op": "reload", "path": paths[i % 2]},
+             moved[i % len(moved)], moved[(i + 1) % len(moved)]]
+            for i in range(c, c + 40)
+        ]
+        for c in range(4)
+    ]
+    books = run_clients(addr, loads, chaos_seed=7,
+                        expected=baseline_answers([store_v1, store_v3],
+                                                  loads))
+    assert books.answers_read > 0
+    assert books.errors == 0
+    assert books.mismatches == 0
+    assert server.generation > 1
+    assert server.telemetry.counter("reload_failures").value == 0

@@ -26,7 +26,7 @@ class TestAllroots:
     def test_newton_out_params(self, results):
         r = results("allroots")
         # eval_poly writes through val/dval which point at newton's locals
-        assert not r.formals_may_alias("eval_poly") or True
+        assert not r.formals_may_alias("eval_poly")
         ptf = r.ptfs_of("eval_poly")[0]
         assert len(ptf.params) >= 2
 

@@ -183,7 +183,7 @@ def test_query_json_to_file(store_file, tmp_path, capsys):
 
 def test_query_unknown_var_is_exit_2(store_file, capsys):
     assert main(["query", store_file, "points-to nosuch@main"]) == 2
-    assert "unknown" in capsys.readouterr().err or True
+    assert "no variable named 'nosuch' in 'main'" in capsys.readouterr().err
 
 
 def test_query_bad_store_is_exit_2(tmp_path, capsys):
@@ -271,6 +271,11 @@ def test_serve_out_of_range_port_is_exit_2(store_file, capsys):
     # a usage error, not an OverflowError traceback from bind()
     assert main(["serve", store_file, "--tcp", "127.0.0.1:70000"]) == 2
     assert "--tcp takes HOST:PORT" in capsys.readouterr().err
+
+
+def test_serve_bad_tcp_address_is_exit_2(store_file, capsys):
+    assert main(["serve", store_file, "--tcp", "nowhere"]) == 2
+    assert "--tcp takes HOST:PORT, got 'nowhere'" in capsys.readouterr().err
 
 
 def test_serve_no_telemetry_is_a_usage_error(store_file, capsys):

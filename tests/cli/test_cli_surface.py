@@ -11,7 +11,8 @@ lost ``--profile-parallel``/``--worker-trace-dir`` and the
 ``--tcp`` required, and again when ``table2`` lost ``--record`` and
 ``loadtest`` lost ``--record``/``--fail-on``, and again when
 ``snapshot`` lost ``--no-solution``/``--memory`` and ``diff`` lost
-``--perf-threshold``/``--mem-threshold``).  The dispatcher adds
+``--perf-threshold``/``--mem-threshold``, and again when the
+``loadtest`` command went).  The dispatcher adds
 arguments only for the command being run, so these pin that every help
 text, usage line and "invalid choice" error is still the same.
 """

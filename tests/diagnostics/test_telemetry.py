@@ -4,10 +4,8 @@ The load-bearing property is the histogram's accuracy contract: every
 reported quantile is within one bucket's relative-error bound of the
 exact sorted-sample quantile computed with the same nearest-rank rule.
 Hypothesis drives that over adversarial positive samples spanning many
-orders of magnitude.  The merge tests pin exactness (digest equality,
-not float closeness) and the algebra the load generator leans on:
-merging is associative and commutative, so per-thread histograms fold
-to the same distribution in any order.
+orders of magnitude.  Concurrent recording is pinned exactly (bucket
+tables, not float closeness).
 """
 
 import math
@@ -119,64 +117,20 @@ def test_snapshot_shape():
         assert snap[key] is not None
 
 
-# -- merging --------------------------------------------------------------
-
-
-@settings(max_examples=50, deadline=None)
-@given(a=positive_samples, b=positive_samples)
-def test_merge_is_commutative(a, b):
-    ha, hb = LogHistogram(), LogHistogram()
-    ha.record_many(a)
-    hb.record_many(b)
-    ab = LogHistogram.merged([ha, hb])
-    ba = LogHistogram.merged([hb, ha])
-    assert ab.digest() == ba.digest()
-    assert ab.count == len(a) + len(b)
-
-
-@settings(max_examples=50, deadline=None)
-@given(a=positive_samples, b=positive_samples, c=positive_samples)
-def test_merge_is_associative(a, b, c):
-    def fresh(samples):
-        h = LogHistogram()
-        h.record_many(samples)
-        return h
-
-    left = LogHistogram.merged([fresh(a), fresh(b)]).merge(fresh(c))
-    right = fresh(a).merge(LogHistogram.merged([fresh(b), fresh(c)]))
-    assert left.digest() == right.digest()
-
-
-@settings(max_examples=50, deadline=None)
-@given(values=positive_samples)
-def test_merge_equals_direct_recording(values):
-    """Splitting a sample across histograms and merging reproduces the
-    single-histogram digest — recording order never matters."""
-    direct = LogHistogram()
-    direct.record_many(values)
-    half = len(values) // 2
-    a, b = LogHistogram(), LogHistogram()
-    a.record_many(values[:half])
-    b.record_many(values[half:])
-    assert LogHistogram.merged([a, b]).digest() == direct.digest()
-
-
-def test_merge_rejects_mismatched_relative_error():
-    with pytest.raises(ValueError):
-        LogHistogram(relative_error=0.01).merge(LogHistogram(relative_error=0.02))
-
-
-def test_merged_of_nothing_is_empty():
-    hist = LogHistogram.merged([])
-    assert hist.count == 0
+def exact_state(hist):
+    """Everything a histogram records exactly (``sum`` is a float total
+    whose rounding depends on recording order)."""
+    return (dict(hist._buckets), hist._zero_count, hist.count, hist.min,
+            hist.max)
 
 
 # -- thread safety --------------------------------------------------------
 
 
 def test_concurrent_record_loses_nothing():
-    """16 threads hammer one histogram; the result is digest-identical
-    to recording the same multiset sequentially."""
+    """16 threads hammer one histogram; the result holds exactly the
+    buckets, count and extremes of recording the same multiset
+    sequentially."""
     hist = LogHistogram()
     per_thread = 500
     threads = 16
@@ -197,7 +151,7 @@ def test_concurrent_record_loses_nothing():
             sequential.record(0.1 + ((seed * per_thread + i) % 97))
 
     assert hist.count == threads * per_thread
-    assert hist.digest() == sequential.digest()
+    assert exact_state(hist) == exact_state(sequential)
 
 
 # -- counters / gauges / registry ----------------------------------------

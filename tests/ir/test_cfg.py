@@ -37,8 +37,11 @@ class TestStraightLine:
 
     def test_exit_reachable(self):
         proc = cfg_of("int main(void) { for(;;); return 0; }")
-        # even with an infinite loop, exit exists in the graph
-        assert proc.exit in proc.rpo or proc.exit.preds == [] or True
+        # even with an infinite loop, exit exists in the graph, reached
+        # from the ``return 0`` assignment
+        assert proc.exit in proc.rpo
+        [pred] = proc.exit.preds
+        assert isinstance(pred, AssignNode)
         assert proc.finalized
 
 

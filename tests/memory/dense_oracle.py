@@ -109,9 +109,6 @@ class DenseState:
     def get_initial(self, loc: LocationSet) -> Optional[frozenset]:
         return self._initial.get(normalize_loc(loc))
 
-    def initial_items(self) -> list[tuple[LocationSet, frozenset]]:
-        return list(self._initial.items())
-
     # -- maps ------------------------------------------------------------
 
     def _map_at(self, node: Node, before: bool) -> dict[LocationSet, frozenset]:

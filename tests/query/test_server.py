@@ -17,7 +17,7 @@ import pytest
 
 from repro import AnalyzerOptions, analyze_source
 from repro.query import QueryEngine, build_store
-from repro.query.server import QueryServer, _probe_tcp
+from repro.query.server import QueryServer
 
 SOURCE = """
 int g;
@@ -191,6 +191,16 @@ def shutdown_tcp(addr):
         fh.write(json.dumps({"op": "shutdown"}) + "\n")
         fh.flush()
         return json.loads(fh.readline())
+
+
+def _probe_tcp(host, port, timeout=0.2):
+    """Whether something is listening on ``host:port`` (no orphan
+    socket may survive a shutdown)."""
+    try:
+        with socket.create_connection((host, port), timeout=timeout):
+            return True
+    except OSError:
+        return False
 
 
 def test_tcp_round_trip_and_clean_shutdown(store):

@@ -88,7 +88,7 @@ def _env():
 #: sources; compile time follows lines (docs/QUERY.md §7)
 IMPORT_CLI_LINES = 400
 QUERY_LINES = 2_400
-SERVE_LINES = 5_000
+SERVE_LINES = 4_200
 
 
 def _probe(tmp_path, script, args, stdin=None):

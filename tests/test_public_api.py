@@ -77,11 +77,10 @@ PUBLIC = {
         "find_redundant_loads",
     ],
     "repro.bench": [
-        "BenchmarkProgram", "DEFAULT_MIX", "LoadReport", "PROGRAMS",
-        "Table2Row", "analyze_benchmark", "build_workload",
-        "invocation_rows", "load_source", "parse_mix", "run_loadtest",
-        "source_path", "table2_rows", "table2_text", "table3_rows",
-        "table3_text",
+        "BenchmarkProgram", "DEFAULT_MIX", "PROGRAMS", "Table2Row",
+        "analyze_benchmark", "build_workload", "invocation_rows",
+        "load_source", "source_path", "table2_rows", "table2_text",
+        "table3_rows", "table3_text",
     ],
 }
 
