@@ -86,6 +86,13 @@ class RootFrame:
             return EMPTY  # strings hold characters, not pointers
         return EMPTY
 
+    # static values: reading them never records anything
+    def fetched(self, loc: LocationSet) -> bool:
+        return True
+
+    def has_global_param(self, name: str) -> bool:
+        return True
+
     def resolve_symbol_block(self, symbol: Symbol) -> MemoryBlock:
         if isinstance(symbol, GlobalSymbol):
             return self.program.add_global(symbol)
@@ -246,6 +253,26 @@ class Frame:
         """
         self.ensure_initial(loc, size)
         return self.ptf.state.assign(loc, values, node, strong, size=size)
+
+    def fetched(self, loc: LocationSet) -> bool:
+        """Whether reading ``loc`` needs no initial fetch, so that a lookup
+        changes nothing in this frame's PTF."""
+        loc = normalize_loc(loc)
+        base = loc.base
+        if isinstance(base, ExtendedParameter):
+            return (
+                self.ptf.state.get_initial(loc) is not None
+                or self.param_map.caller_locations(loc) is None
+            )
+        if isinstance(base, LocalBlock):
+            symbol = self.proc.locals.get(base.name.split("::")[-1])
+            if symbol is not None and symbol.is_formal:
+                return self.ptf.state.get_initial(loc) is not None
+        return True
+
+    def has_global_param(self, name: str) -> bool:
+        """Whether this frame already represents global ``name``."""
+        return name in self.ptf.global_params
 
     def ensure_initial(self, loc: LocationSet, size: int) -> None:
         """Record the initial value of an input location if needed (§3.2)."""

@@ -40,6 +40,16 @@ def _loc_key(loc: LocationSet) -> tuple:
     return (loc.base.uid, loc.offset, loc.stride)
 
 
+def _subsumed_into(param: Optional[ExtendedParameter], top: ExtendedParameter) -> bool:
+    """Whether ``param`` is ``top`` or was subsumed, maybe transitively,
+    into it."""
+    while param is not None:
+        if param is top:
+            return True
+        param = param.subsumed_by
+    return False
+
+
 class InterproceduralMixin:
     """Call-site evaluation for :class:`Analyzer`.
 
@@ -426,6 +436,11 @@ class InterproceduralMixin:
         for candidate in candidates:
             trial = map_.copy()
             verdict = self.match_ptf(candidate, frame, node, trial)
+            if verdict is None and candidate.home == home_key:
+                # the PTF this very call built: read its entries as they
+                # were created, so subsumed parameters bind as they did
+                trial = map_.copy()
+                verdict = self.match_ptf(candidate, frame, node, trial, as_built=True)
             if verdict is not None:
                 map_.actuals = trial.actuals
                 map_.param_values = trial.param_values
@@ -450,6 +465,7 @@ class InterproceduralMixin:
                             reason="recursive summary grew",
                         )
                 self.metrics.ptf_reuses += 1
+                candidate.users.add(home_key[1])
                 if tr is not None:
                     tr.instant(
                         "ptf.reuse",
@@ -534,6 +550,23 @@ class InterproceduralMixin:
             if other is not keep and other.home == home_key and not other.analyzing:
                 ptfs.remove(other)
                 self._ptf_by_uid.pop(other.uid, None)
+                self._drop_home_children(other.uid)
+
+    def _drop_home_children(self, uid: int) -> None:
+        """Drop the PTFs created inside a dropped PTF that no live PTF has
+        reused: their inputs were as intermediate as their home caller's."""
+        live = self._ptf_by_uid
+        for ptfs in self.ptfs.values():  # type: ignore[attr-defined]
+            for child in list(ptfs):
+                if (
+                    child.home is not None
+                    and child.home[1] == uid
+                    and not child.analyzing
+                    and live.keys().isdisjoint(child.users)
+                ):
+                    ptfs.remove(child)
+                    live.pop(child.uid, None)
+                    self._drop_home_children(child.uid)
 
     def _upgrade_entry(
         self,
@@ -572,7 +605,12 @@ class InterproceduralMixin:
         return False
 
     def match_ptf(
-        self, ptf: PTF, frame: Frame, node: CallNode, map_: ParamMap
+        self,
+        ptf: PTF,
+        frame: Frame,
+        node: CallNode,
+        map_: ParamMap,
+        as_built: bool = False,
     ) -> Optional[bool]:
         """Whether ``ptf`` applies at this call, binding ``map_`` as we go.
 
@@ -580,6 +618,16 @@ class InterproceduralMixin:
         input aliases; then compares the function-pointer values (§5.2).
         Returns None on mismatch, False on an exact match, True when the
         match widened a parameter binding (the PTF must be re-visited).
+
+        By default the entries are read normalized: every parameter stands
+        for its representative.  With ``as_built`` they are read as they
+        were created, which makes matching the inverse of parameter
+        creation (``Frame.to_callee_targets``): each parameter binds at the
+        entry that created it, and one that subsumed others binds to the
+        union of its own values and its members' bindings, as ``_subsume``
+        bound it.  That walk only reads caller values the build already
+        fetched; a walk that would have to fetch one (and so change the
+        caller's PTF) is a mismatch.
         """
         if ptf.analyzing:
             return None
@@ -587,8 +635,8 @@ class InterproceduralMixin:
         extended = False
         self._match_upgrades = []
         for raw in list(ptf.initial_entries):
-            entry = raw.normalized()
-            values = self._entry_values(entry, proc, frame, node, map_)
+            entry = raw if as_built else raw.normalized()
+            values = self._entry_values(entry, proc, frame, node, map_, as_built)
             if values is None:
                 return None
             if not entry.targets:
@@ -606,7 +654,9 @@ class InterproceduralMixin:
                     self._match_upgrades.append((raw, values))
                     extended = True
                 continue
-            verdict = self._bind_targets(entry.targets, values, map_, strict=True)
+            verdict = self._bind_targets(
+                entry.targets, values, map_, strict=True, built=ptf if as_built else None
+            )
             if verdict is None:
                 return None
             if verdict == "extended":
@@ -629,9 +679,11 @@ class InterproceduralMixin:
         frame: Frame,
         node: CallNode,
         map_: ParamMap,
+        as_built: bool = False,
     ) -> Optional[frozenset]:
         """The caller-space values of an initial entry's source pointer in
-        the current context (None when the source cannot be mapped)."""
+        the current context (None when the source cannot be mapped, or,
+        ``as_built``, when reading it would fetch a caller input)."""
         src = entry.source
         base = src.base
         if isinstance(base, LocalBlock):
@@ -646,17 +698,20 @@ class InterproceduralMixin:
                     values |= vals
             return frozenset(values)
         if isinstance(base, ExtendedParameter):
-            caller_locs = map_.caller_locations(src)
-            if caller_locs is None:
+            param = base if as_built else base.representative()
+            if map_.param_values.get(param) is None:
                 # parameter not bound yet: for a global parameter we can
                 # bind it structurally; anything else is a mismatch
-                rep = base.representative()
-                if rep.global_block is not None:
-                    caller_block = frame.caller_block_for_global(rep.global_block.name)
-                    map_.bind_param(rep, frozenset({LocationSet(caller_block, 0, 0)}))
-                    caller_locs = map_.caller_locations(src)
-                else:
+                if param.global_block is None:
                     return None
+                name = param.global_block.name
+                if as_built and not frame.has_global_param(name):
+                    return None
+                caller_block = frame.caller_block_for_global(name)
+                map_.bind_param(param, frozenset({LocationSet(caller_block, 0, 0)}))
+            caller_locs = map_.caller_locations(src, as_built)
+            if as_built and not all(frame.fetched(cl) for cl in caller_locs):
+                return None
             values = set()
             for cl in caller_locs:
                 values |= frame.lookup_value(cl, node, WORD_SIZE)
@@ -669,6 +724,7 @@ class InterproceduralMixin:
         values: frozenset,
         map_: ParamMap,
         strict: bool,
+        built: Optional[PTF] = None,
     ) -> Optional[str]:
         """Bind/check one entry's targets against caller values.
 
@@ -680,6 +736,11 @@ class InterproceduralMixin:
         "extended" when the same *objects* are involved but at different
         offsets/strides (the binding is widened and the caller must
         re-visit the PTF), or None on a mismatch.
+
+        With ``built`` (the PTF the targets come from), the targets are
+        read as created: the parameter itself is bound, not its
+        representative, and a parameter that subsumed others is bound to
+        its values plus its members' bindings (Figure 6).
         """
         structural = frozenset(
             t for t in targets if not isinstance(t.base, ExtendedParameter)
@@ -691,34 +752,47 @@ class InterproceduralMixin:
         if not param_targets:
             return "match" if (not strict or not values) else None
         target = param_targets[0]
-        param = target.base.representative()
+        param = target.base if built is not None else target.base.representative()
         if target.stride == 0 and target.offset:
             unshifted = frozenset(
                 v.with_offset(-target.offset) if v.stride == 0 else v for v in values
             )
         else:
             unshifted = values
-        bound = map_.lookup_param(param)
+        bound = map_.param_values.get(param)
         if bound is not None:
-            expected = map_.caller_locations(target) or EMPTY
+            expected = map_.caller_locations(target, built is not None) or EMPTY
             if not strict:
                 map_.extend_param(param, unshifted)
                 return "match"
             if values == expected:
                 return "match"
             # same objects, different offsets/strides: the alias *pattern*
-            # matches (subsumption produced this entry); widen the binding
+            # matches (subsumption produced this entry); widen the binding,
+            # and that of every bound parameter subsuming it
             if values and {v.base for v in values} <= {e.base for e in expected}:
-                map_.extend_param(param, unshifted)
+                while param is not None and param in map_.param_values:
+                    map_.extend_param(param, unshifted)
+                    param = param.subsumed_by if built is not None else None
                 return "extended"
             return None
         # first occurrence of this parameter: bind, ensuring no alias with
         # previously bound parameters (strict mode, object granularity);
         # an empty binding is fine — the parameter stands for "whatever the
         # input points to", and this context supplies nothing yet
+        tree = {param}
+        if built is not None:
+            members = [p for p in built.params if p.subsumed_by is param]
+            for member in members:
+                member_values = map_.param_values.get(member)
+                if member_values is None:
+                    return None
+                unshifted = unshifted | member_values
+            if members:
+                tree = {p for p in built.params if _subsumed_into(p, param)}
         if strict:
             for other, other_vals in map_.param_values.items():
-                if other is param:
+                if other in tree:
                     continue
                 if any(v.base is b.base for v in unshifted for b in other_vals):
                     return None

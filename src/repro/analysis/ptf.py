@@ -96,12 +96,19 @@ class ParamMap:
             return self.param_values.get(rep)
         return None
 
-    def caller_locations(self, loc: LocationSet) -> Optional[frozenset]:
-        """Translate a param-based location set into caller space."""
+    def caller_locations(
+        self, loc: LocationSet, as_built: bool = False
+    ) -> Optional[frozenset]:
+        """Translate a param-based location set into caller space, through
+        the representative's binding, or ``as_built`` through the binding
+        of the location's own parameter."""
         base = loc.base
         if not isinstance(base, ExtendedParameter):
             return None
-        values = self.lookup_param(base.representative())
+        if as_built:
+            values = self.param_values.get(base)
+        else:
+            values = self.lookup_param(base.representative())
         if values is None:
             return None
         out = set()
@@ -149,6 +156,9 @@ class PTF:
         self.fnptr_domain: dict[ExtendedParameter, frozenset] = {}
         #: (call node uid, caller PTF uid) where this PTF was created
         self.home: Optional[tuple[int, int]] = None
+        #: uids of the caller PTFs (-1 for the root) that reused this PTF;
+        #: while one of them lives, dropping the home caller keeps this PTF
+        self.users: set[int] = set()
         #: the ParamMap of the context being (re)analyzed; lazy initial-value
         #: fetches go through it
         self.current_map: Optional[ParamMap] = None

@@ -221,3 +221,44 @@ def test_index_jobs_stores_equal_single_file_stores(tmp_path):
         assert proc.returncode == 0, proc.stderr
         batch_store = batch_dir / f"{name}.store.json"
         assert batch_store.read_bytes() == single.read_bytes(), name
+
+
+def test_analyze_jobs_snapshot_dir_matches_sequential_snapshots(tmp_path, capsys):
+    """``repro analyze --jobs 2 --snapshot-dir`` in a fresh process writes,
+    for every benchmark, the snapshot ``repro snapshot`` writes for it
+    alone: ``repro diff`` calls each pair bit-identical, and the files
+    are byte-equal."""
+    import json
+    import os
+    import subprocess
+    import sys
+
+    import repro
+    from repro.bench.programs import program_dir
+    from repro.cli import main
+
+    names = sorted(f[:-2] for f in os.listdir(program_dir()) if f.endswith(".c"))
+    paths = [os.path.join(program_dir(), f"{name}.c") for name in names]
+    seq_dir = tmp_path / "seq"
+    seq_dir.mkdir()
+    for name, path in zip(names, paths):
+        out = seq_dir / f"{name}.json"
+        assert main(["snapshot", path, "--name", name, "-o", str(out)]) == 0
+    par_dir = tmp_path / "par"
+    env = dict(os.environ)
+    src_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "analyze", "--jobs", "2", *paths,
+         "--snapshot-dir", str(par_dir)],
+        capture_output=True, text=True, timeout=300, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    capsys.readouterr()
+    for name in names:
+        seq = seq_dir / f"{name}.json"
+        par = par_dir / f"{name}.snapshot.json"
+        assert main(["diff", str(seq), str(par), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert "bit-identical" in report["classes"], (name, report)
+        assert seq.read_bytes() == par.read_bytes(), name

@@ -15,7 +15,7 @@ checks cross-cutting invariants:
 from __future__ import annotations
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro import AnalyzerOptions, analyze_source, load_program
@@ -81,9 +81,8 @@ def statements(draw, depth=0):
     return f"while (cond) {{ {inner} cond--; }}"
 
 
-@st.composite
-def programs(draw):
-    body = draw(st.lists(statements(), min_size=1, max_size=10))
+def program_source(body: list[str]) -> str:
+    """The generated program around ``main``'s statement list."""
     stmts = "\n    ".join(body)
     return f"""
 int {', '.join(INTS)};
@@ -109,10 +108,31 @@ int main(void) {{
 """
 
 
+@st.composite
+def programs(draw):
+    return program_source(draw(st.lists(statements(), min_size=1, max_size=10)))
+
+
+#: ``*pp = q`` strongly updates ``p`` to ``q``'s empty value once ``pp``
+#: holds ``&p``, so ``q = p`` never copies ``&x`` in a concrete run.  A
+#: dense state whose loop carried copies of values kept ``q -> {x}``
+#: from the pass before ``pp`` reached ``p``.
+STRONG_UPDATE_IN_LOOP = program_source(
+    [
+        "p = &x;",
+        "while (cond) { pp = &p; cond--; }",
+        "*pp = q;",
+        "q = p;",
+        "while (cond) { p = &x; cond--; }",
+    ]
+)
+
+
 ALL_VARS = PTRS + PPTRS
 
 
 @given(programs())
+@example(STRONG_UPDATE_IN_LOOP)
 @settings(
     max_examples=60,
     deadline=None,

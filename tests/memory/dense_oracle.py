@@ -1,9 +1,10 @@
 """The dense reference representation of a points-to function.
 
-:class:`DenseState` keeps a full points-to map at the entry and exit of
-every flow-graph node: merges union the predecessors' out-maps, strong
-updates delete every overlapping key, and lookups read the map.  It is
-slow and obviously correct — the oracle the sparse representation
+:class:`DenseState` keeps a full map at the entry and exit of every
+flow-graph node, from each location to the definition reaching it:
+merges union the values of differing definitions, strong updates delete
+every overlapping key, and lookups read the map.  It is slow and
+obviously correct — the oracle the sparse representation
 (:class:`repro.memory.pointsto.SparseState`, the paper's §4.2 scheme) is
 checked against.  It is not part of the product.
 
@@ -65,7 +66,19 @@ def both_kinds(src: str, options=None) -> list:
 
 
 class DenseState:
-    """Full per-node points-to maps (reference implementation)."""
+    """Full per-node points-to maps (reference implementation).
+
+    Every node's entry and exit map names, for each location, the
+    definition that reaches it: the entry (the initial value), a node
+    that assigned it, or a merge where different definitions meet.  The
+    values live once per definition and are recomputed from the node's
+    inputs on every pass.  A loop back edge therefore carries a
+    definition, not a copy of its values: when a strong update later
+    removes a value from the definition, the loop sees the removal
+    instead of feeding the old value back around.  Concrete execution
+    never sees such a value, and neither does the sparse state, whose φs
+    sit only where different definitions meet.
+    """
 
     def __init__(
         self,
@@ -82,11 +95,14 @@ class DenseState:
         self.metrics = metrics if metrics is not None else Metrics()
         self.provenance = provenance
         self._initial: dict[LocationSet, frozenset] = {}
-        #: node uid -> map at node exit
-        self._out: dict[int, dict[LocationSet, frozenset]] = {}
-        #: node uid -> map at node entry (after merging predecessors)
-        self._in: dict[int, dict[LocationSet, frozenset]] = {}
-        #: node uid -> the out map from the previous pass (change detection)
+        #: definition -> its values; a definition is ``(node uid, location,
+        #: is-merge)``, the entry's are ``(entry uid, location, False)``
+        self._values: dict[tuple, frozenset] = {}
+        #: node uid -> location -> definition reaching the node's exit
+        self._out: dict[int, dict[LocationSet, tuple]] = {}
+        #: node uid -> location -> definition reaching the node's entry
+        self._in: dict[int, dict[LocationSet, tuple]] = {}
+        #: node uid -> the exit map's values in the previous pass
         self._prev_out: dict[int, Optional[dict]] = {}
 
     # -- initial ----------------------------------------------------------
@@ -111,9 +127,14 @@ class DenseState:
 
     # -- maps ------------------------------------------------------------
 
-    def _map_at(self, node: Node, before: bool) -> dict[LocationSet, frozenset]:
+    def _value(self, ref: tuple) -> frozenset:
+        if ref[0] == self.entry.uid:
+            return self._initial.get(ref[1], EMPTY)
+        return self._values.get(ref, EMPTY)
+
+    def _refs_at(self, node: Node, before: bool) -> dict[LocationSet, tuple]:
         if node is self.entry:
-            return self._initial
+            return {key: (node.uid, key, False) for key in self._initial}
         if before:
             return self._in.get(node.uid, {})
         return self._out.get(node.uid, self._in.get(node.uid, {}))
@@ -121,28 +142,43 @@ class DenseState:
     def merge_at(self, node: Node, evaluated: set[int]) -> None:
         if node is self.entry:
             return
-        merged: dict[LocationSet, frozenset] = {}
+        # the previous pass's values, before this merge rewrites them
+        self._prev_out[node.uid] = self._resolved_out(node.uid)
+        reaching: dict[LocationSet, set] = {}
         for pred in node.preds:
             if pred.uid not in evaluated and pred is not self.entry:
                 continue
-            pmap = self._out.get(pred.uid)
-            if pmap is None:
-                pmap = self._initial if pred is self.entry else self._in.get(pred.uid, {})
-            for key, vals in pmap.items():
-                key = normalize_loc(key)
-                vals = normalize_values(vals)
-                old = merged.get(key)
-                merged[key] = vals if old is None else intern_values(old | vals)
+            for key, ref in self._refs_at(pred, before=False).items():
+                reaching.setdefault(normalize_loc(key), set()).add(ref)
+        merged: dict[LocationSet, tuple] = {}
+        for key, refs in reaching.items():
+            if len(refs) == 1:
+                merged[key] = next(iter(refs))
+                continue
+            # different definitions meet here: a merge definition holds
+            # the union of their current values
+            ref = (node.uid, key, True)
+            vals = EMPTY
+            for r in refs:
+                vals = intern_values(vals | normalize_values(self._value(r)))
+            self._values[ref] = vals
+            merged[key] = ref
         self._in[node.uid] = merged
-        # out starts as a copy of in; assign() then mutates it in place, and
-        # finish_node compares against the previous pass's out map
-        self._prev_out[node.uid] = self._out.get(node.uid)
+        # out starts as a copy of in; assign() then rebinds locations to
+        # this node's definitions, and finish_node compares the values
+        # against the previous pass's
         self._out[node.uid] = dict(merged)
+
+    def _resolved_out(self, uid: int) -> Optional[dict]:
+        refs = self._out.get(uid)
+        if refs is None:
+            return None
+        return {key: self._value(ref) for key, ref in refs.items()}
 
     def finish_node(self, node: Node) -> None:
         if node is self.entry:
             return
-        if self._out.get(node.uid) != self._prev_out.get(node.uid):
+        if self._resolved_out(node.uid) != self._prev_out.get(node.uid):
             self.mark_changed()
 
     def phi_locations(self, node: Node) -> set[LocationSet]:
@@ -163,6 +199,8 @@ class DenseState:
             _register(loc)
         self.assigned_keys.add(loc)
         out = self._out.setdefault(node.uid, dict(self._in.get(node.uid, {})))
+        old = out.get(loc)
+        visible = None if old is None else self._value(old)
         changed = False
         if strong:
             # a strong update overwrites every location the write covers
@@ -176,15 +214,14 @@ class DenseState:
             for k in doomed:
                 del out[k]
                 changed = True
-            if out.get(loc) != vals:
-                out[loc] = vals
-                changed = True
+            new = vals
         else:
-            old = out.get(loc, EMPTY)
-            new = intern_values(old | vals)
-            if new != old:
-                out[loc] = new
-                changed = True
+            new = vals if visible is None else intern_values(visible | vals)
+        if visible != new:
+            changed = True
+        ref = (node.uid, loc, False)
+        self._values[ref] = new
+        out[loc] = ref
         if changed:
             if strong:
                 self.metrics.strong_updates += 1
@@ -202,15 +239,15 @@ class DenseState:
     def lookup(self, loc: LocationSet, node: Node, before: bool = True) -> frozenset:
         self.metrics.lookups += 1
         loc = normalize_loc(loc)
-        table = self._map_at(node, before)
-        hit = table.get(loc)
-        if hit is None:
+        table = self._refs_at(node, before)
+        ref = table.get(loc)
+        if ref is None:
             # keys may have been recorded before their base was subsumed
-            for key, vals in table.items():
+            for key, r in table.items():
                 if normalize_loc(key) == loc:
-                    hit = vals
+                    ref = r
                     break
-        return normalize_values(hit or EMPTY)
+        return normalize_values(self._value(ref) if ref is not None else EMPTY)
 
     def lookup_overlapping(
         self, loc: LocationSet, node: Node, width: int = 1, before: bool = True
@@ -218,10 +255,10 @@ class DenseState:
         self.metrics.lookups += 1
         loc = normalize_loc(loc)
         result: set[LocationSet] = set()
-        for key, vals in self._map_at(node, before).items():
+        for key, ref in self._refs_at(node, before).items():
             key_n = normalize_loc(key)
             if key_n.base is loc.base and loc.overlaps(key_n, width=width, other_width=1):
-                result |= vals
+                result |= self._value(ref)
         return normalize_values(result)
 
     def summary(self, exit_node: Node) -> dict[LocationSet, frozenset]:
