@@ -135,6 +135,10 @@ class Analyzer(InterproceduralMixin):
         self.stack: list[Frame] = []
         self.ptfs: dict[str, list[PTF]] = {}
         self._ptf_by_uid: dict[int, PTF] = {}
+        #: (call node uid, caller PTF uid; -1, -1 for main) -> the PTF that
+        #: call applied last and the ParamMap it bound (recursive calls
+        #: aside)
+        self.applied: dict[tuple[int, int], tuple[PTF, ParamMap]] = {}
         self._heap_blocks: dict[str, HeapBlock] = {}
         self._libc_statics: dict[str, GlobalBlock] = {}
         self.root = RootFrame(self)
@@ -253,6 +257,7 @@ class Analyzer(InterproceduralMixin):
             frame = Frame(self, main, ptf, param_map, None, self.root)
             self.main_frame = frame
             ptf.current_map = param_map
+            self.applied = {(-1, -1): (ptf, param_map)}
             ptf.analyzing = True
             self.stack.append(frame)
             self.budget.note_depth(len(self.stack))

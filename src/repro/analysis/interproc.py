@@ -26,7 +26,7 @@ from ..memory.locset import LocationSet
 from ..memory.pointsto import normalize_loc
 from .context import Frame, RootFrame
 from .guards import GuardTripped, conservative_region
-from .ptf import PTF, InitialEntry, ParamMap
+from .ptf import PTF, InitialEntry, ParamMap, place
 
 if TYPE_CHECKING:  # pragma: no cover
     from .intra import ProcEvaluator
@@ -48,6 +48,11 @@ def _subsumed_into(param: Optional[ExtendedParameter], top: ExtendedParameter) -
             return True
         param = param.subsumed_by
     return False
+
+
+def _caller_uid(frame: Frame) -> int:
+    """The uid of the PTF ``frame`` evaluates (-1 for the root)."""
+    return frame.ptf.uid if frame.ptf is not None else -1
 
 
 class InterproceduralMixin:
@@ -247,6 +252,8 @@ class InterproceduralMixin:
         deferring — the dispatches the call-site memo may record."""
         if on_stack is None:
             ptf, need_visit = self.get_ptf(frame, node, proc, map_)
+            ptf.users.add(_caller_uid(frame))
+            self.applied[(node.uid, _caller_uid(frame))] = (ptf, map_)
             if need_visit:
                 if not self._analyze_ptf(frame, node, proc, ptf, map_):
                     return False  # guard tripped: havoc fallback already applied
@@ -423,7 +430,7 @@ class InterproceduralMixin:
     def get_ptf(
         self, frame: Frame, node: CallNode, proc: Procedure, map_: ParamMap
     ) -> tuple[PTF, bool]:
-        home_key = (node.uid, frame.ptf.uid if frame.ptf is not None else -1)
+        home_key = (node.uid, _caller_uid(frame))
         home: Optional[PTF] = None
         tr = self.trace
         tried = 0
@@ -465,7 +472,6 @@ class InterproceduralMixin:
                             reason="recursive summary grew",
                         )
                 self.metrics.ptf_reuses += 1
-                candidate.users.add(home_key[1])
                 if tr is not None:
                     tr.instant(
                         "ptf.reuse",
@@ -553,20 +559,43 @@ class InterproceduralMixin:
                 self._drop_home_children(other.uid)
 
     def _drop_home_children(self, uid: int) -> None:
-        """Drop the PTFs created inside a dropped PTF that no live PTF has
-        reused: their inputs were as intermediate as their home caller's."""
-        live = self._ptf_by_uid
+        """Drop the PTFs created inside a dropped PTF that no live caller
+        has applied: their inputs were as intermediate as their home
+        caller's."""
         for ptfs in self.ptfs.values():  # type: ignore[attr-defined]
             for child in list(ptfs):
                 if (
                     child.home is not None
                     and child.home[1] == uid
                     and not child.analyzing
-                    and live.keys().isdisjoint(child.users)
+                    and not any(self._lives(user) for user in child.users)
                 ):
                     ptfs.remove(child)
-                    live.pop(child.uid, None)
+                    self._ptf_by_uid.pop(child.uid, None)
                     self._drop_home_children(child.uid)
+
+    def _lives(self, caller: int) -> bool:
+        """Whether the caller PTF with uid ``caller`` (-1: the root) is
+        still part of the analysis."""
+        return caller == -1 or caller in self._ptf_by_uid
+
+    def context_maps(self) -> dict[int, list[ParamMap]]:
+        """PTF uid -> the ParamMaps of the calls that apply it now.
+
+        One map per call site in a live caller PTF (the root included),
+        from that call's latest dispatch.  A caller dropped as a fixpoint
+        artifact contributes nothing, and neither does a call site that
+        has since moved to another PTF, so the result depends on the
+        converged contexts, not on the order they were visited in.
+        Recursive calls, which apply the PTF on the call stack, are not
+        recorded: they bind its parameters to names from inside the
+        cycle, and they apply it only once its summary is non-empty.
+        """
+        out: dict[int, list[ParamMap]] = {}
+        for (_, caller), (ptf, map_) in self.applied.items():
+            if self._lives(caller):
+                out.setdefault(ptf.uid, []).append(map_)
+        return out
 
     def _upgrade_entry(
         self,
@@ -632,11 +661,12 @@ class InterproceduralMixin:
         if ptf.analyzing:
             return None
         proc = ptf.proc
+        built = ptf if as_built else None
         extended = False
         self._match_upgrades = []
         for raw in list(ptf.initial_entries):
             entry = raw if as_built else raw.normalized()
-            values = self._entry_values(entry, proc, frame, node, map_, as_built)
+            values = self._entry_values(entry, proc, frame, node, map_, built)
             if values is None:
                 return None
             if not entry.targets:
@@ -654,9 +684,7 @@ class InterproceduralMixin:
                     self._match_upgrades.append((raw, values))
                     extended = True
                 continue
-            verdict = self._bind_targets(
-                entry.targets, values, map_, strict=True, built=ptf if as_built else None
-            )
+            verdict = self._bind_targets(entry.targets, values, map_, strict=True, built=built)
             if verdict is None:
                 return None
             if verdict == "extended":
@@ -679,11 +707,12 @@ class InterproceduralMixin:
         frame: Frame,
         node: CallNode,
         map_: ParamMap,
-        as_built: bool = False,
+        built: Optional[PTF] = None,
     ) -> Optional[frozenset]:
         """The caller-space values of an initial entry's source pointer in
         the current context (None when the source cannot be mapped, or,
-        ``as_built``, when reading it would fetch a caller input)."""
+        reading the entry as ``built``, when that would fetch a caller
+        input)."""
         src = entry.source
         base = src.base
         if isinstance(base, LocalBlock):
@@ -698,19 +727,21 @@ class InterproceduralMixin:
                     values |= vals
             return frozenset(values)
         if isinstance(base, ExtendedParameter):
-            param = base if as_built else base.representative()
-            if map_.param_values.get(param) is None:
+            param = base if built is not None else base.representative()
+            bound = map_.param_values.get(param)
+            if bound is None:
                 # parameter not bound yet: for a global parameter we can
                 # bind it structurally; anything else is a mismatch
                 if param.global_block is None:
                     return None
                 name = param.global_block.name
-                if as_built and not frame.has_global_param(name):
+                if built is not None and not frame.has_global_param(name):
                     return None
                 caller_block = frame.caller_block_for_global(name)
-                map_.bind_param(param, frozenset({LocationSet(caller_block, 0, 0)}))
-            caller_locs = map_.caller_locations(src, as_built)
-            if as_built and not all(frame.fetched(cl) for cl in caller_locs):
+                bound = frozenset({LocationSet(caller_block, 0, 0)})
+                map_.bind_param(param, bound)
+            caller_locs = place(src, bound)
+            if built is not None and not all(frame.fetched(cl) for cl in caller_locs):
                 return None
             values = set()
             for cl in caller_locs:
@@ -761,7 +792,7 @@ class InterproceduralMixin:
             unshifted = values
         bound = map_.param_values.get(param)
         if bound is not None:
-            expected = map_.caller_locations(target, built is not None) or EMPTY
+            expected = place(target, bound)
             if not strict:
                 map_.extend_param(param, unshifted)
                 return "match"

@@ -34,7 +34,7 @@ from ..memory.blocks import ExtendedParameter
 from ..memory.locset import LocationSet
 from ..memory.pointsto import SparseState, normalize_loc
 
-__all__ = ["PTF", "ParamMap", "InitialEntry", "reset_ptf_counter"]
+__all__ = ["PTF", "ParamMap", "InitialEntry", "place", "reset_ptf_counter"]
 
 _ptf_counter = itertools.count()
 
@@ -71,6 +71,18 @@ class InitialEntry:
         )
 
 
+def place(loc: LocationSet, values: frozenset) -> frozenset:
+    """The caller-space locations of ``loc``, given the ``values`` its
+    parameter stands for: each moved to ``loc``'s offset and stride."""
+    out = set()
+    for v in values:
+        shifted = v.with_offset(loc.offset) if loc.stride == 0 else v
+        if loc.stride:
+            shifted = shifted.with_offset(loc.offset).with_stride(loc.stride)
+        out.add(shifted)
+    return frozenset(out)
+
+
 class ParamMap:
     """Binding of a PTF's name space to one calling context."""
 
@@ -96,28 +108,15 @@ class ParamMap:
             return self.param_values.get(rep)
         return None
 
-    def caller_locations(
-        self, loc: LocationSet, as_built: bool = False
-    ) -> Optional[frozenset]:
-        """Translate a param-based location set into caller space, through
-        the representative's binding, or ``as_built`` through the binding
-        of the location's own parameter."""
+    def caller_locations(self, loc: LocationSet) -> Optional[frozenset]:
+        """Translate a param-based location set into caller space."""
         base = loc.base
         if not isinstance(base, ExtendedParameter):
             return None
-        if as_built:
-            values = self.param_values.get(base)
-        else:
-            values = self.lookup_param(base.representative())
+        values = self.lookup_param(base.representative())
         if values is None:
             return None
-        out = set()
-        for v in values:
-            shifted = v.with_offset(loc.offset) if loc.stride == 0 else v
-            if loc.stride:
-                shifted = shifted.with_offset(loc.offset).with_stride(loc.stride)
-            out.add(shifted)
-        return frozenset(out)
+        return place(loc, values)
 
     def copy(self) -> "ParamMap":
         clone = ParamMap()
@@ -156,7 +155,7 @@ class PTF:
         self.fnptr_domain: dict[ExtendedParameter, frozenset] = {}
         #: (call node uid, caller PTF uid) where this PTF was created
         self.home: Optional[tuple[int, int]] = None
-        #: uids of the caller PTFs (-1 for the root) that reused this PTF;
+        #: uids of the caller PTFs (-1 for the root) that applied this PTF;
         #: while one of them lives, dropping the home caller keeps this PTF
         self.users: set[int] = set()
         #: the ParamMap of the context being (re)analyzed; lazy initial-value

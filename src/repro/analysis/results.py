@@ -26,7 +26,7 @@ from ..memory.locset import LocationSet
 from ..memory.pointsto import normalize_loc
 from .engine import Analyzer, AnalyzerOptions, analyze
 from .guards import DegradationReport
-from .ptf import PTF
+from .ptf import PTF, ParamMap
 
 __all__ = ["AnalysisResult", "run_analysis", "PTFStats"]
 
@@ -65,6 +65,7 @@ class AnalysisResult:
     def __init__(self, analyzer: Analyzer) -> None:
         self.analyzer = analyzer
         self.program: Program = analyzer.program
+        self._contexts: Optional[dict[int, list[ParamMap]]] = None
 
     @property
     def degradation(self) -> "DegradationReport":
@@ -119,10 +120,16 @@ class AnalysisResult:
         return None
 
     def _concretize(self, ptf: PTF, values: Iterable[LocationSet]) -> set[LocationSet]:
-        """Translate extended parameters to what they represent, where the
-        PTF's last context bound them."""
+        """Translate extended parameters to what they represent: the union
+        of their bindings over every call that applies the PTF
+        (``Analyzer.context_maps``), so the answer does not depend on the
+        order the fixpoint visited those calls in."""
+        if self._contexts is None:
+            self._contexts = self.analyzer.context_maps()
+        maps = self._contexts.get(ptf.uid)
+        if maps is None:
+            maps = [ptf.current_map] if ptf.current_map is not None else []
         out: set[LocationSet] = set()
-        map_ = ptf.current_map
         for v in values:
             base = v.base
             if isinstance(base, ExtendedParameter):
@@ -130,7 +137,9 @@ class AnalysisResult:
                 if rep.global_block is not None:
                     out.add(LocationSet(rep.global_block, v.offset, v.stride))
                     continue
-                bound = map_.lookup_param(rep) if map_ is not None else None
+                bound: set[LocationSet] = set()
+                for map_ in maps:
+                    bound |= map_.lookup_param(rep) or set()
                 if bound:
                     for b in bound:
                         shifted = b.with_offset(v.offset) if b.stride == 0 else b

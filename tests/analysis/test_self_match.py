@@ -15,13 +15,15 @@ import os
 import pytest
 
 from repro import analyze_source, load_program
-from repro.analysis.engine import Analyzer
+from repro.analysis.engine import Analyzer, AnalyzerOptions
 from repro.analysis.intra import ProcEvaluator
 from repro.analysis.ptf import ParamMap, reset_ptf_counter
 from repro.analysis.results import AnalysisResult
 from repro.bench.programs import load_source, program_dir
 from repro.diagnostics.snapshot import build_snapshot
+from repro.memory.locset import LocationSet
 from repro.memory.pointsto import reset_interning
+from repro.query.store import procedure_record
 
 #: ``visit`` reads its formal first (one parameter for ``{c2, c4}``),
 #: then ``all->next``, whose values ``{c2, c3}`` alias that parameter: a
@@ -151,3 +153,86 @@ def test_rebuilt_ptf_matches_its_own_context(name):
         expected = json.load(fh)[name]
     snap = build_snapshot(AnalysisResult(analyzer), program_name=name)
     assert snap["digest"]["program"] == expected
+
+
+def _fake_ptf(analyzer, proc_name, home_caller):
+    ptf = analyzer.new_ptf(analyzer.program.procedures[proc_name])
+    ptf.home = (-5, home_caller)
+    ptf.users.add(home_caller)
+    return ptf
+
+
+def test_dropping_a_caller_keeps_the_ptfs_a_live_caller_applied():
+    analyzer = analyze_source(SUBSUMED_FORMAL).analyzer
+    main_ptf = analyzer.main_frame.ptf
+    dropped = _fake_ptf(analyzer, "visit", main_ptf.uid)
+    orphan = _fake_ptf(analyzer, "visit", dropped.uid)
+    grandchild = _fake_ptf(analyzer, "visit", orphan.uid)
+    shared = _fake_ptf(analyzer, "visit", dropped.uid)
+    shared.users.add(main_ptf.uid)
+    from_root = _fake_ptf(analyzer, "visit", dropped.uid)
+    from_root.users.add(-1)
+    analyzer.ptfs["visit"].remove(dropped)
+    del analyzer._ptf_by_uid[dropped.uid]
+    analyzer._drop_home_children(dropped.uid)
+    live = analyzer.ptfs["visit"]
+    assert orphan not in live and grandchild not in live
+    assert orphan.uid not in analyzer._ptf_by_uid
+    assert shared in live and from_root in live
+
+
+def test_generalized_dispatch_records_its_caller():
+    source = SUBSUMED_FORMAL.replace(
+        "int main(",
+        "struct cell *again(struct cell *x) { return visit(x); }\n\nint main(",
+    ).replace("return q == 0;", "q = again(&c1);\n    return q == 0;")
+    result = analyze_source(source, options=AnalyzerOptions(ptf_limit=1))
+    analyzer = result.analyzer
+    (ptf,) = result.ptfs_of("visit")
+    (again,) = result.ptfs_of("again")
+    assert analyzer.metrics.ptf_generalizations
+    assert again.uid in ptf.users
+
+
+def test_results_name_parameters_through_every_live_call():
+    analyzer = analyze_source(SUBSUMED_FORMAL).analyzer
+    main_ptf = analyzer.main_frame.ptf
+    callee = _fake_ptf(analyzer, "visit", main_ptf.uid)
+    moved = _fake_ptf(analyzer, "visit", main_ptf.uid)
+    dead = _fake_ptf(analyzer, "visit", main_ptf.uid)
+    analyzer.ptfs["visit"].remove(dead)
+    del analyzer._ptf_by_uid[dead.uid]
+    a = callee.new_param("a")
+    c1, c2, c3, c4 = (
+        frozenset({LocationSet(analyzer.program.global_block(g), 0, 0)})
+        for g in ("c1", "c2", "c3", "c4")
+    )
+
+    def call(site, caller, ptf, values):
+        map_ = ParamMap()
+        map_.bind_param(a, values)
+        analyzer.applied[(site, caller)] = (ptf, map_)
+
+    call(-11, main_ptf.uid, callee, c2)
+    call(-12, -1, callee, frozenset())
+    call(-13, dead.uid, callee, c3)  # its caller was dropped
+    call(-14, main_ptf.uid, callee, c4)
+    call(-14, main_ptf.uid, moved, c1)  # the call now applies another PTF
+    names = AnalysisResult(analyzer)._concretize(callee, {LocationSet(a, 0, 0)})
+    assert names == set(c2)
+
+
+def test_interp_answers_name_no_parameter_of_the_queried_procedure():
+    reset_interning()
+    reset_ptf_counter()
+    program = load_program(load_source("interp"), "interp.c", "interp")
+    result = AnalysisResult(Analyzer(program).run())
+    leaks = [
+        (proc, var, loc[1])
+        for proc in result.program.procedures
+        for var, rec in procedure_record(result, proc)["vars"].items()
+        for loc in rec["locs"]
+        if loc[0].startswith(f"xparam:{proc}:")
+    ]
+    assert not leaks
+    assert "cons" in result.program.procedures

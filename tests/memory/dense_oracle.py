@@ -72,12 +72,18 @@ class DenseState:
     definition that reaches it: the entry (the initial value), a node
     that assigned it, or a merge where different definitions meet.  The
     values live once per definition and are recomputed from the node's
-    inputs on every pass.  A loop back edge therefore carries a
-    definition, not a copy of its values: when a strong update later
-    removes a value from the definition, the loop sees the removal
-    instead of feeding the old value back around.  Concrete execution
-    never sees such a value, and neither does the sparse state, whose φs
-    sit only where different definitions meet.
+    inputs on every pass.  Where one definition reaches a loop around its
+    back edge, the edge carries that definition, not a copy of its
+    values: when a strong update later removes a value from it, the loop
+    sees the removal instead of feeding the old value back around.
+    Concrete execution never sees such a value, and neither does the
+    sparse state, whose φs sit only where different definitions meet.
+
+    This follows the sparse state's own rule for where merges sit, so it
+    does not check that rule independently.  Merge definitions that reach
+    each other through back edges (an outer and an inner loop header) can
+    still keep a removed value alive around the cycle: each unions the
+    other's values, so a value in both stays in both.
     """
 
     def __init__(
